@@ -1,9 +1,10 @@
 """Independent brute-force verifiers for cross-checking certificates.
 
-These deliberately avoid the solver's code paths: eigenvalues come from
-numpy's LAPACK bindings, witnesses from sphere sampling, and optimal
-weights from exhaustive grids or a planar concave search over the
-coordinate hull. Disagreement with the solver beyond tolerance is a bug,
+These are independent of the solver by algorithm: optimal weights come
+from exhaustive grids or a planar concave search over the coordinate
+hull, and witnesses from sphere sampling, never from the pencil search
+or the case recursion. Both sides take eigenvalues from LAPACK through
+numpy.linalg. Disagreement with the solver beyond tolerance is a bug,
 never something to vote over.
 """
 

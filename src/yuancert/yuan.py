@@ -397,42 +397,45 @@ def certify_rank2(
         return refute(0 if pos.size else -1)
 
     def solve(idxs: list[int]) -> CertificateReport:
-        sub = MatrixFamily([syms[i] for i in idxs])
-        sr = matrix_set_rank(sub, tol)
-        if sr.rank == 0:
-            w = np.zeros(m)
-            w[idxs] = 1.0 / len(idxs)
-            return CertificateReport(Certified(make_weights(w), 0.0), {})
-        if sr.rank == 1:
-            return solve_rank1(idxs)
-        if len(idxs) == 2:
-            rep = yuan_two(syms[idxs[0]], syms[idxs[1]], cone, tol=tol)
-            return embed_pair(rep, idxs[0], idxs[1])
-        b1, b2 = idxs[sr.basis[0]], idxs[sr.basis[1]]
-        rest = [i for i in idxs if i != b1 and i != b2]
-        last = rest[-1]
-        alpha, beta = express_in_basis(syms[last], syms[b1], syms[b2], tol)
-        ctol = tol * (1.0 + abs(alpha) + abs(beta))
-        sa = 0 if abs(alpha) <= ctol else (1 if alpha > 0.0 else -1)
-        sb = 0 if abs(beta) <= ctol else (1 if beta > 0.0 else -1)
-        if sa >= 0 and sb >= 0:
-            # negative first two forms would force the last one negative
-            return solve([i for i in idxs if i != last])
-        if sa < 0 and sb == 0:
-            return embed_pair(yuan_two(syms[b1], syms[last], cone, tol=tol), b1, last)
-        if sa == 0 and sb < 0:
-            return embed_pair(yuan_two(syms[b2], syms[last], cone, tol=tol), b2, last)
-        if sa < 0 and sb > 0:
-            return solve([i for i in idxs if i != b2])
-        if sa > 0 and sb < 0:
-            return solve([i for i in idxs if i != b1])
-        # alpha < 0 and beta < 0: the combination below is the zero matrix
-        denom = 1.0 - alpha - beta
-        w = np.zeros(m)
-        w[b1] = -alpha / denom
-        w[b2] = -beta / denom
-        w[last] = 1.0 / denom
-        return CertificateReport(Certified(make_weights(w), 0.0), {})
+        # each pass either decides or drops one member from idxs in place
+        while True:
+            sub = MatrixFamily([syms[i] for i in idxs])
+            sr = matrix_set_rank(sub, tol)
+            if sr.rank == 0:
+                w = np.zeros(m)
+                w[idxs] = 1.0 / len(idxs)
+                return CertificateReport(Certified(make_weights(w), 0.0), {})
+            if sr.rank == 1:
+                return solve_rank1(idxs)
+            if len(idxs) == 2:
+                rep = yuan_two(syms[idxs[0]], syms[idxs[1]], cone, tol=tol)
+                return embed_pair(rep, idxs[0], idxs[1])
+            b1, b2 = idxs[sr.basis[0]], idxs[sr.basis[1]]
+            rest = [i for i in idxs if i != b1 and i != b2]
+            last = rest[-1]
+            alpha, beta = express_in_basis(syms[last], syms[b1], syms[b2], tol)
+            ctol = tol * (1.0 + abs(alpha) + abs(beta))
+            sa = 0 if abs(alpha) <= ctol else (1 if alpha > 0.0 else -1)
+            sb = 0 if abs(beta) <= ctol else (1 if beta > 0.0 else -1)
+            if sa >= 0 and sb >= 0:
+                # negative first two forms would force the last one negative
+                idxs.remove(last)
+            elif sa < 0 and sb == 0:
+                return embed_pair(yuan_two(syms[b1], syms[last], cone, tol=tol), b1, last)
+            elif sa == 0 and sb < 0:
+                return embed_pair(yuan_two(syms[b2], syms[last], cone, tol=tol), b2, last)
+            elif sa < 0 and sb > 0:
+                idxs.remove(b2)
+            elif sa > 0 and sb < 0:
+                idxs.remove(b1)
+            else:
+                # alpha < 0 and beta < 0: the combination below is the zero matrix
+                denom = 1.0 - alpha - beta
+                w = np.zeros(m)
+                w[b1] = -alpha / denom
+                w[b2] = -beta / denom
+                w[last] = 1.0 / denom
+                return CertificateReport(Certified(make_weights(w), 0.0), {})
 
     report = solve(list(range(m)))
 

@@ -24,6 +24,12 @@ CX_A2 = np.array([[1.0, 0.0], [0.0, 1.0]])
 CX_A3 = np.array([[1.0, 0.0], [1.0, 0.0]])
 
 
+# Exact rank-2 family whose first two members are nearly parallel (pair
+# cosine 1 - 2.6e-9); the third member lies in their span.
+NP_D = np.diag([1.0, -1.0, 0.5])
+NEAR_PARALLEL = (np.eye(3) + 0.3 * NP_D, np.eye(3) + (0.3 + 1e-4) * NP_D, np.eye(3) - 0.9 * NP_D)
+
+
 def family_one() -> MatrixFamily:
     return MatrixFamily([EX1_A1, EX1_A2, EX1_A3])
 

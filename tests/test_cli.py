@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import EX1_A1, EX1_A2, EX1_A3, EX2_A1, EX2_A2, EX2_A3
+from conftest import EX1_A1, EX1_A2, EX1_A3, EX2_A1, EX2_A2, EX2_A3, NEAR_PARALLEL
 from yuancert import FirstOrderCone, QuadProblem, to_kkt
 from yuancert.cli import main
 from yuancert.instances import (
@@ -125,6 +125,11 @@ class TestCommands:
         assert abs(sum(report["weights"]) - 1.0) <= 1e-12
         assert report["lambda_min"] >= -1e-9
         assert report["input_digest"].startswith("sha256:")
+
+    def test_certify_nearly_parallel_pair(self, tmp_path, capsys):
+        path = write(tmp_path, "near.json", family_doc(*NEAR_PARALLEL))
+        assert main(["certify", path, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "certified"
 
     def test_yuan2_refuted_exit_code(self, pair12, capsys):
         assert main(["yuan2", pair12, "--json"]) == 1

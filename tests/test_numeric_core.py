@@ -21,6 +21,7 @@ from yuancert import (
     InputError,
     MatrixFamily,
     NotInSpanError,
+    NumericalFailureError,
     SymMatrix,
     express_in_basis,
     is_psd,
@@ -106,6 +107,53 @@ class TestSymEigen:
                 x = rng.standard_normal(n)
                 x /= np.linalg.norm(x)
                 assert quad_form(m, x) >= lam - 1e-9 * scale
+
+    @pytest.mark.parametrize(
+        "mat",
+        [np.eye(12), np.diag([-2.0, -2.0, -2.0, 0.5, 3.0])],
+        ids=["identity12", "triple_bottom"],
+    )
+    def test_repeated_bottom_eigenvalue(self, mat):
+        rng = np.random.default_rng(4)
+        q, _ = np.linalg.qr(rng.standard_normal(mat.shape))
+        m = SymMatrix(q @ mat @ q.T)
+        spec = sym_eigen(m)
+        n = mat.shape[0]
+        np.testing.assert_allclose(spec.eigenvalues, np.sort(np.diag(mat)), atol=1e-12)
+        assert np.abs(spec.basis.T @ spec.basis - np.eye(n)).max() <= 1e-12
+        bottom = spec.basis[:, np.abs(spec.eigenvalues - spec.eigenvalues[0]) <= 1e-9]
+        np.testing.assert_allclose(m.entries @ bottom, spec.eigenvalues[0] * bottom, atol=1e-12)
+
+    def test_order_one(self):
+        spec = sym_eigen(SymMatrix([[-3.5]]))
+        assert spec.eigenvalues.tolist() == [-3.5]
+        assert np.abs(spec.basis).tolist() == [[1.0]]
+
+    def test_zero_matrix(self):
+        spec = sym_eigen(SymMatrix(np.zeros((4, 4))))
+        assert (spec.eigenvalues == 0.0).all()
+        np.testing.assert_allclose(spec.basis.T @ spec.basis, np.eye(4), atol=1e-15)
+
+    def test_arrays_read_only_and_contiguous(self):
+        spec = sym_eigen(SymMatrix(M_DERIVED))
+        for arr in (spec.eigenvalues, spec.basis):
+            assert arr.flags.c_contiguous
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_min_eigenvalue_is_first_eigenvalue(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 5, 12):
+            m = random_sym(rng, n)
+            assert min_eigenvalue(m) == sym_eigen(m).eigenvalues[0]
+
+    def test_lapack_failure_is_numerical_failure(self, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NumericalFailureError):
+            sym_eigen(SymMatrix(M_DERIVED))
 
 
 class TestMinEigenvalue:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from conftest import (
     EX2_A1,
     EX2_A2,
     EX2_A3,
+    NEAR_PARALLEL,
+    NP_D,
     family_one,
     family_two,
     random_rank2_family,
@@ -288,3 +291,32 @@ class TestCertifyRank2:
         combined = sum(w * m for w, m in zip(out.weights.t, fam3))
         basis = span_basis(cone)
         assert min_eigenvalue(restrict(SymMatrix(combined), basis)) >= -1e-9
+
+    def test_nearly_parallel_basis_pair(self):
+        # normal equations on this basis pair lose the third member from the span
+        fam = MatrixFamily(NEAR_PARALLEL)
+        report = certify_rank2(fam, FirstOrderCone.full(3))
+        out = report.outcome
+        assert isinstance(out, Certified)
+        combined = sum(w * m for w, m in zip(out.weights.t, fam.members))
+        assert min_eigenvalue(SymMatrix(combined)) >= -1e-9 * (1.0 + np.abs(combined).max())
+
+    def test_long_pointed_family_without_recursion(self):
+        # each member dropped by the case analysis must not cost a stack frame
+        rng = np.random.default_rng(7)
+        members = [a * np.eye(3) + b * NP_D for a, b in zip(rng.uniform(0.1, 1.0, 150),
+                                                         rng.uniform(-1.0, 1.0, 150))]
+        fam = MatrixFamily(members)
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            report = certify_rank2(fam, FirstOrderCone.full(3))
+        finally:
+            sys.setrecursionlimit(limit)
+        out = report.outcome
+        assert isinstance(out, Certified)
+        combined = sum(w * m for w, m in zip(out.weights.t, members))
+        assert min_eigenvalue(SymMatrix(combined)) >= -1e-9 * (1.0 + np.abs(combined).max())
