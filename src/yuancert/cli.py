@@ -43,10 +43,11 @@ from .numeric_core import (
     matrix_set_rank,
     min_eigenvalue,
     norm_max,
+    numerical_rank,
     quad_form,
 )
 from .oracle import NoWitnessFound, sample_max_nonneg, simplex_grid_search
-from .quadprob import quad_certificate
+from .quadprob import jacobian_at, quad_certificate
 from .yuan import Certified, Refuted, certify_rank2, yuan_two
 
 EXIT_OK = 0
@@ -95,11 +96,7 @@ def _family_and_cone(args, expected_count=None):
         raise InputError(
             f"{args.input}: expected exactly {expected_count} matrices, got {len(family)}"
         )
-    if args.cone is not None:
-        cone = load_cone(args.cone, family.order)
-    else:
-        cone = FirstOrderCone.full(family.order)
-    return family, cone
+    return family, _cone(args, family.order)
 
 
 def _cmd_yuan2(args) -> tuple[int, dict]:
@@ -205,23 +202,25 @@ def _cmd_verify_report(args) -> tuple[int, dict]:
     out = _base_report(args.input)
     verdict = stored.get("verdict")
     out["checked_verdict"] = verdict
+    if stored.get("input_digest") != out["input_digest"]:
+        out["reason"] = "report input_digest differs from the instance"
+        return EXIT_NUMERICAL, out
     if verdict == "certified" and "weights" in stored:
         family, cone = _family_and_cone_from(instance, args)
         weights = np.asarray(stored["weights"], dtype=float)
         if weights.size != len(family):
             raise InputError("report weights do not match the family size")
+        on_simplex = bool((weights >= 0.0).all()) and abs(float(weights.sum()) - 1.0) <= 1e-12
         basis = span_basis(cone)
-        syms = family.sym_members()
-        combined = sum(w * s.entries for w, s in zip(weights, syms))
+        lam = threshold = 0.0
         if basis.shape[1]:
-            lam = min_eigenvalue(restrict(SymMatrix(combined), basis))
-        else:
-            lam = 0.0
+            restricted = [restrict(s, basis).entries for s in family.sym_members()]
+            lam = min_eigenvalue(SymMatrix(sum(w * r for w, r in zip(weights, restricted))))
+            threshold = -args.tol * (1.0 + max(norm_max(r) for r in restricted))
         out["lambda_min"] = lam
-        ok = abs(lam - float(stored.get("lambda_min", lam))) <= 1e-9 * (1.0 + abs(lam))
-        out["verdict"] = "certified" if ok else "error"
-        return (EXIT_OK if ok else EXIT_NUMERICAL), out
-    if verdict == "refuted" and "witness" in stored:
+        matches = abs(lam - float(stored.get("lambda_min", lam))) <= 1e-9 * (1.0 + abs(lam))
+        ok = on_simplex and lam >= threshold and matches
+    elif verdict == "refuted" and "witness" in stored:
         family, cone = _family_and_cone_from(instance, args)
         x = np.asarray(stored["witness"], dtype=float)
         syms = family.sym_members()
@@ -232,21 +231,19 @@ def _cmd_verify_report(args) -> tuple[int, dict]:
         stored_values = stored.get("form_values")
         if ok and stored_values is not None:
             ok = norm_max(values - np.asarray(stored_values, dtype=float)) <= 1e-9 * scale
-        out["verdict"] = "refuted" if ok else "error"
-        return (EXIT_OK if ok else EXIT_NUMERICAL), out
-    if verdict == "hypothesis_violated":
-        if isinstance(instance, FamilyInstance):
-            rank = matrix_set_rank(instance.matrices, args.tol).rank
-        elif isinstance(instance, QuadInstance):
-            rank = matrix_set_rank(instance.problem.matrices, args.tol).rank
-        else:
-            raise InputError("cannot re-check a hypothesis report for this instance kind")
-        out["rank"] = rank
-        stored_rank = stored.get("rank")
-        ok = stored_rank is None or stored_rank == rank
-        out["verdict"] = "hypothesis_violated" if ok else "error"
-        return (EXIT_OK if ok else EXIT_NUMERICAL), out
-    raise InputError("report carries nothing verifiable for this instance")
+    elif verdict == "hypothesis_violated" and isinstance(instance, FamilyInstance):
+        out["rank"] = matrix_set_rank(instance.matrices, args.tol).rank
+        ok = stored.get("rank") in (None, out["rank"])
+    elif (verdict == "hypothesis_violated" and isinstance(instance, QuadInstance)
+          and "witness" in stored):
+        # the premise fails where the Jacobian reaches rank 3, not where the set rank does
+        x = np.asarray(stored["witness"], dtype=float)
+        out["rank"] = numerical_rank(jacobian_at(instance.problem, x), args.tol)
+        ok = out["rank"] >= 3 and stored.get("rank") == out["rank"]
+    else:
+        raise InputError("report carries nothing verifiable for this instance")
+    out["verdict"] = verdict if ok else "error"
+    return (EXIT_OK if ok else EXIT_NUMERICAL), out
 
 
 def _family_and_cone_from(instance, args):
@@ -256,11 +253,13 @@ def _family_and_cone_from(instance, args):
         family = instance.problem.matrices
     else:
         raise InputError("expected a 'family' or 'quadprob' instance")
-    if getattr(args, "cone", None) is not None:
-        cone = load_cone(args.cone, family.order)
-    else:
-        cone = FirstOrderCone.full(family.order)
-    return family, cone
+    return family, _cone(args, family.order)
+
+
+def _cone(args, order: int) -> FirstOrderCone:
+    if args.cone is not None:
+        return load_cone(args.cone, order)
+    return FirstOrderCone.full(order)
 
 
 _COMMANDS = {

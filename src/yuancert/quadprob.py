@@ -4,14 +4,13 @@ The constraint Jacobian at a point x has columns (A_i x; a). The rank of
 that Jacobian stays at most 2 for every x exactly when all members of
 the family lie on one line in matrix space (every triple admits an
 affine dependence A - C + delta*(B - C) = 0); symmetry of the members is
-essential. `quad_certificate` checks that condition by sampling plus
-the exact per-triple extraction and then certifies through the rank-2
+essential. `quad_certificate` decides that condition exactly in one
+linear scan of triple extractions and then certifies through the rank-2
 machinery on the full space.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,10 +28,9 @@ from .numeric_core import (
     sym_eigen,
 )
 from .nlp import KKTData
-from .yuan import CertificateReport, HypothesisViolated, certify_rank2
+from .yuan import CertificateReport, HypothesisViolated, _unit_rows, certify_rank2
 
 _DEFAULT_SAMPLES = 1000
-_DEFAULT_RADIUS = 1.0
 _DEFAULT_SEED = 42
 
 
@@ -77,12 +75,11 @@ def jacobian_at(prob: QuadProblem, x) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _ball_points(rng: np.random.Generator, count: int, n: int, radius: float) -> np.ndarray:
-    z = rng.standard_normal((count, n))
-    norms = np.linalg.norm(z, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    radii = radius * rng.random(count) ** (1.0 / n)
-    return z / norms * radii[:, None]
+def _require_pipeline(prob: QuadProblem) -> None:
+    if prob.ray_constant != -1.0:
+        raise InputError("the optimization pipeline requires ray constant -1")
+    if not prob.matrices.is_symmetric():
+        raise InputError("the optimization pipeline requires symmetric matrices")
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,22 +93,22 @@ class RankIncreaseCheck:
 def rank_increase_check(
     prob: QuadProblem,
     samples: int = _DEFAULT_SAMPLES,
-    radius: float = _DEFAULT_RADIUS,
     seed: int = _DEFAULT_SEED,
     tol: float = DEFAULT_TOL,
 ) -> RankIncreaseCheck:
     """Sampled test that the Jacobian rank exceeds the rank at 0 by at most 1.
 
-    Sampling refutes soundly and confirms heuristically; `jacobian_rank_reduce`
-    decides the exact condition. Deterministic for a fixed seed.
+    Draws unit vectors (the rank is constant along rays). Sampling refutes
+    soundly and confirms heuristically; `jacobian_rank_reduce` decides the
+    exact condition, and no pipeline calls this cross-check.
     """
-    if samples < 1 or radius <= 0.0:
-        raise InputError("samples must be >= 1 and radius positive")
+    if samples < 1:
+        raise InputError("samples must be >= 1")
     rank0 = numerical_rank(jacobian_at(prob, np.zeros(prob.n)), tol)
     rng = np.random.default_rng(seed)
     max_rank = rank0
     worst = None
-    for x in _ball_points(rng, samples, prob.n, radius):
+    for x in _unit_rows(rng.standard_normal((samples, prob.n))):
         r = numerical_rank(jacobian_at(prob, x), tol)
         if r > max_rank:
             max_rank = r
@@ -199,19 +196,28 @@ class JacobianRankViolation:
 def jacobian_rank_reduce(
     prob: QuadProblem, tol: float = DEFAULT_TOL
 ) -> JacobianRankReduction | JacobianRankViolation:
-    """Exact decision of 'Jacobian rank <= 2 everywhere' by triple extraction.
+    """Exact decision of 'Jacobian rank <= 2 everywhere' in one linear scan.
 
-    Every index triple must admit an affine dependence; the first failing
-    triple is returned together with a sampled point where the Jacobian
-    rank reaches 3 (one must exist, so a fruitless search raises
-    NumericalFailureError rather than guessing).
+    Every triple is dependent exactly when all members lie on the line
+    through member 0 and the member farthest from it, so each other member
+    i is tested once, as the triple (i, far, 0): at most m - 2 extractions.
+    The first failing triple (sorted) is returned together with a sampled
+    point where the Jacobian rank reaches 3 (one must exist, so a
+    fruitless search raises NumericalFailureError rather than guessing).
     """
     if not prob.matrices.is_symmetric():
         raise InputError("the triple reduction requires symmetric matrices")
     syms = prob.matrices.sym_members()
-    for triple in itertools.combinations(range(prob.m), 3):
-        res = extract_dependence(syms[triple[0]], syms[triple[1]], syms[triple[2]], tol)
+    base = syms[0].entries
+    gaps = [norm_max(s.entries - base) for s in syms]
+    far = int(np.argmax(gaps))
+    scale = max(s.norm_max() for s in syms)
+    spread = gaps[far] > tol * (1.0 + scale)
+    others = [i for i in range(1, prob.m) if i != far] if spread else []
+    for i in others:
+        res = extract_dependence(syms[i], syms[far], syms[0], tol)
         if isinstance(res, NotDependent):
+            triple = tuple(sorted((0, far, i)))
             witness = _rank3_point(prob, tol)
             if witness is None:
                 raise NumericalFailureError(
@@ -231,7 +237,7 @@ def jacobian_rank_reduce(
 def _rank3_point(prob: QuadProblem, tol: float) -> tuple[np.ndarray, int] | None:
     rng = np.random.default_rng(_DEFAULT_SEED)
     candidates = [np.ones(prob.n) / np.sqrt(prob.n)]
-    candidates.extend(_ball_points(rng, 5000, prob.n, _DEFAULT_RADIUS))
+    candidates.extend(_unit_rows(rng.standard_normal((5000, prob.n))))
     for x in candidates:
         rank = numerical_rank(jacobian_at(prob, x), tol)
         if rank >= 3:
@@ -242,15 +248,12 @@ def _rank3_point(prob: QuadProblem, tol: float) -> tuple[np.ndarray, int] | None
 def quad_certificate(prob: QuadProblem, tol: float = DEFAULT_TOL) -> CertificateReport:
     """Full-space PSD-combination certificate under the Jacobian rank premise.
 
-    Runs the sampled rank-increase check and the exact triple reduction;
-    when both accept, hands the family to certify_rank2 over the full
-    space (the critical cone restriction is exactly the original family).
+    Decides the premise exactly with `jacobian_rank_reduce`; a violation
+    is reported with its failing triple and a rank-3 Jacobian point.
+    Otherwise hands the family to certify_rank2 over the full space (the
+    critical cone restriction is exactly the original family).
     """
-    if prob.ray_constant != -1.0:
-        raise InputError("the optimization pipeline requires ray constant -1")
-    if not prob.matrices.is_symmetric():
-        raise InputError("the optimization pipeline requires symmetric matrices")
-    sampled = rank_increase_check(prob, tol=tol)
+    _require_pipeline(prob)
     reduced = jacobian_rank_reduce(prob, tol)
     if isinstance(reduced, JacobianRankViolation):
         return CertificateReport(
@@ -262,11 +265,6 @@ def quad_certificate(prob: QuadProblem, tol: float = DEFAULT_TOL) -> Certificate
             ),
             {"triple_residual": reduced.residual},
         )
-    if not sampled.satisfied:
-        # sampling refutes soundly, so the exact reduction must agree
-        raise NumericalFailureError(
-            "sampled Jacobian rank exceeds 2 but every triple is dependent"
-        )
     return certify_rank2(prob.matrices, FirstOrderCone.full(prob.n), tol)
 
 
@@ -276,10 +274,7 @@ def to_kkt(prob: QuadProblem) -> KKTData:
     Variables (x, z) with objective gradient (0, 1); every constraint is
     active with gradient (0, -1) and Hessian blockdiag(A_i, 0).
     """
-    if prob.ray_constant != -1.0:
-        raise InputError("the optimization pipeline requires ray constant -1")
-    if not prob.matrices.is_symmetric():
-        raise InputError("the optimization pipeline requires symmetric matrices")
+    _require_pipeline(prob)
     n, m = prob.n, prob.m
     grad_f = np.zeros(n + 1)
     grad_f[n] = 1.0

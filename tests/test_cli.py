@@ -229,3 +229,40 @@ class TestVerifyReport:
         report_path = tmp_path / "tampered.json"
         report_path.write_text(json.dumps(report), encoding="utf-8")
         assert main(["verify-report", str(report_path), example1]) == 4
+
+    @pytest.mark.parametrize("weights", [[0.0, 1.0, 0.0], [5.0, -4.0, 0.0]])
+    def test_forged_certified_report_rejected(self, example1, weights, tmp_path, capsys):
+        # off-certificate weights (lambda_min -2.30) or weights off the
+        # simplex, each stored with its own true lambda_min
+        assert main(["certify", example1, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        combined = sum(w * m for w, m in zip(weights, (EX1_A1, EX1_A2, EX1_A3)))
+        report["weights"] = weights
+        report["lambda_min"] = float(np.linalg.eigvalsh(combined)[0])
+        report_path = tmp_path / "forged.json"
+        report_path.write_text(json.dumps(report), encoding="utf-8")
+        assert main(["verify-report", str(report_path), example1]) == 4
+
+    def test_changed_digest_rejected(self, example1, tmp_path, capsys):
+        assert main(["certify", example1, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        report["input_digest"] = "sha256:" + "0" * 64
+        report_path = tmp_path / "digest.json"
+        report_path.write_text(json.dumps(report), encoding="utf-8")
+        assert main(["verify-report", str(report_path), example1, "--json"]) == 4
+        assert "input_digest" in json.loads(capsys.readouterr().out)["reason"]
+
+    def test_quad_hypothesis_roundtrip(self, tmp_path, capsys):
+        # planar non-collinear family: set rank 2, Jacobian rank 3 at the witness
+        c, d = np.array(EX2_A1), np.array(EX2_A2)
+        mats = [c, d, c + d, 0.5 * c + 1.2 * d]
+        path = write(tmp_path, "planar.json", serialize_instance(QuadInstance(QuadProblem(mats))))
+        assert main(["quad", path, "--json"]) == 2
+        report = json.loads(capsys.readouterr().out)
+        report_path = tmp_path / "report.json"
+        report_path.write_text(json.dumps(report), encoding="utf-8")
+        assert main(["verify-report", str(report_path), path, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["rank"] == report["rank"] == 3
+        report["witness"] = [0.0, 0.0]  # the Jacobian has rank 1 at the origin
+        report_path.write_text(json.dumps(report), encoding="utf-8")
+        assert main(["verify-report", str(report_path), path]) == 4

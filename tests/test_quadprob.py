@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,10 @@ from conftest import (
     family_one,
     family_two,
     random_collinear_family,
+    random_rank2_family,
     random_sym,
 )
+from yuancert import quadprob
 from yuancert import (
     Certified,
     Delta,
@@ -19,6 +23,7 @@ from yuancert import (
     MatrixFamily,
     NotDependent,
     QuadProblem,
+    Refuted,
     SymMatrix,
     check_mfcq,
     critical_cone_lineality,
@@ -43,6 +48,50 @@ E12 = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 def rank3_problem() -> QuadProblem:
     return QuadProblem(MatrixFamily([E11, E22, E12]))
+
+
+def failing_triples(prob: QuadProblem) -> list[tuple[int, int, int]]:
+    """Reference: every C(m,3) index triple put through extract_dependence."""
+    syms = prob.matrices.sym_members()
+    return [
+        t for t in itertools.combinations(range(prob.m), 3)
+        if isinstance(extract_dependence(syms[t[0]], syms[t[1]], syms[t[2]]), NotDependent)
+    ]
+
+
+def near_twin_family(rng, n: int, m: int) -> MatrixFamily:
+    """Collinear family plus a copy of member 0 off by 1e-13 noise.
+
+    Every triple is dependent at tol 1e-9, but the normalized differences
+    A_i - A_0 can reach set rank 2, so a set-rank test on them would call
+    the premise violated.
+    """
+    fam = random_collinear_family(rng, n, m - 1)
+    twin = fam.members[0] + 1e-13 * random_sym(rng, n).entries
+    return MatrixFamily(list(fam.members) + [twin])
+
+
+def jittered_family(rng, n: int, m: int) -> MatrixFamily:
+    """Collinear family with one member moved 1e-3 off the line."""
+    members = list(random_collinear_family(rng, n, m).members)
+    j = int(rng.integers(m))
+    members[j] = members[j] + 1e-3 * random_sym(rng, n).entries
+    return MatrixFamily(members)
+
+
+def repeated_family(rng, n: int, m: int) -> MatrixFamily:
+    """Members drawn with repetition from a pool of one to three matrices."""
+    pool = [random_sym(rng, n).entries for _ in range(int(rng.integers(1, 4)))]
+    return MatrixFamily([pool[int(rng.integers(len(pool)))] for _ in range(m)])
+
+
+SCAN_FAMILIES = {
+    "collinear": random_collinear_family,
+    "repeated": repeated_family,
+    "jittered": jittered_family,
+    "planar": random_rank2_family,
+    "near_twin": near_twin_family,
+}
 
 
 class TestQuadProblem:
@@ -188,6 +237,39 @@ class TestJacobianRankReduce:
         assert isinstance(result, JacobianRankViolation)
         assert numerical_rank(jacobian_at(prob, result.witness_x)) == 3
 
+    @pytest.mark.parametrize("kind", sorted(SCAN_FAMILIES))
+    def test_scan_agrees_with_triple_loop(self, kind):
+        rng = np.random.default_rng(sorted(SCAN_FAMILIES).index(kind))
+        for m in range(1 if kind != "near_twin" else 2, 13):
+            prob = QuadProblem(SCAN_FAMILIES[kind](rng, int(rng.integers(2, 7)), m))
+            failing = failing_triples(prob)
+            result = jacobian_rank_reduce(prob)
+            if not failing:
+                assert isinstance(result, JacobianRankReduction), (kind, m)
+                assert result.rank <= 2
+                continue
+            assert isinstance(result, JacobianRankViolation), (kind, m)
+            assert result.triple in failing
+            assert numerical_rank(jacobian_at(prob, result.witness_x)) >= 3
+
+    def test_scan_anchor_is_not_a_repeat_of_member_zero(self):
+        prob = QuadProblem(MatrixFamily([E11, E11, E22, E12]))
+        result = jacobian_rank_reduce(prob)
+        assert isinstance(result, JacobianRankViolation)
+        assert result.triple in failing_triples(prob)
+
+    def test_scan_work_bound(self, monkeypatch):
+        prob = QuadProblem(random_collinear_family(np.random.default_rng(8), 8, 40))
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return extract_dependence(*args, **kwargs)
+
+        monkeypatch.setattr(quadprob, "extract_dependence", counted)
+        assert isinstance(jacobian_rank_reduce(prob), JacobianRankReduction)
+        assert len(calls) <= 38
+
     def test_collinear_families_reduce(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
@@ -222,6 +304,32 @@ class TestQuadCertificate:
         assert isinstance(report.outcome, HypothesisViolated)
         soc = second_order_certificate(to_kkt(QuadProblem(family_two())))
         assert isinstance(soc.report.outcome, Certified)
+
+    def test_near_twin_family_refuted(self):
+        # the normalized differences have set rank 2, yet every triple is
+        # dependent at tol, so the family reaches certify_rank2 and is refuted
+        prob = QuadProblem(near_twin_family(np.random.default_rng(0), 6, 6))
+        assert isinstance(quad_certificate(prob).outcome, Refuted)
+
+    def test_sampled_check_off_the_pipeline(self, monkeypatch):
+        # planted refutation: every member of C + s*D takes -1 at z0
+        rng = np.random.default_rng(9)
+        n = 8
+        z0 = rng.standard_normal(n)
+        z0 /= np.linalg.norm(z0)
+        c = random_sym(rng, n).entries
+        c = c - (z0 @ c @ z0 + 1.0) * np.outer(z0, z0)
+        d = random_sym(rng, n).entries
+        d = d - (z0 @ d @ z0) * np.outer(z0, z0)
+        prob = QuadProblem(MatrixFamily([c + s * d for s in np.linspace(-1.0, 1.0, 40)]))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("quad_certificate called rank_increase_check")
+
+        monkeypatch.setattr(quadprob, "rank_increase_check", forbidden)
+        out = quad_certificate(prob).outcome
+        assert isinstance(out, Refuted)
+        assert max(quad_form(SymMatrix(m), out.witness) for m in prob.matrices.members) < 0.0
 
     def test_requires_optimization_ray_constant(self):
         with pytest.raises(InputError):
