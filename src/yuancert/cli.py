@@ -207,9 +207,7 @@ def _cmd_verify_report(args) -> tuple[int, dict]:
         return EXIT_NUMERICAL, out
     if verdict == "certified" and "weights" in stored:
         family, cone = _family_and_cone_from(instance, args)
-        weights = np.asarray(stored["weights"], dtype=float)
-        if weights.size != len(family):
-            raise InputError("report weights do not match the family size")
+        weights = _report_field(stored, "weights", (len(family),))
         on_simplex = bool((weights >= 0.0).all()) and abs(float(weights.sum()) - 1.0) <= 1e-12
         basis = span_basis(cone)
         lam = threshold = 0.0
@@ -218,32 +216,50 @@ def _cmd_verify_report(args) -> tuple[int, dict]:
             lam = min_eigenvalue(SymMatrix(sum(w * r for w, r in zip(weights, restricted))))
             threshold = -args.tol * (1.0 + max(norm_max(r) for r in restricted))
         out["lambda_min"] = lam
-        matches = abs(lam - float(stored.get("lambda_min", lam))) <= 1e-9 * (1.0 + abs(lam))
+        stored_lam = lam
+        if "lambda_min" in stored:
+            stored_lam = float(_report_field(stored, "lambda_min", ()))
+        matches = abs(lam - stored_lam) <= 1e-9 * (1.0 + abs(lam))
         ok = on_simplex and lam >= threshold and matches
     elif verdict == "refuted" and "witness" in stored:
         family, cone = _family_and_cone_from(instance, args)
-        x = np.asarray(stored["witness"], dtype=float)
+        x = _report_field(stored, "witness", (family.order,))
         syms = family.sym_members()
         values = np.array([quad_form(s, x) for s in syms])
         scale = 1.0 + max(s.norm_max() for s in syms)
         out["form_values"] = values.tolist()
         ok = bool((values < -1e-9 * scale).all())
-        stored_values = stored.get("form_values")
-        if ok and stored_values is not None:
-            ok = norm_max(values - np.asarray(stored_values, dtype=float)) <= 1e-9 * scale
+        if ok and "form_values" in stored:
+            stored_values = _report_field(stored, "form_values", values.shape)
+            ok = norm_max(values - stored_values) <= 1e-9 * scale
     elif verdict == "hypothesis_violated" and isinstance(instance, FamilyInstance):
         out["rank"] = matrix_set_rank(instance.matrices, args.tol).rank
-        ok = stored.get("rank") in (None, out["rank"])
+        ok = out["rank"] > 2 and stored.get("rank") == out["rank"]
     elif (verdict == "hypothesis_violated" and isinstance(instance, QuadInstance)
           and "witness" in stored):
         # the premise fails where the Jacobian reaches rank 3, not where the set rank does
-        x = np.asarray(stored["witness"], dtype=float)
+        x = _report_field(stored, "witness", (instance.problem.n,))
         out["rank"] = numerical_rank(jacobian_at(instance.problem, x), args.tol)
         ok = out["rank"] >= 3 and stored.get("rank") == out["rank"]
     else:
         raise InputError("report carries nothing verifiable for this instance")
     out["verdict"] = verdict if ok else "error"
     return (EXIT_OK if ok else EXIT_NUMERICAL), out
+
+
+def _report_field(stored: dict, key: str, shape: tuple) -> np.ndarray:
+    """A numeric report field as a float array of the given shape.
+
+    Anything else (strings, nesting, a wrong length, NaN or infinity) is
+    a malformed report and raises InputError.
+    """
+    try:
+        value = np.asarray(stored[key], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"report field {key!r} is not numeric") from exc
+    if value.shape != shape or not np.isfinite(value).all():
+        raise InputError(f"report field {key!r} must be finite numbers of shape {shape}")
+    return value
 
 
 def _family_and_cone_from(instance, args):

@@ -2,8 +2,10 @@
 
 `yuan_two` decides the two-matrix case by maximizing the concave map
 t -> lambda_min(t*A + (1-t)*B) over [0, 1]; `certify_rank2` extends the
-decision to any family whose matrix set has rank at most 2 by a case
-recursion on the coordinates of the last member in a two-member basis.
+decision to any family whose matrix set has rank at most 2 by one pass
+over the members' coordinates in a two-member basis: a zero combination
+when 0 lies in their conic hull, otherwise `yuan_two` on its two extreme
+rays.
 
 Certificates are always re-verified by an independent eigendecomposition
 of the combined matrix; refutations are only emitted with a concrete
@@ -25,7 +27,6 @@ from .numeric_core import (
     SymMatrix,
     as_family,
     as_sym,
-    express_in_basis,
     flatten_sym,
     matrix_set_rank,
     min_eigenvalue,
@@ -38,6 +39,12 @@ _GOLDEN_TOL = 1e-12
 _GOLDEN_CAP = 200
 _WITNESS_SAMPLES = 20_000
 _WITNESS_SEED = 20170301
+# Coordinate directions this close to opposite count as an opposite pair:
+# well above the rounding of atan2 and of adding pi (a few ulps of pi), and
+# the pair's combination is then off by only this fraction of a member.
+# Wider, it would take near-opposite pairs from the three-member identity,
+# whose combination is exact for them.
+_OPPOSITE_ANGLE = 1e-12
 
 
 class SimplexWeights:
@@ -285,6 +292,65 @@ def _pick_witness(cands, mats: list[np.ndarray], threshold: float):
     return best
 
 
+def _cross(u: np.ndarray, v: np.ndarray) -> float:
+    return float(u[0] * v[1] - u[1] * v[0])
+
+
+def _plane_pass(top, syms, restricted, cone, tol: float, scale: float) -> CertificateReport:
+    """Weights or a witness for a rank <= 2 family from its basis coordinates.
+
+    Zero combinations carry lambda_min 0; the caller re-verifies every
+    certificate and transfers every witness to the whole family.
+    """
+    m = len(syms)
+    w = np.zeros(m)
+    sizes = [float(np.linalg.norm(r)) for r in restricted]
+    zero = int(np.argmin(sizes))
+    if top.rank == 0:
+        w[:] = 1.0
+    elif sizes[zero] <= 0.5 * tol * scale:
+        w[zero] = 1.0  # its lambda_min is provably inside the threshold
+    else:
+        if top.rank == 2:
+            pts = top.coefficients
+        else:
+            flats = np.stack([flatten_sym(s.entries) for s in syms])
+            ref = flats[top.basis[0]]
+            pts = np.column_stack([flats @ ref / float(ref @ ref), np.zeros(m)])
+        theta = np.arctan2(pts[:, 1], pts[:, 0])
+        order = np.argsort(theta, kind="stable")
+        ts = theta[order]
+        gaps = np.diff(ts, append=ts[0] + 2.0 * math.pi)
+        g = int(np.argmax(gaps))
+        if gaps[g] > math.pi:
+            # pointed hull: every member is a nonnegative combination of the
+            # two members bounding the gap, so a pair certificate or witness
+            # for them holds for the family
+            i, j = int(order[(g + 1) % m]), int(order[g])
+            rep = yuan_two(syms[i], syms[j], cone, tol=tol)
+            if not rep.certified:
+                return rep
+            w[i] += rep.outcome.weights.t[0]
+            w[j] += rep.outcome.weights.t[1]
+            return CertificateReport(
+                Certified(make_weights(w), rep.outcome.lambda_min), rep.residuals
+            )
+        # 0 lies in the conic hull. With p the first member in angle order,
+        # no gap above pi puts some member at or past the direction of -p.
+        p = int(order[0])
+        k = int(np.searchsorted(ts, ts[0] + math.pi - _OPPOSITE_ANGLE))
+        r = int(order[k])
+        if ts[k] <= ts[0] + math.pi + _OPPOSITE_ANGLE:
+            w[p], w[r] = np.linalg.norm(pts[r]), np.linalg.norm(pts[p])  # |r|*p + |p|*r = 0
+        else:
+            # -p lies strictly between q and r, which are less than pi apart,
+            # and cross(q,r)*p + cross(r,p)*q + cross(p,q)*r = 0 for any points
+            q = int(order[k - 1])
+            w[p], w[q], w[r] = (_cross(pts[q], pts[r]), _cross(pts[r], pts[p]),
+                                _cross(pts[p], pts[q]))
+    return CertificateReport(Certified(make_weights(w), 0.0), {})
+
+
 def certify_rank2(
     family: MatrixFamily,
     cone: FirstOrderCone,
@@ -292,13 +358,15 @@ def certify_rank2(
 ) -> CertificateReport:
     """Certificate for a symmetric family of matrix-set rank at most 2.
 
-    Follows the constructive case analysis on the coordinates
-    (alpha, beta) of the last member in the first two independent
-    members: dependent members with nonnegative coordinates are dropped,
-    a negative/positive coordinate pattern drops the opposite basis
-    member, single-signed pairs reduce to yuan_two, and doubly negative
-    coordinates give an explicit zero combination. Rank above 2 is
-    reported as a hypothesis violation.
+    Every member is alpha_i*P + beta_i*Q for the basis pair of one
+    `matrix_set_rank` call (on a line at rank 1), so the decision is one
+    pass over the points (alpha_i, beta_i): a member that vanishes on the
+    cone span takes unit weight; when no angular gap between the points
+    exceeds pi, 0 lies in their conic hull and a zero combination of at
+    most three members certifies; otherwise the hull is pointed, every
+    member is a nonnegative combination of its two extreme rays, and
+    yuan_two on that pair decides. Rank above 2 is reported as a
+    hypothesis violation.
     """
     family = as_family(family)
     syms = family.sym_members()
@@ -329,115 +397,7 @@ def certify_rank2(
             worst = max(worst, norm_max(mem - recon) / (1.0 + norm_max(mem)))
         diagnostics["basis_fit_residual"] = worst
 
-    def embed_pair(rep: CertificateReport, i: int, j: int) -> CertificateReport:
-        if not rep.certified:
-            return rep
-        w = np.zeros(m)
-        w[i], w[j] = rep.outcome.weights.t
-        return CertificateReport(Certified(make_weights(w), rep.outcome.lambda_min), rep.residuals)
-
-    def solve_rank1(idxs: list[int]) -> CertificateReport:
-        flats = [flatten_sym(syms[i].entries) for i in idxs]
-        ref_pos = max(range(len(idxs)), key=lambda p: float(flats[p] @ flats[p]))
-        fref = flats[ref_pos]
-        coeffs = np.array([float(f @ fref) / float(fref @ fref) for f in flats])
-        spec = sym_eigen(SymMatrix(restricted[idxs[ref_pos]]))
-        lam_lo = float(spec.eigenvalues[0])
-        lam_hi = float(spec.eigenvalues[-1])
-        tau = tol * scale
-        spread = max(abs(lam_lo), abs(lam_hi))
-
-        def unit(pos: int, lam: float) -> CertificateReport:
-            w = np.zeros(m)
-            w[idxs[pos]] = 1.0
-            return CertificateReport(Certified(SimplexWeights(w), lam), {})
-
-        def uniform() -> CertificateReport:
-            w = np.zeros(m)
-            w[idxs] = 1.0 / len(idxs)
-            return CertificateReport(Certified(make_weights(w), 0.0), {})
-
-        def refute(direction_col: int) -> CertificateReport:
-            v = spec.basis[:, direction_col].copy()
-            x = _into_cone(basis @ v, cone)
-            values = np.array([quad_form(s, x) for s in syms])
-            return CertificateReport(Refuted(x, values), {})
-
-        if spread <= tau:
-            return uniform()  # reference vanishes on the span
-        # a coefficient counts as zero only when the unit weight on it is
-        # provably inside the certificate threshold
-        zero = np.flatnonzero(np.abs(coeffs) * spread <= 0.5 * tau)
-        if zero.size:
-            return unit(int(zero[0]), 0.0)
-        psd = lam_lo >= -tau
-        nsd = lam_hi <= tau
-        pos = np.flatnonzero(coeffs > 0.0)
-        neg = np.flatnonzero(coeffs < 0.0)
-        if psd and nsd:
-            return uniform()
-        if psd:
-            if pos.size:
-                p = int(pos[0])
-                return unit(p, coeffs[p] * lam_lo)
-            return refute(-1)  # all coefficients negative, top direction kills every form
-        if nsd:
-            if neg.size:
-                p = int(neg[0])
-                return unit(p, coeffs[p] * lam_hi)
-            return refute(0)
-        # indefinite reference
-        if pos.size and neg.size:
-            i, j = int(pos[0]), int(neg[0])
-            ci, cj = coeffs[i], coeffs[j]
-            w = np.zeros(m)
-            w[idxs[i]] = -cj / (ci - cj)
-            w[idxs[j]] = ci / (ci - cj)
-            return CertificateReport(Certified(make_weights(w), 0.0), {})
-        return refute(0 if pos.size else -1)
-
-    def solve(idxs: list[int]) -> CertificateReport:
-        # each pass either decides or drops one member from idxs in place
-        while True:
-            sub = MatrixFamily([syms[i] for i in idxs])
-            sr = matrix_set_rank(sub, tol)
-            if sr.rank == 0:
-                w = np.zeros(m)
-                w[idxs] = 1.0 / len(idxs)
-                return CertificateReport(Certified(make_weights(w), 0.0), {})
-            if sr.rank == 1:
-                return solve_rank1(idxs)
-            if len(idxs) == 2:
-                rep = yuan_two(syms[idxs[0]], syms[idxs[1]], cone, tol=tol)
-                return embed_pair(rep, idxs[0], idxs[1])
-            b1, b2 = idxs[sr.basis[0]], idxs[sr.basis[1]]
-            rest = [i for i in idxs if i != b1 and i != b2]
-            last = rest[-1]
-            alpha, beta = express_in_basis(syms[last], syms[b1], syms[b2], tol)
-            ctol = tol * (1.0 + abs(alpha) + abs(beta))
-            sa = 0 if abs(alpha) <= ctol else (1 if alpha > 0.0 else -1)
-            sb = 0 if abs(beta) <= ctol else (1 if beta > 0.0 else -1)
-            if sa >= 0 and sb >= 0:
-                # negative first two forms would force the last one negative
-                idxs.remove(last)
-            elif sa < 0 and sb == 0:
-                return embed_pair(yuan_two(syms[b1], syms[last], cone, tol=tol), b1, last)
-            elif sa == 0 and sb < 0:
-                return embed_pair(yuan_two(syms[b2], syms[last], cone, tol=tol), b2, last)
-            elif sa < 0 and sb > 0:
-                idxs.remove(b2)
-            elif sa > 0 and sb < 0:
-                idxs.remove(b1)
-            else:
-                # alpha < 0 and beta < 0: the combination below is the zero matrix
-                denom = 1.0 - alpha - beta
-                w = np.zeros(m)
-                w[b1] = -alpha / denom
-                w[b2] = -beta / denom
-                w[last] = 1.0 / denom
-                return CertificateReport(Certified(make_weights(w), 0.0), {})
-
-    report = solve(list(range(m)))
+    report = _plane_pass(top, syms, restricted, cone, tol, scale)
 
     if report.certified:
         weights = report.outcome.weights

@@ -131,6 +131,14 @@ class TestCommands:
         assert main(["certify", path, "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["verdict"] == "certified"
 
+    def test_certify_zero_member_family(self, tmp_path, capsys):
+        # unit weight on the zero member certifies a jointly negative pair
+        path = write(tmp_path, "zero.json", family_doc(
+            np.diag([-1.0, -2.0]), np.diag([-2.0, -1.0]), np.zeros((2, 2))
+        ))
+        assert main(["certify", path, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["weights"] == [0.0, 0.0, 1.0]
+
     def test_yuan2_refuted_exit_code(self, pair12, capsys):
         assert main(["yuan2", pair12, "--json"]) == 1
         report = json.loads(capsys.readouterr().out)
@@ -266,3 +274,31 @@ class TestVerifyReport:
         report["witness"] = [0.0, 0.0]  # the Jacobian has rank 1 at the origin
         report_path.write_text(json.dumps(report), encoding="utf-8")
         assert main(["verify-report", str(report_path), path]) == 4
+
+    @pytest.mark.parametrize("rank", [None, 2])
+    def test_family_hypothesis_report_needs_its_rank(self, example1, rank, tmp_path, capsys):
+        # example1 has set rank 2, so no hypothesis report on it may verify
+        assert main(["certify", example1, "--json"]) == 0
+        report = {"verdict": "hypothesis_violated",
+                  "input_digest": json.loads(capsys.readouterr().out)["input_digest"]}
+        if rank is not None:
+            report["rank"] = rank
+        report_path = tmp_path / "hypothesis.json"
+        report_path.write_text(json.dumps(report), encoding="utf-8")
+        assert main(["verify-report", str(report_path), example1]) == 4
+
+    @pytest.mark.parametrize("field, value", [
+        ("weights", ["a", "b", "c"]), ("weights", [[1.0, 0.0, 0.0]]),
+        ("lambda_min", "low"), ("witness", ["x", "y"]), ("form_values", [-1.0]),
+    ])
+    def test_malformed_report_field_exit_three(self, pair12, example1, field, value,
+                                               tmp_path, capsys):
+        command, path = ("certify", example1) if field in ("weights", "lambda_min") else (
+            "yuan2", pair12)
+        main([command, path, "--json"])
+        report = json.loads(capsys.readouterr().out)
+        report[field] = value
+        report_path = tmp_path / "malformed.json"
+        report_path.write_text(json.dumps(report), encoding="utf-8")
+        assert main(["verify-report", str(report_path), path]) == 3
+        assert "input error" in capsys.readouterr().err

@@ -1,9 +1,12 @@
 import math
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import yuancert.numeric_core as numeric_core
+import yuancert.yuan as yuan_module
 from conftest import (
     EX1_A2,
     EX1_A3,
@@ -14,6 +17,7 @@ from conftest import (
     NP_D,
     family_one,
     family_two,
+    random_cone,
     random_rank2_family,
     random_sym,
 )
@@ -23,19 +27,26 @@ from yuancert import (
     HypothesisViolated,
     InputError,
     MatrixFamily,
+    NumericalFailureError,
     Refuted,
     SimplexWeights,
     SymMatrix,
     certify_rank2,
     cone_contains,
+    express_in_basis,
     lambda_min_profile,
+    make_weights,
+    matrix_set_rank,
     min_eigenvalue,
     quad_form,
     restrict,
     sample_max_nonneg,
     span_basis,
+    sym_eigen,
     yuan_two,
 )
+from yuancert.numeric_core import flatten_sym, norm_max
+from yuancert.yuan import _into_cone
 
 LAM_LO = (1.4 - math.sqrt(1.8)) / 2.0
 FULL2 = FirstOrderCone.full(2)
@@ -301,11 +312,37 @@ class TestCertifyRank2:
         combined = sum(w * m for w, m in zip(out.weights.t, fam.members))
         assert min_eigenvalue(SymMatrix(combined)) >= -1e-9 * (1.0 + np.abs(combined).max())
 
-    def test_long_pointed_family_without_recursion(self):
-        # each member dropped by the case analysis must not cost a stack frame
+    @pytest.mark.parametrize("zero_at", [0, 1, 2])
+    @pytest.mark.parametrize("zero", [np.zeros((2, 2)), 1e-12 * np.diag([-1.0, -2.0])],
+                             ids=["exact", "near"])
+    def test_zero_member_takes_unit_weight(self, zero_at, zero):
+        # the other two members are jointly negative definite
+        members = [np.diag([-1.0, -2.0]), np.diag([-2.0, -1.0])]
+        members.insert(zero_at, zero)
+        out = certify_rank2(MatrixFamily(members), FULL2).outcome
+        assert isinstance(out, Certified)
+        expected = np.zeros(3)
+        expected[zero_at] = 1.0
+        np.testing.assert_array_equal(out.weights.t, expected)
+
+    def test_long_pointed_family_without_recursion(self, monkeypatch):
+        # one set-rank call decides the family: no per-member re-ranking,
+        # no basis-coordinate solves and no stack frame per member
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (yuan_module, numeric_core):
+            for name in ("matrix_set_rank", "express_in_basis"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         rng = np.random.default_rng(7)
-        members = [a * np.eye(3) + b * NP_D for a, b in zip(rng.uniform(0.1, 1.0, 150),
-                                                         rng.uniform(-1.0, 1.0, 150))]
+        members = [a * np.eye(3) + b * NP_D for a, b in zip(rng.uniform(0.1, 1.0, 1000),
+                                                         rng.uniform(-1.0, 1.0, 1000))]
         fam = MatrixFamily(members)
         frame, depth = sys._getframe(), 0
         while frame is not None:
@@ -316,7 +353,185 @@ class TestCertifyRank2:
             report = certify_rank2(fam, FirstOrderCone.full(3))
         finally:
             sys.setrecursionlimit(limit)
+        assert calls == Counter(matrix_set_rank=1)
         out = report.outcome
         assert isinstance(out, Certified)
         combined = sum(w * m for w, m in zip(out.weights.t, members))
         assert min_eigenvalue(SymMatrix(combined)) >= -1e-9 * (1.0 + np.abs(combined).max())
+
+
+def reference_certify_rank2(family, cone, tol=1e-9):
+    """Outcome of the drop-one-member case loop that certify_rank2 replaced.
+
+    Each pass re-ranks the remaining members and either decides or drops
+    one of them by the signs of the last member's coordinates in the
+    basis pair; rank 1 has its own eigenvalue-based solver. Kept as the
+    reference the one-pass decision must agree with; residual bookkeeping
+    is left out, the final verification and witness transfer are not.
+    """
+    syms = family.sym_members()
+    m = len(syms)
+    basis = span_basis(cone)
+    if basis.shape[1] == 0:
+        return Certified(SimplexWeights(np.full(m, 1.0 / m)), 0.0)
+    restricted = [restrict(s, basis).entries for s in syms]
+    scale = 1.0 + max(norm_max(r) for r in restricted)
+    threshold = -tol * scale
+    top = matrix_set_rank(family, tol)
+    if top.rank > 2:
+        return HypothesisViolated("rank", rank=top.rank)
+
+    def embed_pair(out, i, j):
+        if not isinstance(out, Certified):
+            return out
+        w = np.zeros(m)
+        w[i], w[j] = out.weights.t
+        return Certified(make_weights(w), out.lambda_min)
+
+    def solve_rank1(idxs):
+        flats = [flatten_sym(syms[i].entries) for i in idxs]
+        ref_pos = max(range(len(idxs)), key=lambda p: float(flats[p] @ flats[p]))
+        fref = flats[ref_pos]
+        coeffs = np.array([float(f @ fref) / float(fref @ fref) for f in flats])
+        spec = sym_eigen(SymMatrix(restricted[idxs[ref_pos]]))
+        lam_lo, lam_hi = float(spec.eigenvalues[0]), float(spec.eigenvalues[-1])
+        tau = tol * scale
+        spread = max(abs(lam_lo), abs(lam_hi))
+
+        def unit(pos):
+            w = np.zeros(m)
+            w[idxs[pos]] = 1.0
+            return Certified(SimplexWeights(w), 0.0)
+
+        def uniform():
+            w = np.zeros(m)
+            w[idxs] = 1.0 / len(idxs)
+            return Certified(make_weights(w), 0.0)
+
+        def refute(col):
+            x = _into_cone(basis @ spec.basis[:, col], cone)
+            return Refuted(x, np.array([quad_form(s, x) for s in syms]))
+
+        if spread <= tau:
+            return uniform()
+        zero = np.flatnonzero(np.abs(coeffs) * spread <= 0.5 * tau)
+        if zero.size:
+            return unit(int(zero[0]))
+        psd, nsd = lam_lo >= -tau, lam_hi <= tau
+        pos, neg = np.flatnonzero(coeffs > 0.0), np.flatnonzero(coeffs < 0.0)
+        if psd and nsd:
+            return uniform()
+        if psd:
+            return unit(int(pos[0])) if pos.size else refute(-1)
+        if nsd:
+            return unit(int(neg[0])) if neg.size else refute(0)
+        if pos.size and neg.size:
+            i, j = int(pos[0]), int(neg[0])
+            ci, cj = coeffs[i], coeffs[j]
+            w = np.zeros(m)
+            w[idxs[i]] = -cj / (ci - cj)
+            w[idxs[j]] = ci / (ci - cj)
+            return Certified(make_weights(w), 0.0)
+        return refute(0 if pos.size else -1)
+
+    def solve(idxs):
+        while True:
+            sr = matrix_set_rank(MatrixFamily([syms[i] for i in idxs]), tol)
+            if sr.rank == 0:
+                w = np.zeros(m)
+                w[idxs] = 1.0 / len(idxs)
+                return Certified(make_weights(w), 0.0)
+            if sr.rank == 1:
+                return solve_rank1(idxs)
+            if len(idxs) == 2:
+                out = yuan_two(syms[idxs[0]], syms[idxs[1]], cone, tol=tol).outcome
+                return embed_pair(out, idxs[0], idxs[1])
+            b1, b2 = idxs[sr.basis[0]], idxs[sr.basis[1]]
+            last = [i for i in idxs if i != b1 and i != b2][-1]
+            alpha, beta = express_in_basis(syms[last], syms[b1], syms[b2], tol)
+            ctol = tol * (1.0 + abs(alpha) + abs(beta))
+            sa = 0 if abs(alpha) <= ctol else (1 if alpha > 0.0 else -1)
+            sb = 0 if abs(beta) <= ctol else (1 if beta > 0.0 else -1)
+            if sa >= 0 and sb >= 0:
+                idxs.remove(last)
+            elif sa < 0 and sb == 0:
+                return embed_pair(yuan_two(syms[b1], syms[last], cone, tol=tol).outcome, b1, last)
+            elif sa == 0 and sb < 0:
+                return embed_pair(yuan_two(syms[b2], syms[last], cone, tol=tol).outcome, b2, last)
+            elif sa < 0 and sb > 0:
+                idxs.remove(b2)
+            elif sa > 0 and sb < 0:
+                idxs.remove(b1)
+            else:
+                # alpha < 0 and beta < 0: the combination below is the zero matrix
+                denom = 1.0 - alpha - beta
+                w = np.zeros(m)
+                w[b1], w[b2], w[last] = -alpha / denom, -beta / denom, 1.0 / denom
+                return Certified(make_weights(w), 0.0)
+
+    out = solve(list(range(m)))
+    if isinstance(out, Certified):
+        combined = sum(w * r for w, r in zip(out.weights.t, restricted))
+        if min_eigenvalue(SymMatrix(0.5 * (combined + combined.T))) < threshold:
+            raise NumericalFailureError("certificate failed verification")
+    elif isinstance(out, Refuted):
+        values = np.array([quad_form(s, out.witness) for s in syms])
+        if not cone_contains(cone, out.witness, 1e-8) or not (values < threshold).all():
+            raise NumericalFailureError("witness did not transfer to the full family")
+    return out
+
+
+REFERENCE_KINDS = ("generic", "pointed", "repeated", "opposite", "near_parallel", "rank1")
+
+
+def reference_family(rng, kind, n, m):
+    """Seeded family of one coefficient pattern, with no zero member."""
+    p, q = random_sym(rng, n).entries, random_sym(rng, n).entries
+    if kind == "rank1":
+        base = (p, p @ p.T + 1e-3 * np.eye(n), -(p @ p.T) - 1e-3 * np.eye(n))[rng.integers(3)]
+        cs = rng.standard_normal(m) * 10.0 ** rng.integers(-2, 3)
+        return MatrixFamily([c * base for c in cs])
+    if kind == "near_parallel":
+        q = p + 1e-4 * q  # basis pair about 1e-4 apart, as in NEAR_PARALLEL
+    if kind == "pointed":
+        width = rng.uniform(0.0, 0.95 * math.pi)
+        angles = rng.uniform(0.0, 2.0 * math.pi) + rng.uniform(0.0, width, m)
+        coef = rng.uniform(0.1, 2.0, (m, 1)) * np.column_stack([np.cos(angles), np.sin(angles)])
+    else:
+        coef = rng.standard_normal((m, 2))
+    members = [a * p + b * q for a, b in coef]
+    if kind == "repeated":
+        for t in range(1, m // 2 + 1):
+            members[-t] = members[int(rng.integers(m // 2))] * float(rng.choice([1.0, 3.0]))
+    if kind == "opposite" and m >= 2:
+        members[-1] = -members[int(rng.integers(m - 1))]
+    return MatrixFamily(members)
+
+
+def verdict_class(solver, family, cone) -> str:
+    try:
+        out = solver(family, cone)
+    except NumericalFailureError as exc:
+        return type(exc).__name__
+    return type(getattr(out, "outcome", out)).__name__
+
+
+class TestAgainstCaseLoop:
+    def test_verdict_class_agrees(self):
+        rng = np.random.default_rng(2017)
+        seen = Counter()
+        for trial in range(180):
+            kind = REFERENCE_KINDS[trial % len(REFERENCE_KINDS)]
+            n, m = int(rng.integers(2, 7)), int(rng.integers(1, 31))
+            fam = reference_family(rng, kind, n, m)
+            shape = trial % 3  # full space, subspace, subspace plus ray
+            cone = FirstOrderCone.full(n) if shape == 0 else random_cone(
+                rng, n, int(rng.integers(1, n)) if shape == 1 else int(rng.integers(0, n - 1)),
+                with_ray=shape == 2)
+            want = verdict_class(reference_certify_rank2, fam, cone)
+            assert verdict_class(certify_rank2, fam, cone) == want, (trial, kind, n, m)
+            seen[want] += 1
+        assert seen["Certified"] >= 100 and seen["Refuted"] >= 20
+        fam, cone = MatrixFamily(NEAR_PARALLEL), FirstOrderCone.full(3)
+        assert verdict_class(certify_rank2, fam, cone) == "Certified"
+        assert verdict_class(reference_certify_rank2, fam, cone) == "Certified"
