@@ -28,6 +28,8 @@ from .numeric_core import (
     DEFAULT_TOL,
     MatrixFamily,
     SymMatrix,
+    _normalized_rows,
+    _pivoted_rank,
     as_sym,
     is_psd,
     matrix_set_rank,
@@ -40,6 +42,7 @@ from .yuan import CertificateReport, HypothesisViolated, certify_rank2
 ACTIVITY_TOL = 1e-8
 _FEAS_TOL = 1e-9
 _DEDUP_TOL = 1e-8
+_BLOCK = 256  # column subsets per stacked rank test
 
 
 def _vectors(raw, n: int, name: str) -> np.ndarray:
@@ -191,8 +194,10 @@ def multiplier_vertices(data: KKTData, tol: float = DEFAULT_TOL) -> list[Multipl
     subsets of size equal to its rank. Every subset must contain all
     equality-gradient columns: those variables are free, so a vertex
     support always extends through them, and subsets omitting one can
-    only produce non-extreme points. Results are filtered for
-    mu >= -1e-9 (then clamped), sorted, and deduplicated at 1e-8.
+    only produce non-extreme points. The subsets are rank-tested in
+    stacked blocks of _BLOCK; only full-rank ones are solved. Results are
+    filtered for mu >= -1e-9 (then clamped), sorted, and deduplicated at
+    1e-8.
     """
     act = list(data.active)
     na = len(act)
@@ -207,30 +212,35 @@ def multiplier_vertices(data: KKTData, tol: float = DEFAULT_TOL) -> list[Multipl
     rank = numerical_rank(mat, tol)
     if data.p1 > 0 and numerical_rank(data.grad_h.T, tol) < data.p1:
         raise MfcqFailedError("equality gradients are linearly dependent")
-    found: list[np.ndarray] = []
+    unit = _normalized_rows(mat.T)
     free = list(range(data.p1))
-    for combo in itertools.combinations(range(na), rank - data.p1):
-        sel = free + [data.p1 + j for j in combo]
-        sub = mat[:, sel]
-        if numerical_rank(sub, tol) < len(sel):
-            continue
-        y, *_ = np.linalg.lstsq(sub, rhs, rcond=None)
-        if norm_max(sub @ y - rhs) > 1e-8 * scale:
-            continue
-        mu_part = y[data.p1:]
-        if (mu_part < -_FEAS_TOL).any():
-            continue
-        full = np.zeros(data.p1 + na)
-        full[sel] = y
-        full[data.p1:] = np.maximum(full[data.p1:], 0.0)
-        found.append(full)
+    subsets = (free + list(combo)
+               for combo in itertools.combinations(range(data.p1, data.p1 + na), rank - data.p1))
+    found: list[np.ndarray] = []
+    while block := list(itertools.islice(subsets, _BLOCK)):
+        sels = np.array(block, dtype=int)
+        ranks, _ = _pivoted_rank(unit[sels], tol)
+        for sel in sels[ranks == rank]:
+            sub = mat[:, sel]
+            y, *_ = np.linalg.lstsq(sub, rhs, rcond=None)
+            if norm_max(sub @ y - rhs) > 1e-8 * scale:
+                continue
+            if (y[data.p1:] < -_FEAS_TOL).any():
+                continue
+            full = np.zeros(data.p1 + na)
+            full[sel] = y
+            full[data.p1:] = np.maximum(full[data.p1:], 0.0)
+            found.append(full)
     if not found:
         raise EmptyMultiplierSetError("stationarity system has no feasible basic solution")
     found.sort(key=lambda v: tuple(v))
-    unique: list[np.ndarray] = []
+    unique = np.empty((len(found), data.p1 + na))
+    kept = 0
     for v in found:
-        if all(norm_max(v - u) > _DEDUP_TOL for u in unique):
-            unique.append(v)
+        if np.all(np.abs(unique[:kept] - v).max(axis=1) > _DEDUP_TOL):
+            unique[kept] = v
+            kept += 1
+    unique = unique[:kept]
     points = []
     for v in unique:
         mu = np.zeros(data.p2)

@@ -209,30 +209,42 @@ def _flatten_family(family: MatrixFamily) -> np.ndarray:
     return np.stack([mat.reshape(-1) for mat in family.members])
 
 
-def _pivoted_rank(rows: np.ndarray, tol: float) -> tuple[int, list[int]]:
-    """Rank of a stack of row vectors by max-norm-pivoted elimination.
+def _normalized_rows(rows: np.ndarray) -> np.ndarray:
+    """Rows scaled to unit Euclidean norm; zero rows stay zero."""
+    norms = np.linalg.norm(rows, axis=1)
+    return np.where(norms[:, None] > 0.0, rows / np.where(norms == 0.0, 1.0, norms)[:, None], 0.0)
 
-    The dependence threshold is tol times the largest pivot norm.
+
+def _pivoted_rank(stack: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Ranks of a (K, m, d) stack of row sets by max-norm-pivoted elimination.
+
+    Every set is eliminated on its own, all K in one array pass per step:
+    the pivot is the remaining row of largest norm, and the dependence
+    threshold is tol times the set's first pivot norm. Returns the K ranks
+    and a (K, m) array listing each set's pivots in order, padded with -1.
     """
-    work = np.array(rows, dtype=float)
-    m = work.shape[0]
-    used = np.zeros(m, dtype=bool)
-    pivots: list[int] = []
-    limit = 0.0
+    work = np.array(stack, dtype=float)
+    k, m, _ = work.shape
+    sets = np.arange(k)
+    used = np.zeros((k, m), dtype=bool)
+    live = np.ones(k, dtype=bool)
+    pivots = np.full((k, m), -1)
     for step in range(m):
-        norms = np.linalg.norm(work, axis=1)
+        norms = np.linalg.norm(work, axis=2)
         norms[used] = -1.0
-        j = int(np.argmax(norms))
+        j = np.argmax(norms, axis=1)
+        top = norms[sets, j]
         if step == 0:
-            limit = tol * norms[j]
-        if norms[j] <= limit or norms[j] <= 0.0:
+            limit = tol * top
+        live &= (top > limit) & (top > 0.0)
+        if not live.any():
             break
-        used[j] = True
-        pivots.append(j)
-        q = work[j] / norms[j]
-        work -= np.outer(work @ q, q)
-        work[j] = 0.0
-    return len(pivots), pivots
+        # a set that stopped never restarts, so its rows may go stale
+        pivots[:, step] = np.where(live, j, -1)
+        used[sets, j] = True
+        q = work[sets, j] / np.where(live, top, 1.0)[:, None]
+        work -= np.matmul(work, q[:, :, None]) * q[:, None, :]
+    return (pivots >= 0).sum(axis=1), pivots
 
 
 def _greedy_basis(rows: np.ndarray, tol: float, size: int) -> list[int]:
@@ -272,12 +284,12 @@ def matrix_set_rank(family: MatrixFamily, tol: float = DEFAULT_TOL) -> MatrixSet
     """
     family = as_family(family)
     flat = _flatten_family(family)
-    norms = np.linalg.norm(flat, axis=1)
-    unit = np.where(norms[:, None] > 0.0, flat / np.where(norms == 0.0, 1.0, norms)[:, None], 0.0)
-    rank, pivots = _pivoted_rank(unit, tol)
+    unit = _normalized_rows(flat)
+    ranks, pivots = _pivoted_rank(unit[None], tol)
+    rank = int(ranks[0])
     basis = _greedy_basis(unit, tol, rank)
     if len(basis) < rank:  # threshold disagreement; fall back to pivot choice
-        basis = sorted(pivots)[:rank]
+        basis = sorted(pivots[0, :rank].tolist())
     coefficients = None
     if rank == 2 and len(family) >= 2:
         coefficients = _pair_coordinates(flat[basis], flat)
@@ -321,8 +333,5 @@ def numerical_rank(a: np.ndarray, tol: float = DEFAULT_TOL) -> int:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise InputError("rank expects a 2-d array")
-    cols = a.T
-    norms = np.linalg.norm(cols, axis=1)
-    unit = np.where(norms[:, None] > 0.0, cols / np.where(norms == 0.0, 1.0, norms)[:, None], 0.0)
-    rank, _ = _pivoted_rank(unit, tol)
-    return rank
+    ranks, _ = _pivoted_rank(_normalized_rows(a.T)[None], tol)
+    return int(ranks[0])

@@ -148,9 +148,13 @@ def extract_dependence(
     a, b, c = as_sym(a), as_sym(b), as_sym(c)
     if not (a.order == b.order == c.order):
         raise InputError("matrices must share one order")
-    scale = max(a.norm_max(), b.norm_max(), c.norm_max())
     d = SymMatrix(b.entries - c.entries)
-    spec = sym_eigen(d)
+    return _dependence(a, b, c, d, sym_eigen(d), tol)
+
+
+def _dependence(a, b, c, d: SymMatrix, spec, tol: float) -> Equal | Delta | NotDependent:
+    """`extract_dependence` given d = B - C and its spectrum."""
+    scale = max(a.norm_max(), b.norm_max(), c.norm_max())
     if norm_max(spec.eigenvalues) <= tol * (1.0 + scale):
         return Equal()
     top = int(np.argmax(np.abs(spec.eigenvalues)))
@@ -200,7 +204,8 @@ def jacobian_rank_reduce(
 
     Every triple is dependent exactly when all members lie on the line
     through member 0 and the member farthest from it, so each other member
-    i is tested once, as the triple (i, far, 0): at most m - 2 extractions.
+    i is tested once, as the triple (i, far, 0): at most m - 2 extractions,
+    all sharing one eigendecomposition of A_far - A_0.
     The first failing triple (sorted) is returned together with a sampled
     point where the Jacobian rank reaches 3 (one must exist, so a
     fruitless search raises NumericalFailureError rather than guessing).
@@ -214,8 +219,10 @@ def jacobian_rank_reduce(
     scale = max(s.norm_max() for s in syms)
     spread = gaps[far] > tol * (1.0 + scale)
     others = [i for i in range(1, prob.m) if i != far] if spread else []
+    d = SymMatrix(syms[far].entries - base)
+    spec = sym_eigen(d) if others else None
     for i in others:
-        res = extract_dependence(syms[i], syms[far], syms[0], tol)
+        res = _dependence(syms[i], syms[far], syms[0], d, spec, tol)
         if isinstance(res, NotDependent):
             triple = tuple(sorted((0, far, i)))
             witness = _rank3_point(prob, tol)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from yuancert import FirstOrderCone, MatrixFamily, SymMatrix
+from yuancert import FirstOrderCone, KKTData, MatrixFamily, SymMatrix
 
 # Family one: A3 = 2*A1 - A2; max of the three forms is nonnegative everywhere
 # and (0, 3/5, 2/5) is a PSD combination.
@@ -78,3 +78,54 @@ def random_cone(rng: np.random.Generator, n: int, subspace_dim: int, with_ray: b
     generators = rng.standard_normal((subspace_dim, n)) if subspace_dim else ()
     ray = rng.standard_normal(n) if with_ray else None
     return FirstOrderCone(n, generators, ray)
+
+
+def degenerate_kkt_point(rng: np.random.Generator, n: int, p1: int, blocks, *,
+                         zero_column: bool = False, repeat_column: bool = False,
+                         sparse: bool = False, lone: bool = False, inactive: int = 0):
+    """Seeded KKT data whose multiplier polytope has many, often degenerate, vertices.
+
+    Each (dim, count) in `blocks` puts `count` active inequality gradients
+    into its own `dim`-dimensional subspace, so column subsets that take
+    more than `dim` members of one block are rank deficient. The p1
+    equality gradients are independent and also reach into the block
+    subspaces. grad_f is minus a combination with free equality
+    multipliers and nonnegative inequality ones (a third of them zero
+    when `sparse`, all but one per block when `lone`), so the multiplier
+    set is nonempty; with `lone`, rank-deficient subsets also solve the
+    stationarity system, so only the rank test rejects them. `zero_column`
+    zeroes one inequality gradient, `repeat_column` copies one onto
+    another, and `inactive` appends inactive inequalities. Every Hessian
+    is zero: only the stationarity system matters here.
+    """
+    dims = [dim for dim, _ in blocks]
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    grad_h = (q[:, :p1] @ (rng.standard_normal((p1, p1)) + 3.0 * np.eye(p1))
+              + q[:, p1:p1 + sum(dims)] @ rng.standard_normal((sum(dims), p1))).T
+    cols, start = [], p1
+    for dim, count in blocks:
+        coef = rng.standard_normal((dim, count)) * rng.uniform(0.5, 2.0, count)
+        cols.append(q[:, start:start + dim] @ coef)
+        start += dim
+    grad_g = np.hstack(cols).T if cols else np.zeros((0, n))
+    na = grad_g.shape[0]
+    if repeat_column and na >= 2:
+        i, j = rng.choice(na, 2, replace=False)
+        grad_g[j] = grad_g[i]
+    if zero_column and na:
+        grad_g[int(rng.integers(na))] = 0.0
+    mu = rng.uniform(0.2, 1.5, na)
+    if sparse:
+        mu[rng.permutation(na)[: na // 3]] = 0.0
+    if lone:
+        counts = [count for _, count in blocks]
+        keep = np.cumsum([0] + counts[:-1]) + rng.integers(counts)
+        mu[np.setdiff1d(np.arange(na), keep)] = 0.0
+    grad_f = -(grad_h.T @ rng.standard_normal(p1) + grad_g.T @ mu)
+    extra = rng.standard_normal((inactive, n))
+    order = rng.permutation(na + inactive)
+    rows = np.vstack([grad_g, extra])[order]
+    g_values = np.concatenate([np.zeros(na), -rng.uniform(0.5, 1.0, inactive)])[order]
+    zero = np.zeros((n, n))
+    return KKTData(grad_f=grad_f, hess_f=zero, grad_h=grad_h, hess_h=[zero] * p1,
+                   grad_g=rows, hess_g=[zero] * (na + inactive), g_values=g_values)

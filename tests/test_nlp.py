@@ -1,7 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from conftest import family_one, family_two
+from conftest import degenerate_kkt_point, family_one, family_two
+from yuancert import nlp
+from yuancert.numeric_core import norm_max
 from yuancert import (
     Certified,
     ConeNotCriticalError,
@@ -22,6 +26,7 @@ from yuancert import (
     lp_solve,
     min_eigenvalue,
     multiplier_vertices,
+    numerical_rank,
     restrict,
     second_order_certificate,
     span_basis,
@@ -31,6 +36,68 @@ from yuancert import (
 
 def quad_data(family=None):
     return to_kkt(QuadProblem(family or family_one()))
+
+
+def reference_multiplier_vertices(data, tol=1e-9):
+    """Reference: the per-subset loop, one numerical_rank call per column subset."""
+    act = list(data.active)
+    na = len(act)
+    cols = [data.grad_h[i] for i in range(data.p1)] + [data.grad_g[i] for i in act]
+    rhs = -data.grad_f
+    scale = 1.0 + norm_max(rhs)
+    if not cols:
+        if norm_max(rhs) <= 1e-8 * scale:
+            return [MultiplierPoint(np.zeros(0), np.zeros(data.p2))]
+        raise EmptyMultiplierSetError("no multipliers: gradient of f does not vanish")
+    mat = np.column_stack(cols)
+    rank = numerical_rank(mat, tol)
+    if data.p1 > 0 and numerical_rank(data.grad_h.T, tol) < data.p1:
+        raise MfcqFailedError("equality gradients are linearly dependent")
+    found = []
+    free = list(range(data.p1))
+    for combo in itertools.combinations(range(na), rank - data.p1):
+        sel = free + [data.p1 + j for j in combo]
+        sub = mat[:, sel]
+        if numerical_rank(sub, tol) < len(sel):
+            continue
+        y, *_ = np.linalg.lstsq(sub, rhs, rcond=None)
+        if norm_max(sub @ y - rhs) > 1e-8 * scale:
+            continue
+        if (y[data.p1:] < -1e-9).any():
+            continue
+        full = np.zeros(data.p1 + na)
+        full[sel] = y
+        full[data.p1:] = np.maximum(full[data.p1:], 0.0)
+        found.append(full)
+    if not found:
+        raise EmptyMultiplierSetError("stationarity system has no feasible basic solution")
+    found.sort(key=lambda v: tuple(v))
+    unique = []
+    for v in found:
+        if all(norm_max(v - u) > 1e-8 for u in unique):
+            unique.append(v)
+    points = []
+    for v in unique:
+        mu = np.zeros(data.p2)
+        mu[act] = v[data.p1:]
+        points.append(MultiplierPoint(v[: data.p1], mu))
+    return points
+
+
+def assert_same_vertices(data):
+    """multiplier_vertices equals the reference bit for bit, in order, or
+    both raise the same error."""
+    try:
+        want = reference_multiplier_vertices(data)
+    except (EmptyMultiplierSetError, MfcqFailedError) as exc:
+        with pytest.raises(type(exc)):
+            multiplier_vertices(data)
+        return type(exc)
+    got = multiplier_vertices(data)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g.lam, w.lam) and np.array_equal(g.mu, w.mu)
+    return len(got)
 
 
 def stationarity_residual(data, pt):
@@ -228,6 +295,88 @@ class TestMultiplierVertices:
         vertices = multiplier_vertices(data)
         assert len(vertices) == 1
         np.testing.assert_allclose(vertices[0].mu, [1.0, 0.0], atol=1e-9)
+
+
+class TestVertexEnumerationReference:
+    """The stacked subset test keeps the per-subset loop's vertices and order."""
+
+    @pytest.mark.parametrize("p1", [0, 1, 2])
+    def test_seeded_block_points(self, p1):
+        rng = np.random.default_rng(40 + p1)
+        shapes = [[(2, 4), (1, 3)], [(2, 5), (2, 4)], [(1, 2), (2, 6), (1, 3)], [(3, 7)]]
+        counts = []
+        for trial in range(12):
+            blocks = shapes[trial % len(shapes)]
+            n = p1 + sum(dim for dim, _ in blocks) + int(rng.integers(0, 3))
+            data = degenerate_kkt_point(
+                rng, n, p1, blocks, zero_column=trial % 3 == 0,
+                repeat_column=trial % 4 == 1, sparse=trial % 2 == 0, lone=trial % 4 == 3,
+                inactive=trial % 3)
+            counts.append(assert_same_vertices(data))
+        assert all(isinstance(c, int) and c >= 1 for c in counts)
+        assert max(counts) > 3
+
+    @pytest.mark.parametrize("blocks", [[(2, 9), (2, 9)], [(1, 6), (2, 6), (1, 6)]])
+    def test_eighteen_active_constraints(self, blocks):
+        rng = np.random.default_rng(7)
+        data = degenerate_kkt_point(rng, 6, 0, blocks, zero_column=True, sparse=True)
+        assert len(data.active) == 18
+        assert assert_same_vertices(data) > 10
+        data = degenerate_kkt_point(rng, 6, 0, blocks, lone=True)
+        assert assert_same_vertices(data) > 1
+
+    def test_eighteen_active_with_equalities(self):
+        rng = np.random.default_rng(8)
+        data = degenerate_kkt_point(rng, 6, 2, [(2, 9), (1, 9)], repeat_column=True)
+        assert assert_same_vertices(data) > 10
+
+    @pytest.mark.parametrize("block", [1, 34, 35, 36, 256])
+    def test_subset_count_around_one_block(self, monkeypatch, block):
+        # p1 = 1 and column rank 4, so C(7, 3) = 35 subsets
+        data = degenerate_kkt_point(np.random.default_rng(3), 5, 1, [(2, 4), (1, 3)],
+                                    sparse=True)
+        assert numerical_rank(np.column_stack([*data.grad_h, *data.grad_g])) == 4
+        monkeypatch.setattr(nlp, "_BLOCK", block)
+        assert assert_same_vertices(data) >= 2
+
+    def test_no_active_constraints(self):
+        rng = np.random.default_rng(5)
+        licq = degenerate_kkt_point(rng, 4, 2, [], inactive=3)
+        assert licq.active == ()
+        assert assert_same_vertices(licq) == 1
+        zero = np.zeros((3, 3))
+        assert assert_same_vertices(KKTData(grad_f=np.zeros(3), hess_f=zero)) == 1
+        moving = KKTData(grad_f=[1.0, 0.0, 0.0], hess_f=zero)
+        assert assert_same_vertices(moving) is EmptyMultiplierSetError
+
+    def test_empty_multiplier_set(self):
+        zero = np.zeros((3, 3))
+        grads = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0], [2.0, 1.0, 0.0],
+                 [1.0, 3.0, 0.0], [0.0, 0.0, 0.0]]
+        point = dict(hess_f=zero, grad_g=grads, hess_g=[zero] * 6, active=range(6))
+        # the gradients span a pointed cone, so -grad_f in -cone needs mu <= 0
+        assert assert_same_vertices(KKTData(grad_f=[1.0, 1.0, 0.0], **point)) \
+            is EmptyMultiplierSetError
+        # -grad_f leaves the span of the gradients
+        assert assert_same_vertices(KKTData(grad_f=[-1.0, -1.0, 1.0], **point)) \
+            is EmptyMultiplierSetError
+        assert assert_same_vertices(KKTData(grad_f=[-1.0, -1.0, 0.0], **point)) >= 2
+
+    def test_all_gradients_zero(self):
+        # column rank 0: the one empty subset is the only basic solution
+        zero = np.zeros((2, 2))
+        point = dict(hess_f=zero, grad_g=np.zeros((2, 2)), hess_g=[zero] * 2, active=[0, 1])
+        assert assert_same_vertices(KKTData(grad_f=[0.0, 0.0], **point)) == 1
+        assert assert_same_vertices(KKTData(grad_f=[1.0, 0.0], **point)) \
+            is EmptyMultiplierSetError
+
+    def test_dependent_equalities(self):
+        rng = np.random.default_rng(9)
+        data = degenerate_kkt_point(rng, 5, 2, [(2, 4)])
+        twin = KKTData(grad_f=data.grad_f, hess_f=data.hess_f,
+                       grad_h=[data.grad_h[0], 2.0 * data.grad_h[0]], hess_h=data.hess_h,
+                       grad_g=data.grad_g, hess_g=data.hess_g, active=data.active)
+        assert assert_same_vertices(twin) is MfcqFailedError
 
 
 class TestCriticalConeLineality:

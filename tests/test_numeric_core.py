@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     counterexample_family,
+    degenerate_kkt_point,
     family_one,
     random_sym,
     EX1_A1,
@@ -26,11 +28,13 @@ from yuancert import (
     express_in_basis,
     is_psd,
     matrix_set_rank,
+    multiplier_vertices,
     min_eigenvalue,
     numerical_rank,
     quad_form,
     sym_eigen,
 )
+from yuancert.numeric_core import _pivoted_rank
 
 # eigenvalues of [[0.4, -0.6], [-0.6, 1.0]] from its characteristic
 # polynomial lam^2 - 1.4 lam + 0.04 = 0, solved by hand
@@ -286,3 +290,92 @@ class TestNumericalRank:
 
     def test_zero(self):
         assert numerical_rank(np.zeros((3, 2))) == 0
+
+
+def reference_pivoted_rank(rows, tol):
+    """Reference: max-norm-pivoted elimination of one row set, row by row."""
+    work = np.array(rows, dtype=float)
+    m = work.shape[0]
+    used = np.zeros(m, dtype=bool)
+    pivots = []
+    limit = 0.0
+    for step in range(m):
+        norms = np.linalg.norm(work, axis=1)
+        norms[used] = -1.0
+        j = int(np.argmax(norms))
+        if step == 0:
+            limit = tol * norms[j]
+        if norms[j] <= limit or norms[j] <= 0.0:
+            break
+        used[j] = True
+        pivots.append(j)
+        q = work[j] / norms[j]
+        work -= np.outer(work @ q, q)
+        work[j] = 0.0
+    return len(pivots), pivots
+
+
+def seeded_row_sets(rng, shape, count):
+    """Row sets of one shape: generic, with zero rows, exactly rank
+    deficient, or rank deficient up to 1e-11 noise."""
+    m, d = shape
+    sets = []
+    for k in range(count):
+        rows = rng.standard_normal((m, d)) * rng.uniform(0.1, 10.0, (m, 1))
+        kind = k % 4
+        if kind == 1:
+            rows[rng.random(m) < 0.3] = 0.0
+        elif kind >= 2 and m >= 2:
+            r = int(rng.integers(1, m))
+            rows[r:] = rng.standard_normal((m - r, r)) @ rows[:r]
+            if kind == 3:
+                rows[r:] += 1e-11 * rng.standard_normal((m - r, d))
+        sets.append(rows)
+    return np.stack(sets)
+
+
+class TestStackedPivotedRank:
+    @pytest.mark.parametrize("tol", [1e-9, 1e-11, 1e-12])
+    def test_matches_row_by_row_elimination(self, tol):
+        rng = np.random.default_rng(17)
+        checked = deficient = 0
+        for shape in [(1, 3), (2, 2), (3, 5), (4, 4), (5, 8), (6, 3), (8, 12)]:
+            stack = seeded_row_sets(rng, shape, 50)
+            ranks, pivots = _pivoted_rank(stack, tol)
+            for k, rows in enumerate(stack):
+                rank, order = reference_pivoted_rank(rows, tol)
+                assert ranks[k] == rank
+                assert pivots[k, :rank].tolist() == order
+                assert (pivots[k, rank:] == -1).all()
+                checked += 1
+                deficient += rank < min(shape)
+        assert checked == 350 and deficient > 100
+
+    def test_sets_do_not_interact(self):
+        rng = np.random.default_rng(18)
+        stack = seeded_row_sets(rng, (5, 6), 40)
+        ranks, pivots = _pivoted_rank(stack, 1e-9)
+        for k in range(len(stack)):
+            one_rank, one_pivots = _pivoted_rank(stack[k:k + 1], 1e-9)
+            assert one_rank[0] == ranks[k]
+            assert (one_pivots[0] == pivots[k]).all()
+
+    def test_empty_and_zero_sets(self):
+        ranks, pivots = _pivoted_rank(np.zeros((3, 0, 4)), 1e-9)
+        assert ranks.tolist() == [0, 0, 0] and pivots.shape == (3, 0)
+        ranks, _ = _pivoted_rank(np.zeros((2, 3, 4)), 1e-9)
+        assert ranks.tolist() == [0, 0]
+
+    def test_vertex_enumeration_memory(self):
+        # 18 active constraints and column rank 4: C(18, 4) = 3060 subsets,
+        # tested in blocks instead of one 3060 x 4 x 8 stack
+        data = degenerate_kkt_point(np.random.default_rng(11), 8, 0, [(2, 9), (2, 9)])
+        multiplier_vertices(data)
+        tracemalloc.start()
+        try:
+            vertices = multiplier_vertices(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(vertices) > 10
+        assert peak < 1_000_000

@@ -38,6 +38,7 @@ from yuancert import (
     rank_increase_check,
     second_order_certificate,
     quad_certificate,
+    sym_eigen,
     to_kkt,
 )
 
@@ -262,13 +263,49 @@ class TestJacobianRankReduce:
         prob = QuadProblem(random_collinear_family(np.random.default_rng(8), 8, 40))
         calls = []
 
+        dependence = quadprob._dependence
+
         def counted(*args, **kwargs):
             calls.append(args)
-            return extract_dependence(*args, **kwargs)
+            return dependence(*args, **kwargs)
 
-        monkeypatch.setattr(quadprob, "extract_dependence", counted)
+        monkeypatch.setattr(quadprob, "_dependence", counted)
         assert isinstance(jacobian_rank_reduce(prob), JacobianRankReduction)
         assert len(calls) <= 38
+
+    def test_scan_eigendecomposes_once(self, monkeypatch):
+        prob = QuadProblem(random_collinear_family(np.random.default_rng(8), 8, 40))
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return sym_eigen(m)
+
+        monkeypatch.setattr(quadprob, "sym_eigen", counted)
+        assert isinstance(jacobian_rank_reduce(prob), JacobianRankReduction)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("kind", sorted(SCAN_FAMILIES))
+    def test_scan_results_match_per_member_extraction(self, kind):
+        # the shared spectrum gives the same residual, bit for bit, as
+        # extract_dependence on the failing triple (i, far, 0)
+        rng = np.random.default_rng(20 + sorted(SCAN_FAMILIES).index(kind))
+        for m in range(3, 13):
+            prob = QuadProblem(SCAN_FAMILIES[kind](rng, int(rng.integers(2, 7)), m))
+            syms = prob.matrices.sym_members()
+            gaps = [np.abs(s.entries - syms[0].entries).max() for s in syms]
+            far = int(np.argmax(gaps))
+            want = None
+            for i in range(1, m):
+                res = extract_dependence(syms[i], syms[far], syms[0]) if i != far else None
+                if isinstance(res, NotDependent):
+                    want = (tuple(sorted((0, far, i))), res.residual)
+                    break
+            result = jacobian_rank_reduce(prob)
+            if want is None:
+                assert isinstance(result, JacobianRankReduction), (kind, m)
+            else:
+                assert (result.triple, result.residual) == want, (kind, m)
 
     def test_collinear_families_reduce(self):
         rng = np.random.default_rng(5)
