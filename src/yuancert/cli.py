@@ -133,10 +133,13 @@ def _cmd_vertices(args) -> tuple[int, dict]:
     if not isinstance(instance, KktInstance):
         raise InputError(f"{args.input}: expected a 'kkt' instance")
     data = instance.data
+    # without MFCQ the multiplier set is unbounded and no vertex list describes it
+    if not check_mfcq(data, args.tol):
+        raise MfcqFailedError("Mangasarian-Fromovitz constraint qualification fails")
     vertices = multiplier_vertices(data, args.tol)
     report = _base_report(args.input)
     report["verdict"] = "certified"
-    report["mfcq"] = check_mfcq(data, args.tol)
+    report["mfcq"] = True
     report["vertices"] = [
         {"lambda": v.lam.tolist(), "mu": v.mu.tolist()} for v in vertices
     ]

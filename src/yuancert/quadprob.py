@@ -28,7 +28,7 @@ from .numeric_core import (
     sym_eigen,
 )
 from .nlp import KKTData
-from .yuan import CertificateReport, HypothesisViolated, _unit_rows, certify_rank2
+from .yuan import CertificateReport, HypothesisViolated, certify_rank2
 
 _DEFAULT_SAMPLES = 1000
 _DEFAULT_SEED = 42
@@ -64,6 +64,12 @@ class QuadProblem:
     @property
     def m(self) -> int:
         return len(self.matrices)
+
+
+def _unit_rows(z: np.ndarray) -> np.ndarray:
+    norms = np.linalg.norm(z, axis=1, keepdims=True)
+    keep = norms[:, 0] > 0.0
+    return z[keep] / norms[keep]
 
 
 def jacobian_at(prob: QuadProblem, x) -> np.ndarray:

@@ -1,7 +1,11 @@
 """Convex-combination PSD certificates for families of quadratic forms.
 
 `yuan_two` decides the two-matrix case by maximizing the concave map
-t -> lambda_min(t*A + (1-t)*B) over [0, 1]; `certify_rank2` extends the
+lambda(t) = lambda_min(t*A + (1-t)*B) over [0, 1], bisecting on the sign
+of its supergradient v1'(A-B)v1 (Lewis & Overton, Acta Numerica 5,
+1996) down to adjacent floats. It certifies at the best t evaluated, or
+refutes with the unit vector in the span of that point's two lowest
+eigenvectors on which the two forms agree. `certify_rank2` extends the
 decision to any family whose matrix set has rank at most 2 by one pass
 over the members' coordinates in a two-member basis: a zero combination
 when 0 lies in their conic hull, otherwise `yuan_two` on its two extreme
@@ -35,10 +39,6 @@ from .numeric_core import (
     sym_eigen,
 )
 
-_GOLDEN_TOL = 1e-12
-_GOLDEN_CAP = 200
-_WITNESS_SAMPLES = 20_000
-_WITNESS_SEED = 20170301
 # Coordinate directions this close to opposite count as an opposite pair:
 # well above the rounding of atan2 and of adding pi (a few ulps of pi), and
 # the pair's combination is then off by only this fraction of a member.
@@ -134,50 +134,6 @@ def lambda_min_profile(a: SymMatrix, b: SymMatrix, t: float) -> float:
     return min_eigenvalue(SymMatrix(t * a.entries + (1.0 - t) * b.entries))
 
 
-def _golden_max(f, tol: float = _GOLDEN_TOL, cap: int = _GOLDEN_CAP) -> tuple[float, float]:
-    """Golden-section maximization of a concave function on [0, 1]."""
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
-    best_t, best_f = 0.0, f(0.0)
-    f1 = f(1.0)
-    if f1 > best_f:
-        best_t, best_f = 1.0, f1
-    lo, hi = 0.0, 1.0
-    c = hi - inv * (hi - lo)
-    d = lo + inv * (hi - lo)
-    fc, fd = f(c), f(d)
-    for _ in range(cap):
-        if fc > best_f:
-            best_t, best_f = c, fc
-        if fd > best_f:
-            best_t, best_f = d, fd
-        if hi - lo <= tol:
-            break
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - inv * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + inv * (hi - lo)
-            fd = f(d)
-    mid = 0.5 * (lo + hi)
-    fm = f(mid)
-    if fm > best_f:
-        best_t, best_f = mid, fm
-    return best_t, best_f
-
-
-def _unit_rows(z: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(z, axis=1, keepdims=True)
-    keep = norms[:, 0] > 0.0
-    return z[keep] / norms[keep]
-
-
-def _batch_forms(x: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
-    """Form values, one row per matrix, one column per sample row of x."""
-    return np.stack([np.einsum("ij,jk,ik->i", x, m, x) for m in mats])
-
-
 def _into_cone(x: np.ndarray, cone: FirstOrderCone) -> np.ndarray:
     """Flip the sign so the ray coordinate is nonnegative (forms are even)."""
     if cone.ray is not None and float(cone.ray @ x) < 0.0:
@@ -185,40 +141,51 @@ def _into_cone(x: np.ndarray, cone: FirstOrderCone) -> np.ndarray:
     return x
 
 
-def _refutation_candidates(mstar: np.ndarray, diff: np.ndarray) -> list[np.ndarray]:
-    """Witness candidates from the bottom eigenspace of the optimal pencil.
+def _pencil_max(ar: np.ndarray, br: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """t*, lambda(t*) and a witness direction for lambda(t) = lambda_min(t*A + (1-t)*B).
 
-    At an interior maximizer the derivative of lambda_min vanishes along
-    the pencil, so some unit vector in the bottom eigenspace annihilates
-    the difference form; it is located by a sweep plus bisection over
-    mixtures of the two lowest eigenvectors.
+    lambda is concave and g(t) = v1'(A-B)v1, for a bottom eigenvector v1,
+    is a supergradient, so the sign of g tells on which side of t the
+    maximum lies. g(0) <= 0 puts it at 0 and g(1) >= 0 at 1, with that
+    endpoint's v1 as the witness. Otherwise [0, 1] is halved on the sign
+    of g until its midpoint is no longer strictly inside, and the best t
+    evaluated is kept. Its witness is the unit x in the span of the two
+    lowest eigenvectors with x'(A-B)x = 0 nearest v1, or v1 when there is
+    none: there x'Ax = x'Bx = x'(tA + (1-t)B)x, close to lambda(t).
     """
-    spec = sym_eigen(SymMatrix(mstar))
-    v1 = spec.basis[:, 0].copy()
-    cands = [v1]
-    if mstar.shape[0] >= 2:
-        v2 = spec.basis[:, 1].copy()
-        cands.append(v2)
-        thetas = np.linspace(0.0, math.pi, 64, endpoint=False)
-        mix = np.cos(thetas)[:, None] * v1 + np.sin(thetas)[:, None] * v2
-        h = np.einsum("ij,jk,ik->i", mix, diff, mix)
-        cands.extend(mix)
-        for i in range(len(thetas) - 1):
-            if h[i] == 0.0 or h[i] * h[i + 1] > 0.0:
-                continue
-            a, b = thetas[i], thetas[i + 1]
-            ha = h[i]
-            for _ in range(80):
-                mid = 0.5 * (a + b)
-                vm = math.cos(mid) * v1 + math.sin(mid) * v2
-                hm = float(vm @ diff @ vm)
-                if ha * hm <= 0.0:
-                    b = mid
-                else:
-                    a, ha = mid, hm
-            mid = 0.5 * (a + b)
-            cands.append(math.cos(mid) * v1 + math.sin(mid) * v2)
-    return cands
+    diff = ar - br
+
+    def at(t: float):
+        spec = sym_eigen(SymMatrix(t * ar + (1.0 - t) * br))
+        v1 = spec.basis[:, 0]
+        return float(spec.eigenvalues[0]), float(v1 @ diff @ v1), spec
+
+    lam0, g, spec0 = at(0.0)
+    if g <= 0.0:
+        return 0.0, lam0, spec0.basis[:, 0]
+    lam1, g, spec1 = at(1.0)
+    if g >= 0.0:
+        return 1.0, lam1, spec1.basis[:, 0]
+    # g = a - b is constant at order 1, so from here on the order is >= 2
+    best_lam, best_t, spec = max((lam0, 0.0, spec0), (lam1, 1.0, spec1), key=lambda e: e[0])
+    lo, hi, mid = 0.0, 1.0, 0.5
+    while lo < mid < hi:
+        lam, g, mid_spec = at(mid)
+        if lam > best_lam:
+            best_lam, best_t, spec = lam, mid, mid_spec
+        if g == 0.0:
+            break
+        lo, hi = (mid, hi) if g > 0.0 else (lo, mid)
+        mid = 0.5 * (lo + hi)
+    # x = v1 + tau*v2 with p + 2q*tau + r*tau^2 = 0; the small root
+    # tau = -p / (q + sign(q)*sqrt(q^2 - p*r)) loses no digits to cancellation
+    v1, v2 = spec.basis[:, 0], spec.basis[:, 1]
+    p, q, r = float(v1 @ diff @ v1), float(v1 @ diff @ v2), float(v2 @ diff @ v2)
+    disc = q * q - p * r
+    if p == 0.0 or disc < 0.0:
+        return best_t, best_lam, v1
+    den = q + math.copysign(math.sqrt(disc), q)
+    return best_t, best_lam, (den * v1 - p * v2) / math.hypot(den, p)
 
 
 def yuan_two(
@@ -229,11 +196,15 @@ def yuan_two(
 ) -> CertificateReport:
     """Two-matrix certificate: a PSD pencil point or a double-negative witness.
 
-    Certifies when max_t lambda_min(t*A + (1-t)*B) restricted to the cone
-    span clears -tol*scale; otherwise returns a verified witness x in the
-    cone with both forms strictly negative. A witness is guaranteed to
-    exist in the refuted case, so exhausting the search budget raises
-    NumericalFailureError instead of reporting an unverified negative.
+    Maximizes lambda(t) = lambda_min(t*A + (1-t)*B), restricted to the cone
+    span, by bisection on the sign of its supergradient v1'(A-B)v1 (see
+    `_pencil_max`). Certifies when the best value found clears
+    -tol*scale. Otherwise the witness of that search (v1 at an endpoint
+    maximum; at an interior one, the unit x in the span of the two lowest
+    eigenvectors on which both forms equal x'(t*A + (1-t*)B)x) is mapped
+    into the cone and re-checked. A witness that does not put both forms
+    below the threshold raises NumericalFailureError naming the largest
+    form value and the margin, instead of reporting an unverified negative.
     """
     a, b = as_sym(a), as_sym(b)
     if a.order != b.order or a.order != cone.ambient_dim:
@@ -249,47 +220,22 @@ def yuan_two(
     scale = 1.0 + max(norm_max(ar), norm_max(br))
     threshold = -tol * scale
 
-    def profile(t: float) -> float:
-        return min_eigenvalue(SymMatrix(t * ar + (1.0 - t) * br))
-
-    t_star, lam_star = _golden_max(profile)
+    t_star, lam_star, witness = _pencil_max(ar, br)
     residuals = {"pencil_argmax": t_star, "pencil_max": lam_star}
     if lam_star >= threshold:
         return CertificateReport(
             Certified(make_weights([t_star, 1.0 - t_star]), lam_star), residuals
         )
 
-    mstar = t_star * ar + (1.0 - t_star) * br
-    cands = _refutation_candidates(mstar, ar - br)
-    witness = _pick_witness(cands, [ar, br], threshold)
-    if witness is None:
-        rng = np.random.default_rng(_WITNESS_SEED)
-        for _ in range(_WITNESS_SAMPLES // 1000):
-            x = _unit_rows(rng.standard_normal((1000, k)))
-            vals = _batch_forms(x, [ar, br])
-            worst = vals.max(axis=0)
-            j = int(np.argmin(worst))
-            if worst[j] < threshold:
-                witness = x[j]
-                break
-    if witness is None:
-        raise NumericalFailureError("refutation witness search budget exhausted")
-
     x = _into_cone(basis @ witness, cone)
     values = np.array([quad_form(a, x), quad_form(b, x)])
-    if not cone_contains(cone, x, 1e-8) or not (values < threshold).all():
-        raise NumericalFailureError("refutation witness failed verification")
+    worst = float(values.max())
+    if not cone_contains(cone, x, 1e-8) or not worst < threshold:
+        raise NumericalFailureError(
+            f"yuan_two witness verification failed: largest form value {worst:.9e}"
+            f" against threshold {threshold:.9e} (margin {worst - threshold:.3e})"
+        )
     return CertificateReport(Refuted(x, values), residuals)
-
-
-def _pick_witness(cands, mats: list[np.ndarray], threshold: float):
-    best, best_margin = None, 0.0
-    for v in cands:
-        vals = [float(v @ m @ v) for m in mats]
-        margin = max(vals)
-        if margin < threshold and (best is None or margin < best_margin):
-            best, best_margin = v, margin
-    return best
 
 
 def _cross(u: np.ndarray, v: np.ndarray) -> float:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -184,6 +185,37 @@ class TestCommands:
         report = json.loads(capsys.readouterr().out)
         assert report["verdict"] == "certified"
         assert "multiplier" in report
+
+    def test_vertices_without_mfcq_exit_two(self, tmp_path, capsys):
+        # the two active gradients cancel, so the multiplier set is unbounded
+        path = write(tmp_path, "no_mfcq.json", {
+            "schema_version": "1", "kind": "kkt", "grad_f": [1.0, 0.0],
+            "hess_f": [[0.0, 0.0], [0.0, 0.0]], "grad_g": [[1.0, 0.0], [-1.0, 0.0]],
+            "hess_g": [np.eye(2).tolist()] * 2, "active": [0, 1],
+        })
+        for command in ("vertices", "soc"):
+            assert main([command, path, "--json"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "Mangasarian-Fromovitz" in captured.err
+
+    def test_yuan2_witness_failure_names_stage_and_margin(self, tmp_path, capsys):
+        # pencil maximum shifted onto the threshold -tol*scale (c = 1): the
+        # witness's largest form value lands on it within rounding
+        a = [[-0.38510919853086845, -0.5337359360773486],
+             [-0.5337359360773486, -0.7774402930881059]]
+        b = [[0.18059613358206278, 0.5441639307435358],
+             [0.5441639307435358, 1.6396496029240317]]
+        path = write(tmp_path, "boundary.json", family_doc(a, b))
+        assert main(["yuan2", path, "--json"]) == 4
+        err = capsys.readouterr().err
+        found = re.search(r"yuan_two witness verification failed: largest form value (\S+)"
+                          r" against threshold (\S+) \(margin (\S+)\)", err)
+        assert found, err
+        worst, threshold, margin = map(float, found.groups())
+        assert threshold == pytest.approx(-1e-9 * (1.0 + 1.6396496029240317), rel=1e-9)
+        assert worst >= threshold
+        assert 0.0 <= margin < 1e-12
 
     def test_quad_pipeline(self, tmp_path, capsys):
         doc = serialize_instance(QuadInstance(QuadProblem([EX1_A1, EX1_A2, EX1_A3])))

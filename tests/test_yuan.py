@@ -48,6 +48,9 @@ from yuancert import (
 from yuancert.numeric_core import flatten_sym, norm_max
 from yuancert.yuan import _into_cone
 
+# exit-4 cases at c = 1 in TestBoundaryCorpus, whose pencil maxima sit on the
+# threshold itself
+C1_FAILURES = 2
 LAM_LO = (1.4 - math.sqrt(1.8)) / 2.0
 FULL2 = FirstOrderCone.full(2)
 
@@ -535,3 +538,82 @@ class TestAgainstCaseLoop:
         fam, cone = MatrixFamily(NEAR_PARALLEL), FirstOrderCone.full(3)
         assert verdict_class(certify_rank2, fam, cone) == "Certified"
         assert verdict_class(reference_certify_rank2, fam, cone) == "Certified"
+
+
+def eigvalsh_pencil_max(a: np.ndarray, b: np.ndarray) -> float:
+    """max over [0, 1] of the concave lambda_min(t*a + (1-t)*b), by ternary search."""
+    def f(t):
+        return float(np.linalg.eigvalsh(t * a + (1.0 - t) * b)[0])
+
+    lo, hi = 0.0, 1.0
+    best = max(f(lo), f(hi))
+    for _ in range(100):  # (2/3)^100 < 1e-17: the bracket reaches rounding level
+        m1, m2 = lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0
+        f1, f2 = f(m1), f(m2)
+        best = max(best, f1, f2)
+        if f1 <= f2:
+            lo = m1
+        else:
+            hi = m2
+    return best
+
+
+def pair_scale(a: np.ndarray, b: np.ndarray) -> float:
+    return 1.0 + max(np.abs(a).max(), np.abs(b).max())
+
+
+def boundary_pencil(rng, c: float, tol: float = 1e-9):
+    """A random pencil (n = 2..5) shifted so its maximum sits c*tol*scale below zero."""
+    n = int(rng.integers(2, 6))
+    a, b = random_sym(rng, n).entries, random_sym(rng, n).entries
+    top, eye = eigvalsh_pencil_max(a, b), np.eye(n)
+    shift = -top
+    for _ in range(3):  # the scale depends on the shift; three rounds settle it
+        shift = -top - c * tol * pair_scale(a + shift * eye, b + shift * eye)
+    return a + shift * eye, b + shift * eye
+
+
+def near_opposite_pair(rng):
+    """{s0*A, -s1*A + eps*B}: both forms are negative only near x'Ax = 0."""
+    n = int(rng.integers(2, 5))
+    a, b = random_sym(rng, n).entries, random_sym(rng, n).entries
+    s0, s1 = rng.uniform(0.2, 3.0, 2)
+    eps = 10.0 ** rng.uniform(-8.4, -4.6)
+    return s0 * a, -s1 * a + eps * b
+
+
+def pencil_verdict(a, b) -> str:
+    return verdict_class(lambda fam, cone: yuan_two(*fam.sym_members(), cone),
+                         MatrixFamily([a, b]), FirstOrderCone.full(a.shape[0]))
+
+
+class TestBoundaryCorpus:
+    """yuan_two within a few tolerances of its threshold reaches a verdict.
+
+    The pencil maximum is c*tol*scale below zero; at c = 1 it lies on the
+    threshold itself, so rounding decides and a few witnesses cannot clear
+    it. The near-opposite pairs are refuted on a thin band only.
+    """
+
+    def test_shifted_pencils(self):
+        failures = {}
+        for c in (1, 2, 5, 20):
+            rng = np.random.default_rng([2017, c])
+            verdicts = Counter(pencil_verdict(*boundary_pencil(rng, c)) for _ in range(60))
+            failures[c] = verdicts["NumericalFailureError"]
+            if c >= 2:
+                assert verdicts["Refuted"] == 60, (c, verdicts)
+        assert failures == {1: C1_FAILURES, 2: 0, 5: 0, 20: 0}
+
+    def test_near_opposite_pairs(self):
+        rng = np.random.default_rng(2018)
+        seen = Counter()
+        for trial in range(100):
+            a, b = near_opposite_pair(rng)
+            verdict = pencil_verdict(a, b)
+            seen[verdict] += 1
+            margin = eigvalsh_pencil_max(a, b) + 1e-9 * pair_scale(a, b)
+            if abs(margin) > 1e-9 * pair_scale(a, b):
+                assert verdict == ("Certified" if margin > 0.0 else "Refuted"), trial
+        assert seen["NumericalFailureError"] == 0, seen
+        assert seen["Refuted"] >= 30, seen
