@@ -3,13 +3,13 @@
 `yuan_two` decides the two-matrix case by maximizing the concave map
 lambda(t) = lambda_min(t*A + (1-t)*B) over [0, 1], bisecting on the sign
 of its supergradient v1'(A-B)v1 (Lewis & Overton, Acta Numerica 5,
-1996) down to adjacent floats. It certifies at the best t evaluated, or
-refutes with the unit vector in the span of that point's two lowest
-eigenvectors on which the two forms agree. `certify_rank2` extends the
-decision to any family whose matrix set has rank at most 2 by one pass
-over the members' coordinates in a two-member basis: a zero combination
-when 0 lies in their conic hull, otherwise `yuan_two` on its two extreme
-rays.
+1996) down to the float resolution of t. It certifies at the best t
+evaluated, or refutes with a unit vector on which the two forms agree,
+from the span of that point's lowest eigenvector and a later one.
+`certify_rank2` extends the decision to any family whose matrix set has
+rank at most 2 by one pass over the members' coordinates in a two-member
+basis: a zero combination when 0 lies in their conic hull, otherwise
+`yuan_two` on its two extreme rays.
 
 Certificates are always re-verified by an independent eigendecomposition
 of the combined matrix; refutations are only emitted with a concrete
@@ -148,10 +148,11 @@ def _pencil_max(ar: np.ndarray, br: np.ndarray) -> tuple[float, float, np.ndarra
     is a supergradient, so the sign of g tells on which side of t the
     maximum lies. g(0) <= 0 puts it at 0 and g(1) >= 0 at 1, with that
     endpoint's v1 as the witness. Otherwise [0, 1] is halved on the sign
-    of g until its midpoint is no longer strictly inside, and the best t
-    evaluated is kept. Its witness is the unit x in the span of the two
-    lowest eigenvectors with x'(A-B)x = 0 nearest v1, or v1 when there is
-    none: there x'Ax = x'Bx = x'(tA + (1-t)B)x, close to lambda(t).
+    of g until it is no wider than ulp(1), the float resolution of t there,
+    and the best t evaluated is kept. Its witness is the unit x with
+    x'(A-B)x = 0 nearest v1 in span(v1, vj) for the first later eigenvector
+    vj that admits one, or v1 when none does: there x'Ax = x'Bx =
+    x'(tA + (1-t)B)x, close to lambda(t).
     """
     diff = ar - br
 
@@ -168,24 +169,28 @@ def _pencil_max(ar: np.ndarray, br: np.ndarray) -> tuple[float, float, np.ndarra
         return 1.0, lam1, spec1.basis[:, 0]
     # g = a - b is constant at order 1, so from here on the order is >= 2
     best_lam, best_t, spec = max((lam0, 0.0, spec0), (lam1, 1.0, spec1), key=lambda e: e[0])
-    lo, hi, mid = 0.0, 1.0, 0.5
-    while lo < mid < hi:
+    lo, hi = 0.0, 1.0
+    while hi - lo > math.ulp(1.0):
+        mid = 0.5 * (lo + hi)
         lam, g, mid_spec = at(mid)
         if lam > best_lam:
             best_lam, best_t, spec = lam, mid, mid_spec
         if g == 0.0:
             break
         lo, hi = (mid, hi) if g > 0.0 else (lo, mid)
-        mid = 0.5 * (lo + hi)
-    # x = v1 + tau*v2 with p + 2q*tau + r*tau^2 = 0; the small root
-    # tau = -p / (q + sign(q)*sqrt(q^2 - p*r)) loses no digits to cancellation
-    v1, v2 = spec.basis[:, 0], spec.basis[:, 1]
-    p, q, r = float(v1 @ diff @ v1), float(v1 @ diff @ v2), float(v2 @ diff @ v2)
+    # x = v1 + tau*vj with p + 2q*tau + r*tau^2 = 0; the small root
+    # tau = -p / (q + sign(q)*sqrt(q^2 - p*r)) loses no digits to cancellation,
+    # and q^2 - p*r >= 0 holds for any vj with r of the sign opposite to p
+    forms = spec.basis.T @ diff @ spec.basis
+    p, q, r = float(forms[0, 0]), forms[0, 1:], np.diag(forms)[1:]
     disc = q * q - p * r
-    if p == 0.0 or disc < 0.0:
+    real = np.flatnonzero(disc >= 0.0)
+    v1 = spec.basis[:, 0]
+    if p == 0.0 or real.size == 0:
         return best_t, best_lam, v1
-    den = q + math.copysign(math.sqrt(disc), q)
-    return best_t, best_lam, (den * v1 - p * v2) / math.hypot(den, p)
+    j = int(real[0])
+    den = float(q[j]) + math.copysign(math.sqrt(float(disc[j])), float(q[j]))
+    return best_t, best_lam, (den * v1 - p * spec.basis[:, j + 1]) / math.hypot(den, p)
 
 
 def yuan_two(
@@ -200,8 +205,8 @@ def yuan_two(
     span, by bisection on the sign of its supergradient v1'(A-B)v1 (see
     `_pencil_max`). Certifies when the best value found clears
     -tol*scale. Otherwise the witness of that search (v1 at an endpoint
-    maximum; at an interior one, the unit x in the span of the two lowest
-    eigenvectors on which both forms equal x'(t*A + (1-t*)B)x) is mapped
+    maximum; at an interior one, the unit x in the span of v1 and a later
+    eigenvector on which both forms equal x'(t*A + (1-t*)B)x) is mapped
     into the cone and re-checked. A witness that does not put both forms
     below the threshold raises NumericalFailureError naming the largest
     form value and the margin, instead of reporting an unverified negative.

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+import yuancert.yuan as yuan_module
 from conftest import EX1_A1, EX1_A2, EX1_A3, EX2_A1, EX2_A2, EX2_A3, NEAR_PARALLEL
 from yuancert import FirstOrderCone, QuadProblem, to_kkt
 from yuancert.cli import main
@@ -199,23 +200,38 @@ class TestCommands:
             assert captured.out == ""
             assert "Mangasarian-Fromovitz" in captured.err
 
-    def test_yuan2_witness_failure_names_stage_and_margin(self, tmp_path, capsys):
-        # pencil maximum shifted onto the threshold -tol*scale (c = 1): the
-        # witness's largest form value lands on it within rounding
+    @staticmethod
+    def witness_failure(err):
+        found = re.search(r"yuan_two witness verification failed: largest form value (\S+)"
+                          r" against threshold (\S+) \(margin (\S+)\)", err)
+        assert found, err
+        return tuple(map(float, found.groups()))
+
+    def test_yuan2_witness_failure_names_stage_and_margin(self, tmp_path, capsys, monkeypatch):
+        # refuted by -1 everywhere; the witness e1 is forced and fails on A
+        monkeypatch.setattr(yuan_module, "_pencil_max",
+                            lambda ar, br: (0.0, -1.0, np.array([1.0, 0.0])))
+        path = write(tmp_path, "forced.json", family_doc(np.diag([1.0, -1.0]), -np.eye(2)))
+        assert main(["yuan2", path, "--json"]) == 4
+        worst, threshold, margin = self.witness_failure(capsys.readouterr().err)
+        assert (worst, threshold) == (1.0, -2e-9)
+        assert margin == pytest.approx(1.0)
+
+    def test_yuan2_on_threshold_refutes_or_names_margin(self, tmp_path, capsys):
+        # pencil maximum shifted onto the threshold -tol*scale (c = 1): rounding
+        # decides whether the witness clears it, so either outcome is allowed
         a = [[-0.38510919853086845, -0.5337359360773486],
              [-0.5337359360773486, -0.7774402930881059]]
         b = [[0.18059613358206278, 0.5441639307435358],
              [0.5441639307435358, 1.6396496029240317]]
         path = write(tmp_path, "boundary.json", family_doc(a, b))
-        assert main(["yuan2", path, "--json"]) == 4
-        err = capsys.readouterr().err
-        found = re.search(r"yuan_two witness verification failed: largest form value (\S+)"
-                          r" against threshold (\S+) \(margin (\S+)\)", err)
-        assert found, err
-        worst, threshold, margin = map(float, found.groups())
-        assert threshold == pytest.approx(-1e-9 * (1.0 + 1.6396496029240317), rel=1e-9)
-        assert worst >= threshold
-        assert 0.0 <= margin < 1e-12
+        code = main(["yuan2", path, "--json"])
+        assert code in (1, 4)
+        if code == 4:
+            worst, threshold, margin = self.witness_failure(capsys.readouterr().err)
+            assert threshold == pytest.approx(-1e-9 * (1.0 + 1.6396496029240317), rel=1e-9)
+            assert worst >= threshold
+            assert 0.0 <= margin < 1e-12
 
     def test_quad_pipeline(self, tmp_path, capsys):
         doc = serialize_instance(QuadInstance(QuadProblem([EX1_A1, EX1_A2, EX1_A3])))
