@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .cone import FirstOrderCone, restrict, span_basis
+from .cone import FirstOrderCone
 from .errors import (
     EmptyMultiplierSetError,
     HypothesisViolatedError,
@@ -35,20 +35,22 @@ from .nlp import (
     check_mfcq,
     critical_cone_lineality,
     multiplier_vertices,
+    recombine,
     second_order_certificate,
+    vertex_hessians,
 )
-from .numeric_core import (
-    DEFAULT_TOL,
-    SymMatrix,
-    matrix_set_rank,
-    min_eigenvalue,
-    norm_max,
-    numerical_rank,
-    quad_form,
-)
+from .numeric_core import DEFAULT_TOL, matrix_set_rank, norm_max, numerical_rank
 from .oracle import NoWitnessFound, sample_max_nonneg, simplex_grid_search
 from .quadprob import jacobian_at, quad_certificate
-from .yuan import Certified, Refuted, certify_rank2, yuan_two
+from .yuan import (
+    Certified,
+    Refuted,
+    certificate_value,
+    certify_rank2,
+    restricted_forms,
+    witness_check,
+    yuan_two,
+)
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -151,9 +153,7 @@ def _cmd_soc(args) -> tuple[int, dict]:
     instance = load_instance(args.input)
     if not isinstance(instance, KktInstance):
         raise InputError(f"{args.input}: expected a 'kkt' instance")
-    cone = None
-    if args.cone is not None:
-        cone = load_cone(args.cone, instance.data.n)
+    cone = None if args.cone is None else load_cone(args.cone, instance.data.n)
     result = second_order_certificate(instance.data, cone, tol=args.tol)
     report = _base_report(args.input)
     code = _apply_outcome(report, result.report)
@@ -208,42 +208,40 @@ def _cmd_verify_report(args) -> tuple[int, dict]:
     if stored.get("input_digest") != out["input_digest"]:
         out["reason"] = "report input_digest differs from the instance"
         return EXIT_NUMERICAL, out
+    forms, cone, vertices = _forms_and_cone(instance, args)
     if verdict == "certified" and "weights" in stored:
-        family, cone = _family_and_cone_from(instance, args)
-        weights = _report_field(stored, "weights", (len(family),))
+        weights = _report_field(stored, "weights", (len(forms),))
         on_simplex = bool((weights >= 0.0).all()) and abs(float(weights.sum()) - 1.0) <= 1e-12
-        basis = span_basis(cone)
-        lam = threshold = 0.0
-        if basis.shape[1]:
-            restricted = [restrict(s, basis).entries for s in family.sym_members()]
-            lam = min_eigenvalue(SymMatrix(sum(w * r for w, r in zip(weights, restricted))))
-            threshold = -args.tol * (1.0 + max(norm_max(r) for r in restricted))
-        out["lambda_min"] = lam
-        stored_lam = lam
+        restricted, threshold = restricted_forms(forms.sym_members(), cone, args.tol)
+        lam = out["lambda_min"] = certificate_value(restricted, weights)
+        out["margin"] = lam - threshold
+        ok = on_simplex and lam >= threshold
         if "lambda_min" in stored:
-            stored_lam = float(_report_field(stored, "lambda_min", ()))
-        matches = abs(lam - stored_lam) <= 1e-9 * (1.0 + abs(lam))
-        ok = on_simplex and lam >= threshold and matches
+            ok = ok and _matches(lam, _report_field(stored, "lambda_min", ()))
+        if vertices is not None:
+            # the certified multiplier is the weighted combination of the vertices
+            mult, want = stored.get("multiplier"), recombine(vertices, weights)
+            if not isinstance(mult, dict):
+                raise InputError("report field 'multiplier' must hold 'lambda' and 'mu'")
+            ok = ok and _matches(want.lam, _report_field(mult, "lambda", want.lam.shape))
+            ok = ok and _matches(want.mu, _report_field(mult, "mu", want.mu.shape))
     elif verdict == "refuted" and "witness" in stored:
-        family, cone = _family_and_cone_from(instance, args)
-        x = _report_field(stored, "witness", (family.order,))
-        syms = family.sym_members()
-        values = np.array([quad_form(s, x) for s in syms])
-        scale = 1.0 + max(s.norm_max() for s in syms)
+        x = _report_field(stored, "witness", (forms.order,))
+        syms = forms.sym_members()
+        _, threshold = restricted_forms(syms, cone, args.tol)
+        ok, values = witness_check(syms, cone, x, threshold)
         out["form_values"] = values.tolist()
-        ok = bool((values < -1e-9 * scale).all())
-        if ok and "form_values" in stored:
-            stored_values = _report_field(stored, "form_values", values.shape)
-            ok = norm_max(values - stored_values) <= 1e-9 * scale
-    elif verdict == "hypothesis_violated" and isinstance(instance, FamilyInstance):
-        out["rank"] = matrix_set_rank(instance.matrices, args.tol).rank
-        ok = out["rank"] > 2 and stored.get("rank") == out["rank"]
-    elif (verdict == "hypothesis_violated" and isinstance(instance, QuadInstance)
-          and "witness" in stored):
+        out["margin"] = threshold - float(values.max())
+        if "form_values" in stored:
+            ok = ok and _matches(values, _report_field(stored, "form_values", values.shape))
+    elif verdict == "hypothesis_violated" and isinstance(instance, QuadInstance):
         # the premise fails where the Jacobian reaches rank 3, not where the set rank does
         x = _report_field(stored, "witness", (instance.problem.n,))
         out["rank"] = numerical_rank(jacobian_at(instance.problem, x), args.tol)
         ok = out["rank"] >= 3 and stored.get("rank") == out["rank"]
+    elif verdict == "hypothesis_violated":
+        out["rank"] = matrix_set_rank(forms, args.tol).rank
+        ok = out["rank"] > 2 and stored.get("rank") == out["rank"]
     else:
         raise InputError("report carries nothing verifiable for this instance")
     out["verdict"] = verdict if ok else "error"
@@ -253,11 +251,11 @@ def _cmd_verify_report(args) -> tuple[int, dict]:
 def _report_field(stored: dict, key: str, shape: tuple) -> np.ndarray:
     """A numeric report field as a float array of the given shape.
 
-    Anything else (strings, nesting, a wrong length, NaN or infinity) is
-    a malformed report and raises InputError.
+    Anything else (a missing key, strings, nesting, a wrong length, NaN or
+    infinity) is a malformed report and raises InputError.
     """
     try:
-        value = np.asarray(stored[key], dtype=float)
+        value = np.asarray(stored.get(key), dtype=float)
     except (TypeError, ValueError) as exc:
         raise InputError(f"report field {key!r} is not numeric") from exc
     if value.shape != shape or not np.isfinite(value).all():
@@ -265,20 +263,26 @@ def _report_field(stored: dict, key: str, shape: tuple) -> np.ndarray:
     return value
 
 
-def _family_and_cone_from(instance, args):
-    if isinstance(instance, FamilyInstance):
-        family = instance.matrices
-    elif isinstance(instance, QuadInstance):
-        family = instance.problem.matrices
-    else:
-        raise InputError("expected a 'family' or 'quadprob' instance")
-    return family, _cone(args, family.order)
+def _matches(value, stored) -> bool:
+    """Stored numbers agree with their recomputation to 1e-9 relative."""
+    return norm_max(np.asarray(value) - stored) <= 1e-9 * (1.0 + norm_max(value))
+
+
+def _forms_and_cone(instance, args):
+    """The forms and cone a report on this instance is checked against, and the
+    multiplier vertices of a kkt instance, whose Lagrangian Hessians they are."""
+    if isinstance(instance, KktInstance):
+        cone = None if args.cone is None else load_cone(args.cone, instance.data.n)
+        cone, vertices, hessians = vertex_hessians(instance.data, cone, args.tol)
+        return hessians, cone, vertices
+    if isinstance(instance, QuadInstance) and args.cone is not None:
+        raise InputError("quad decides on the full space and takes no --cone")
+    family = instance.problem.matrices if isinstance(instance, QuadInstance) else instance.matrices
+    return family, _cone(args, family.order), None
 
 
 def _cone(args, order: int) -> FirstOrderCone:
-    if args.cone is not None:
-        return load_cone(args.cone, order)
-    return FirstOrderCone.full(order)
+    return FirstOrderCone.full(order) if args.cone is None else load_cone(args.cone, order)
 
 
 _COMMANDS = {
@@ -345,7 +349,7 @@ def _print_report(report: dict, as_json: bool) -> None:
         print(dump_json(report))
         return
     print(f"verdict: {report.get('verdict')}")
-    for key in ("rank", "reason", "lambda_min", "samples", "vertex_count", "mfcq"):
+    for key in ("rank", "reason", "lambda_min", "margin", "samples", "vertex_count", "mfcq"):
         if key in report:
             print(f"{key}: {report[key]}")
     if "weights" in report:

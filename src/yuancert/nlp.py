@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import FirstOrderCone, restrict, span_basis
+from .cone import FirstOrderCone
 from .errors import (
     ConeNotCriticalError,
     EmptyMultiplierSetError,
@@ -31,13 +31,13 @@ from .numeric_core import (
     _normalized_rows,
     _pivoted_rank,
     as_sym,
-    is_psd,
     matrix_set_rank,
     norm_max,
     numerical_rank,
     sym_eigen,
 )
-from .yuan import CertificateReport, HypothesisViolated, certify_rank2
+from .yuan import (CertificateReport, HypothesisViolated, certificate_value, certify_rank2,
+                   restricted_forms)
 
 ACTIVITY_TOL = 1e-8
 _FEAS_TOL = 1e-9
@@ -284,21 +284,43 @@ class SecondOrderResult:
     vertices: tuple[MultiplierPoint, ...]
 
 
-def _validate_subcone(data: KKTData, cone: FirstOrderCone) -> None:
-    rows_eq = np.vstack([data.grad_h, data.grad_f[None, :]])
-    rows_ineq = data.grad_g[list(data.active)]
-    scale = 1.0 + max(norm_max(rows_eq), norm_max(rows_ineq) if rows_ineq.size else 0.0)
-    tol = 1e-8 * scale
-    for j in range(cone.subspace_dim):
-        v = cone.subspace[:, j]
-        if norm_max(rows_eq @ v) > tol or (rows_ineq.size and norm_max(rows_ineq @ v) > tol):
-            raise ConeNotCriticalError("cone subspace leaves the critical cone")
-    if cone.ray is not None:
-        d = cone.ray
-        if norm_max(rows_eq @ d) > tol:
+def recombine(vertices, weights) -> MultiplierPoint:
+    """The multiplier sum_i w_i*v_i of weighted vertices, mu clamped at 0."""
+    lam = sum(w * v.lam for w, v in zip(weights, vertices))
+    mu = sum(w * v.mu for w, v in zip(weights, vertices))
+    return MultiplierPoint(np.asarray(lam), np.maximum(np.asarray(mu), 0.0))
+
+
+def vertex_hessians(
+    data: KKTData,
+    cone: FirstOrderCone | None = None,
+    tol: float = DEFAULT_TOL,
+) -> tuple[FirstOrderCone, tuple[MultiplierPoint, ...], MatrixFamily]:
+    """Cone, multiplier vertices and vertex Lagrangian Hessians of a second-order check.
+
+    Raises MfcqFailedError where MFCQ fails. The default cone is the critical
+    cone's lineality space; a given cone must lie in the critical cone."""
+    if not check_mfcq(data, tol):
+        raise MfcqFailedError("Mangasarian-Fromovitz constraint qualification fails")
+    if cone is None:
+        cone = FirstOrderCone(data.n, critical_cone_lineality(data).T)
+    elif cone.ambient_dim != data.n:
+        raise InputError("cone ambient dimension does not match the problem")
+    else:
+        rows_eq = np.vstack([data.grad_h, data.grad_f[None, :]])
+        rows_ineq = data.grad_g[list(data.active)]
+        scale = 1.0 + max(norm_max(rows_eq), norm_max(rows_ineq) if rows_ineq.size else 0.0)
+        ctol = 1e-8 * scale
+        for j in range(cone.subspace_dim):
+            v = cone.subspace[:, j]
+            if norm_max(rows_eq @ v) > ctol or (rows_ineq.size and norm_max(rows_ineq @ v) > ctol):
+                raise ConeNotCriticalError("cone subspace leaves the critical cone")
+        if cone.ray is not None and norm_max(rows_eq @ cone.ray) > ctol:
             raise ConeNotCriticalError("cone ray leaves the critical cone")
-        if rows_ineq.size and (rows_ineq @ d > tol).any():
+        if cone.ray is not None and rows_ineq.size and (rows_ineq @ cone.ray > ctol).any():
             raise ConeNotCriticalError("cone ray violates an active inequality")
+    vertices = tuple(multiplier_vertices(data, tol))
+    return cone, vertices, MatrixFamily([lagrangian_hessian(data, v) for v in vertices])
 
 
 def second_order_certificate(
@@ -308,23 +330,12 @@ def second_order_certificate(
 ) -> SecondOrderResult:
     """Single-multiplier second-order certificate over a first-order subcone.
 
-    Enumerates the multiplier vertices, forms the Lagrangian Hessians
-    there, and hands the family to certify_rank2 when its set rank is at
-    most 2. On success, the vertex weights recombine into one multiplier
-    whose Hessian is re-verified PSD on the cone. The default cone is the
-    lineality space of the critical cone.
+    Hands the Lagrangian Hessians at the multiplier vertices
+    (`vertex_hessians`) to certify_rank2 when their set rank is at most 2.
+    On success, the vertex weights recombine into one multiplier whose
+    Hessian is re-verified PSD on the cone by `certificate_value`.
     """
-    if not check_mfcq(data, tol):
-        raise MfcqFailedError("Mangasarian-Fromovitz constraint qualification fails")
-    if cone is None:
-        basis = critical_cone_lineality(data)
-        cone = FirstOrderCone(data.n, basis.T)
-    else:
-        if cone.ambient_dim != data.n:
-            raise InputError("cone ambient dimension does not match the problem")
-        _validate_subcone(data, cone)
-    vertices = tuple(multiplier_vertices(data, tol))
-    hessians = MatrixFamily([lagrangian_hessian(data, v) for v in vertices])
+    cone, vertices, hessians = vertex_hessians(data, cone, tol)
     sr = matrix_set_rank(hessians, tol)
     if sr.rank > 2:
         report = CertificateReport(
@@ -338,16 +349,12 @@ def second_order_certificate(
     report = certify_rank2(hessians, cone, tol)
     multiplier = None
     if report.certified:
-        t = report.outcome.weights.t
-        lam = sum(w * v.lam for w, v in zip(t, vertices))
-        mu = sum(w * v.mu for w, v in zip(t, vertices))
-        multiplier = MultiplierPoint(np.asarray(lam), np.maximum(np.asarray(mu), 0.0))
-        basis = span_basis(cone)
-        if basis.shape[1]:
-            hess = lagrangian_hessian(data, multiplier)
-            verdict = is_psd(restrict(hess, basis), tol)
-            if not verdict.psd:
-                raise NumericalFailureError(
-                    f"recombined multiplier failed the PSD re-check ({verdict.value:.3e})"
-                )
+        multiplier = recombine(vertices, report.outcome.weights.t)
+        restricted, threshold = restricted_forms([lagrangian_hessian(data, multiplier)],
+                                                 cone, tol)
+        value = certificate_value(restricted, [1.0])
+        if value < threshold:
+            raise NumericalFailureError(
+                f"recombined multiplier failed the PSD re-check ({value:.3e})"
+            )
     return SecondOrderResult(report, multiplier, cone, vertices)

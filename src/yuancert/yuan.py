@@ -11,9 +11,9 @@ rank at most 2 by one pass over the members' coordinates in a two-member
 basis: a zero combination when 0 lies in their conic hull, otherwise
 `yuan_two` on its two extreme rays.
 
-Certificates are always re-verified by an independent eigendecomposition
-of the combined matrix; refutations are only emitted with a concrete
-witness direction that has been re-checked against the full family.
+Every verdict, here, in `nlp` and in `verify-report`, meets one rule:
+the threshold of `restricted_forms`, cleared by `certificate_value` for a
+certificate and by every form value in `witness_check` for a refutation.
 """
 
 from __future__ import annotations
@@ -134,6 +134,29 @@ def lambda_min_profile(a: SymMatrix, b: SymMatrix, t: float) -> float:
     return min_eigenvalue(SymMatrix(t * a.entries + (1.0 - t) * b.entries))
 
 
+def restricted_forms(syms, cone: FirstOrderCone, tol: float) -> tuple[list[np.ndarray], float]:
+    """The forms restricted to the cone span, and the threshold -tol*(1 + largest
+    restricted entry) every verdict clears. An empty span gives ([], 0)."""
+    basis = span_basis(cone)
+    if basis.shape[1] == 0:
+        return [], 0.0
+    restricted = [restrict(s, basis).entries for s in syms]
+    return restricted, -tol * (1.0 + max(norm_max(r) for r in restricted))
+
+
+def certificate_value(restricted: list[np.ndarray], weights) -> float:
+    """lambda_min of the weighted restriction sum_i w_i*R_i (0 on an empty span)."""
+    combined = sum(w * r for w, r in zip(weights, restricted))
+    return min_eigenvalue(SymMatrix(combined)) if restricted else 0.0
+
+
+def witness_check(syms, cone: FirstOrderCone, x, threshold: float) -> tuple[bool, np.ndarray]:
+    """Whether x lies in the cone (at 1e-8) with every form value x'A_i x,
+    also returned, below the threshold."""
+    values = np.array([quad_form(s, x) for s in syms])
+    return cone_contains(cone, x, 1e-8) and bool((values < threshold).all()), values
+
+
 def _into_cone(x: np.ndarray, cone: FirstOrderCone) -> np.ndarray:
     """Flip the sign so the ray coordinate is nonnegative (forms are even)."""
     if cone.ray is not None and float(cone.ray @ x) < 0.0:
@@ -203,27 +226,24 @@ def yuan_two(
 
     Maximizes lambda(t) = lambda_min(t*A + (1-t)*B), restricted to the cone
     span, by bisection on the sign of its supergradient v1'(A-B)v1 (see
-    `_pencil_max`). Certifies when the best value found clears
-    -tol*scale. Otherwise the witness of that search (v1 at an endpoint
-    maximum; at an interior one, the unit x in the span of v1 and a later
-    eigenvector on which both forms equal x'(t*A + (1-t*)B)x) is mapped
-    into the cone and re-checked. A witness that does not put both forms
-    below the threshold raises NumericalFailureError naming the largest
-    form value and the margin, instead of reporting an unverified negative.
+    `_pencil_max`). Certifies when the best value found clears the
+    `restricted_forms` threshold. Otherwise the witness of that search (v1
+    at an endpoint maximum; at an interior one, the unit x in the span of
+    v1 and a later eigenvector on which both forms equal
+    x'(t*A + (1-t*)B)x) is mapped into the cone and re-checked by
+    `witness_check`. A witness that fails it raises NumericalFailureError
+    naming the largest form value and the margin, instead of reporting an
+    unverified negative.
     """
     a, b = as_sym(a), as_sym(b)
     if a.order != b.order or a.order != cone.ambient_dim:
         raise InputError("matrices and cone must share one ambient dimension")
-    basis = span_basis(cone)
-    k = basis.shape[1]
-    if k == 0:
+    restricted, threshold = restricted_forms((a, b), cone, tol)
+    if not restricted:
         return CertificateReport(
             Certified(SimplexWeights([0.5, 0.5]), 0.0), {"span_dim": 0.0}
         )
-    ar = restrict(a, basis).entries
-    br = restrict(b, basis).entries
-    scale = 1.0 + max(norm_max(ar), norm_max(br))
-    threshold = -tol * scale
+    ar, br = restricted
 
     t_star, lam_star, witness = _pencil_max(ar, br)
     residuals = {"pencil_argmax": t_star, "pencil_max": lam_star}
@@ -232,10 +252,10 @@ def yuan_two(
             Certified(make_weights([t_star, 1.0 - t_star]), lam_star), residuals
         )
 
-    x = _into_cone(basis @ witness, cone)
-    values = np.array([quad_form(a, x), quad_form(b, x)])
-    worst = float(values.max())
-    if not cone_contains(cone, x, 1e-8) or not worst < threshold:
+    x = _into_cone(span_basis(cone) @ witness, cone)
+    ok, values = witness_check((a, b), cone, x, threshold)
+    if not ok:
+        worst = float(values.max())
         raise NumericalFailureError(
             f"yuan_two witness verification failed: largest form value {worst:.9e}"
             f" against threshold {threshold:.9e} (margin {worst - threshold:.3e})"
@@ -247,7 +267,7 @@ def _cross(u: np.ndarray, v: np.ndarray) -> float:
     return float(u[0] * v[1] - u[1] * v[0])
 
 
-def _plane_pass(top, syms, restricted, cone, tol: float, scale: float) -> CertificateReport:
+def _plane_pass(top, syms, restricted, cone, tol: float, threshold: float) -> CertificateReport:
     """Weights or a witness for a rank <= 2 family from its basis coordinates.
 
     Zero combinations carry lambda_min 0; the caller re-verifies every
@@ -259,7 +279,7 @@ def _plane_pass(top, syms, restricted, cone, tol: float, scale: float) -> Certif
     zero = int(np.argmin(sizes))
     if top.rank == 0:
         w[:] = 1.0
-    elif sizes[zero] <= 0.5 * tol * scale:
+    elif sizes[zero] <= -0.5 * threshold:
         w[zero] = 1.0  # its lambda_min is provably inside the threshold
     else:
         if top.rank == 2:
@@ -324,15 +344,11 @@ def certify_rank2(
     m = len(syms)
     if family.order != cone.ambient_dim:
         raise InputError("family and cone must share one ambient dimension")
-    basis = span_basis(cone)
-    k = basis.shape[1]
-    if k == 0:
+    restricted, threshold = restricted_forms(syms, cone, tol)
+    if not restricted:
         return CertificateReport(
             Certified(SimplexWeights(np.full(m, 1.0 / m)), 0.0), {"span_dim": 0.0}
         )
-    restricted = [restrict(s, basis).entries for s in syms]
-    scale = 1.0 + max(norm_max(r) for r in restricted)
-    threshold = -tol * scale
 
     top = matrix_set_rank(family, tol)
     if top.rank > 2:
@@ -348,14 +364,11 @@ def certify_rank2(
             worst = max(worst, norm_max(mem - recon) / (1.0 + norm_max(mem)))
         diagnostics["basis_fit_residual"] = worst
 
-    report = _plane_pass(top, syms, restricted, cone, tol, scale)
+    report = _plane_pass(top, syms, restricted, cone, tol, threshold)
 
     if report.certified:
         weights = report.outcome.weights
-        combined = np.zeros_like(restricted[0])
-        for w, r in zip(weights.t, restricted):
-            combined += w * r
-        lam = min_eigenvalue(SymMatrix(0.5 * (combined + combined.T)))
+        lam = certificate_value(restricted, weights.t)
         if lam < threshold:
             raise NumericalFailureError(
                 f"certificate failed verification (lambda_min {lam:.3e})"
@@ -367,8 +380,8 @@ def certify_rank2(
 
     if report.refuted:
         x = report.outcome.witness
-        values = np.array([quad_form(s, x) for s in syms])
-        if not cone_contains(cone, x, 1e-8) or not (values < threshold).all():
+        ok, values = witness_check(syms, cone, x, threshold)
+        if not ok:
             raise NumericalFailureError("witness did not transfer to the full family")
         residuals = dict(report.residuals, **diagnostics)
         residuals["worst_form_value"] = float(values.max())

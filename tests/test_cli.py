@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,9 @@ from yuancert.instances import (
     serialize_cone,
     serialize_instance,
 )
+
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 
 def write(tmp_path, name, document):
@@ -350,3 +354,100 @@ class TestVerifyReport:
         report_path.write_text(json.dumps(report), encoding="utf-8")
         assert main(["verify-report", str(report_path), path]) == 3
         assert "input error" in capsys.readouterr().err
+
+    def run_report(self, tmp_path, capsys, argv, want):
+        """Run a solver command, expect its exit code, and store its report."""
+        assert main(argv + ["--json"]) == want
+        report = json.loads(capsys.readouterr().out)
+        report_path = tmp_path / f"{len(list(tmp_path.iterdir()))}.report.json"
+        report_path.write_text(json.dumps(report), encoding="utf-8")
+        return report, str(report_path)
+
+    def verify(self, capsys, report, path, *extra):
+        report_path = Path(path).with_suffix(".tampered.json")
+        report_path.write_text(json.dumps(report), encoding="utf-8")
+        code = main(["verify-report", str(report_path), *extra, "--json"])
+        return code, capsys.readouterr().out
+
+    def test_witness_outside_cone_rejected(self, tmp_path, capsys):
+        # the family is PSD on e3 and certifies there; e1 makes both forms
+        # negative but lies outside the cone, so it refutes nothing
+        fam = write(tmp_path, "fam.json", family_doc(np.diag([-1.0, -1.0, 1.0]),
+                                                     np.diag([-2.0, -1.0, 1.0])))
+        cone = write(tmp_path, "cone.json", serialize_cone(FirstOrderCone(3, [[0, 0, 1.0]])))
+        report, path = self.run_report(tmp_path, capsys, ["certify", fam, "--cone", cone], 0)
+        assert main(["verify-report", path, fam, "--cone", cone]) == 0
+        forged = {"verdict": "refuted", "input_digest": report["input_digest"],
+                  "witness": [1.0, 0.0, 0.0], "form_values": [-1.0, -2.0]}
+        assert self.verify(capsys, forged, path, fam, "--cone", cone)[0] == 4
+
+    def test_refuted_report_verifies_at_its_tolerance(self, tmp_path, capsys):
+        # e2 puts both forms at -1e-10, below the threshold -2e-12 of tol 1e-12
+        fam = write(tmp_path, "fam.json", family_doc(np.diag([1.0, -1e-10]),
+                                                     np.diag([-1.0, -1e-10])))
+        _, path = self.run_report(tmp_path, capsys, ["certify", fam, "--tol", "1e-12"], 1)
+        assert main(["verify-report", path, fam, "--tol", "1e-12"]) == 0
+
+    def test_quad_rejects_cone(self, tmp_path, capsys):
+        # quad decides on the full space, so a cone may not relax its check:
+        # weights (1, 0) are PSD on e1 only
+        quad = write(tmp_path, "quad.json", serialize_instance(
+            QuadInstance(QuadProblem([np.diag([1.0, -1.0]), np.diag([-1.0, 1.0])]))))
+        cone = write(tmp_path, "cone.json", serialize_cone(FirstOrderCone(2, [[1.0, 0.0]])))
+        report, path = self.run_report(tmp_path, capsys, ["quad", quad], 0)
+        assert report["weights"] == [0.5, 0.5]
+        assert main(["verify-report", path, quad, "--cone", cone]) == 3
+        assert "no --cone" in capsys.readouterr().err
+        report.update(weights=[1.0, 0.0], lambda_min=1.0)
+        assert self.verify(capsys, report, path, quad)[0] == 4
+        assert self.verify(capsys, report, path, quad, "--cone", cone)[0] == 3
+
+    @staticmethod
+    def kkt_of(tmp_path, name, *matrices):
+        data = to_kkt(QuadProblem([np.asarray(m, float) for m in matrices]))
+        return write(tmp_path, name, serialize_instance(KktInstance(data)))
+
+    def verdict_cases(self, kind, tmp_path):
+        """(command, instance path, solver exit) for every verdict of one kind."""
+        if kind == "family":
+            rank3 = write(tmp_path, "rank3.json", family_doc(
+                np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), [[0.0, 1.0], [1.0, 0.0]]))
+            return [("certify", str(INSTANCES / "example1.json"), 0),
+                    ("yuan2", str(INSTANCES / "example2_pair12.json"), 1),
+                    ("certify", rank3, 2)]
+        if kind == "quad":
+            c, d = np.array(EX2_A1), np.array(EX2_A2)
+            planar = write(tmp_path, "planar.json", serialize_instance(
+                QuadInstance(QuadProblem([c, d, c + d, 0.5 * c + 1.2 * d]))))
+            return [("quad", str(INSTANCES / "quad_example1.json"), 0), ("quad", planar, 2)]
+        return [("soc", str(INSTANCES / "kkt_example1.json"), 0),
+                ("soc", self.kkt_of(tmp_path, "refuted.json", EX2_A1, EX2_A2), 1),
+                ("soc", self.kkt_of(tmp_path, "rank3.json", *map(np.diag, np.eye(3))), 2)]
+
+    @pytest.mark.parametrize("kind", ["family", "quad", "kkt"])
+    def test_every_verdict_roundtrips(self, kind, tmp_path, capsys):
+        for command, path, want in self.verdict_cases(kind, tmp_path):
+            report, report_path = self.run_report(tmp_path, capsys, [command, path], want)
+            assert main(["verify-report", report_path, path, "--json"]) == 0, (command, path)
+            out = json.loads(capsys.readouterr().out)
+            assert out["verdict"] == out["checked_verdict"] == report["verdict"]
+            if report["verdict"] == "hypothesis_violated":
+                assert out["rank"] == report["rank"] and "margin" not in out
+            else:
+                assert out["margin"] > 0.0
+
+    @pytest.mark.parametrize("tamper", ["multiplier", "weights", "witness"])
+    def test_tampered_soc_report_rejected(self, tamper, tmp_path, capsys):
+        if tamper == "witness":
+            # e1 lies in the critical cone but the second form is positive there
+            path = self.kkt_of(tmp_path, "refuted.json", EX2_A1, EX2_A2)
+            report, report_path = self.run_report(tmp_path, capsys, ["soc", path], 1)
+            report.update(witness=[1.0, 0.0, 0.0], form_values=[-1.0, 1.0])
+        else:
+            path = str(INSTANCES / "kkt_example1.json")
+            report, report_path = self.run_report(tmp_path, capsys, ["soc", path], 0)
+            if tamper == "multiplier":
+                report["multiplier"]["mu"][0] += 0.5
+            else:
+                report["weights"] = report["weights"][::-1]
+        assert self.verify(capsys, report, report_path, path)[0] == 4
