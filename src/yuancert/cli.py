@@ -1,14 +1,15 @@
-"""Command-line interface: instance parsing, dispatch, certificate reports.
+"""Command-line interface: a command table, dispatch, certificate reports.
 
 Exit codes mirror the report outcome taxonomy so shell pipelines can
 branch on verdicts: 0 certified/verified, 1 refuted, 2 hypothesis
-violated, 3 input error, 4 numerical failure.
+violated, 3 input or usage error, 4 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -59,14 +60,6 @@ EXIT_INPUT = 3
 EXIT_NUMERICAL = 4
 
 
-def _base_report(path) -> dict:
-    return {
-        "verdict": "error",
-        "tool_version": __version__,
-        "input_digest": input_digest(path),
-    }
-
-
 def _apply_outcome(report: dict, cert_report) -> int:
     report["residuals"] = {k: float(v) for k, v in cert_report.residuals.items()}
     outcome = cert_report.outcome
@@ -89,126 +82,88 @@ def _apply_outcome(report: dict, cert_report) -> int:
     return EXIT_HYPOTHESIS
 
 
-def _family_and_cone(args, expected_count=None):
-    instance = load_instance(args.input)
-    if not isinstance(instance, FamilyInstance):
-        raise InputError(f"{args.input}: expected a 'family' instance")
+def _cmd_yuan2(args, instance, cone, report) -> int:
     family = instance.matrices
-    if expected_count is not None and len(family) != expected_count:
-        raise InputError(
-            f"{args.input}: expected exactly {expected_count} matrices, got {len(family)}"
-        )
-    return family, _cone(args, family.order)
-
-
-def _cmd_yuan2(args) -> tuple[int, dict]:
-    family, cone = _family_and_cone(args, expected_count=2)
+    if len(family) != 2:
+        raise InputError(f"{args.input}: expected exactly 2 matrices, got {len(family)}")
     a, b = family.sym_members()
-    report = _base_report(args.input)
-    code = _apply_outcome(report, yuan_two(a, b, cone, tol=args.tol))
-    return code, report
+    return _apply_outcome(report, yuan_two(a, b, cone, tol=args.tol))
 
 
-def _cmd_certify(args) -> tuple[int, dict]:
-    family, cone = _family_and_cone(args)
-    report = _base_report(args.input)
-    code = _apply_outcome(report, certify_rank2(family, cone, tol=args.tol))
-    return code, report
+def _cmd_certify(args, instance, cone, report) -> int:
+    return _apply_outcome(report, certify_rank2(instance.matrices, cone, tol=args.tol))
 
 
-def _cmd_rank(args) -> tuple[int, dict]:
-    instance = load_instance(args.input)
-    if not isinstance(instance, FamilyInstance):
-        raise InputError(f"{args.input}: expected a 'family' instance")
+def _cmd_rank(args, instance, cone, report) -> int:
     result = matrix_set_rank(instance.matrices, args.tol)
-    report = _base_report(args.input)
-    report["verdict"] = "certified"
-    report["rank"] = result.rank
-    report["basis"] = list(result.basis)
+    report.update(verdict="certified", rank=result.rank, basis=list(result.basis))
     if result.coefficients is not None:
         report["coefficients"] = result.coefficients.tolist()
-    return EXIT_OK, report
+    return EXIT_OK
 
 
-def _cmd_vertices(args) -> tuple[int, dict]:
-    instance = load_instance(args.input)
-    if not isinstance(instance, KktInstance):
-        raise InputError(f"{args.input}: expected a 'kkt' instance")
+def _cmd_vertices(args, instance, cone, report) -> int:
     data = instance.data
     # without MFCQ the multiplier set is unbounded and no vertex list describes it
     if not check_mfcq(data, args.tol):
         raise MfcqFailedError("Mangasarian-Fromovitz constraint qualification fails")
     vertices = multiplier_vertices(data, args.tol)
-    report = _base_report(args.input)
     report["verdict"] = "certified"
     report["mfcq"] = True
-    report["vertices"] = [
-        {"lambda": v.lam.tolist(), "mu": v.mu.tolist()} for v in vertices
-    ]
+    report["vertices"] = [{"lambda": v.lam.tolist(), "mu": v.mu.tolist()} for v in vertices]
     report["lineality_basis"] = critical_cone_lineality(data).T.tolist()
-    return EXIT_OK, report
+    return EXIT_OK
 
 
-def _cmd_soc(args) -> tuple[int, dict]:
-    instance = load_instance(args.input)
-    if not isinstance(instance, KktInstance):
-        raise InputError(f"{args.input}: expected a 'kkt' instance")
-    cone = None if args.cone is None else load_cone(args.cone, instance.data.n)
+def _cmd_soc(args, instance, cone, report) -> int:
     result = second_order_certificate(instance.data, cone, tol=args.tol)
-    report = _base_report(args.input)
     code = _apply_outcome(report, result.report)
-    if result.multiplier is not None:
-        report["multiplier"] = {
-            "lambda": result.multiplier.lam.tolist(),
-            "mu": result.multiplier.mu.tolist(),
-        }
+    if (mult := result.multiplier) is not None:
+        report["multiplier"] = {"lambda": mult.lam.tolist(), "mu": mult.mu.tolist()}
     report["vertex_count"] = len(result.vertices)
-    return code, report
+    return code
 
 
-def _cmd_quad(args) -> tuple[int, dict]:
-    instance = load_instance(args.input)
-    if not isinstance(instance, QuadInstance):
-        raise InputError(f"{args.input}: expected a 'quadprob' instance")
-    report = _base_report(args.input)
-    code = _apply_outcome(report, quad_certificate(instance.problem, tol=args.tol))
-    return code, report
+def _cmd_quad(args, instance, cone, report) -> int:
+    return _apply_outcome(report, quad_certificate(instance.problem, tol=args.tol))
 
 
-def _cmd_oracle(args) -> tuple[int, dict]:
-    family, cone = _family_and_cone(args)
-    report = _base_report(args.input)
-    verdict = sample_max_nonneg(
-        family, cone, samples=args.samples, seed=args.seed, tol=args.tol
-    )
+def _cmd_oracle(args, instance, cone, report) -> int:
+    family = instance.matrices
+    verdict = sample_max_nonneg(family, cone, samples=args.samples, seed=args.seed, tol=args.tol)
     if isinstance(verdict, NoWitnessFound):
-        report["verdict"] = "certified"
-        report["samples"] = verdict.samples
+        report.update(verdict="certified", samples=verdict.samples)
         code = EXIT_OK
     else:
-        report["verdict"] = "refuted"
-        report["witness"] = verdict.x.tolist()
-        report["form_values"] = verdict.form_values.tolist()
+        report.update(verdict="refuted", witness=verdict.x.tolist(),
+                      form_values=verdict.form_values.tolist())
         code = EXIT_REFUTED
     if args.resolution is not None:
         weights, best = simplex_grid_search(family, cone, args.resolution)
-        report["grid_best_weights"] = weights.t.tolist()
-        report["grid_best_lambda_min"] = best
-    return code, report
+        report.update(grid_best_weights=weights.t.tolist(), grid_best_lambda_min=best)
+    return code
 
 
-def _cmd_verify_report(args) -> tuple[int, dict]:
+def _cmd_verify_report(args, instance, cone, out) -> int:
     stored = load_json(args.report)
     if not isinstance(stored, dict):
         raise InputError(f"{args.report}: expected a JSON report object")
-    instance = load_instance(args.input)
-    out = _base_report(args.input)
     verdict = stored.get("verdict")
     out["checked_verdict"] = verdict
     if stored.get("input_digest") != out["input_digest"]:
         out["reason"] = "report input_digest differs from the instance"
-        return EXIT_NUMERICAL, out
-    forms, cone, vertices = _forms_and_cone(instance, args)
+        return EXIT_NUMERICAL
+    # the forms the report is checked against; for a kkt instance, the Lagrangian
+    # Hessians at the multiplier vertices, on the cone soc uses
+    vertices = None
+    if isinstance(instance, KktInstance):
+        cone, vertices, forms = vertex_hessians(instance.data, cone, args.tol)
+    elif isinstance(instance, QuadInstance):
+        if args.cone is not None:
+            raise InputError("quad decides on the full space and takes no --cone")
+        forms = instance.problem.matrices
+    else:
+        forms = instance.matrices
     if verdict == "certified" and "weights" in stored:
         weights = _report_field(stored, "weights", (len(forms),))
         on_simplex = bool((weights >= 0.0).all()) and abs(float(weights.sum()) - 1.0) <= 1e-12
@@ -245,7 +200,7 @@ def _cmd_verify_report(args) -> tuple[int, dict]:
     else:
         raise InputError("report carries nothing verifiable for this instance")
     out["verdict"] = verdict if ok else "error"
-    return (EXIT_OK if ok else EXIT_NUMERICAL), out
+    return EXIT_OK if ok else EXIT_NUMERICAL
 
 
 def _report_field(stored: dict, key: str, shape: tuple) -> np.ndarray:
@@ -268,80 +223,68 @@ def _matches(value, stored) -> bool:
     return norm_max(np.asarray(value) - stored) <= 1e-9 * (1.0 + norm_max(value))
 
 
-def _forms_and_cone(instance, args):
-    """The forms and cone a report on this instance is checked against, and the
-    multiplier vertices of a kkt instance, whose Lagrangian Hessians they are."""
-    if isinstance(instance, KktInstance):
-        cone = None if args.cone is None else load_cone(args.cone, instance.data.n)
-        cone, vertices, hessians = vertex_hessians(instance.data, cone, args.tol)
-        return hessians, cone, vertices
-    if isinstance(instance, QuadInstance) and args.cone is not None:
-        raise InputError("quad decides on the full space and takes no --cone")
-    family = instance.problem.matrices if isinstance(instance, QuadInstance) else instance.matrices
-    return family, _cone(args, family.order), None
-
-
-def _cone(args, order: int) -> FirstOrderCone:
-    return FirstOrderCone.full(order) if args.cone is None else load_cone(args.cone, order)
+class _Command(NamedTuple):
+    handler: Callable[..., int]  # (args, instance, cone, report) -> exit code
+    kind: type | None  # the instance kind the command reads; None reads any
+    takes_cone: bool
+    help: str
 
 
 _COMMANDS = {
-    "yuan2": _cmd_yuan2,
-    "certify": _cmd_certify,
-    "rank": _cmd_rank,
-    "vertices": _cmd_vertices,
-    "soc": _cmd_soc,
-    "quad": _cmd_quad,
-    "oracle": _cmd_oracle,
-    "verify-report": _cmd_verify_report,
+    "yuan2": _Command(_cmd_yuan2, FamilyInstance, True, "two-matrix certificate (pencil search)"),
+    "certify": _Command(_cmd_certify, FamilyInstance, True, "rank-<=2 family certificate"),
+    "rank": _Command(_cmd_rank, FamilyInstance, False, "numerical rank of the matrix set"),
+    "vertices": _Command(_cmd_vertices, KktInstance, False, "multiplier polytope vertices"),
+    "soc": _Command(_cmd_soc, KktInstance, True, "single-multiplier second-order certificate"),
+    "quad": _Command(_cmd_quad, QuadInstance, False, "quadratic-problem certificate pipeline"),
+    "oracle": _Command(_cmd_oracle, FamilyInstance, True, "sampling cross-check"),
+    "verify-report": _Command(_cmd_verify_report, None, True,
+                              "recompute a stored report against its input"),
 }
+_KIND_NAMES = {FamilyInstance: "family", KktInstance: "kkt", QuadInstance: "quadprob"}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as input errors (exit 3); exit 2 means hypothesis violated."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
+def _tolerance(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = float("nan")
+    if not 0.0 < tol < 1.0:
+        raise argparse.ArgumentTypeError(f"expected a number in (0, 1), got {text!r}")
+    return tol
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="yuancert",
-        description="PSD convex-combination certificates for quadratic-form families",
-    )
+    parser = _Parser(prog="yuancert", description="PSD convex-combination certificates for "
+                     "quadratic-form families")
     parser.add_argument("--version", action="version", version=f"yuancert {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, with_cone=True):
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                       help="relative tolerance (default 1e-9)")
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        if name == "verify-report":
+            p.add_argument("report")
+        p.add_argument("input")
+        p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
+                       help="relative tolerance in (0, 1) (default 1e-9)")
         p.add_argument("--json", action="store_true", help="emit the JSON report")
-        if with_cone:
+        if command.takes_cone:
             p.add_argument("--cone", default=None, help="path to a cone instance file")
-
-    p = sub.add_parser("yuan2", help="two-matrix certificate (pencil search)")
-    p.add_argument("input")
-    common(p)
-    p = sub.add_parser("certify", help="rank-<=2 family certificate")
-    p.add_argument("input")
-    common(p)
-    p = sub.add_parser("rank", help="numerical rank of the matrix set")
-    p.add_argument("input")
-    common(p, with_cone=False)
-    p = sub.add_parser("vertices", help="multiplier polytope vertices")
-    p.add_argument("input")
-    common(p, with_cone=False)
-    p = sub.add_parser("soc", help="single-multiplier second-order certificate")
-    p.add_argument("input")
-    common(p)
-    p = sub.add_parser("quad", help="quadratic-problem certificate pipeline")
-    p.add_argument("input")
-    common(p, with_cone=False)
-    p = sub.add_parser("oracle", help="sampling cross-check")
-    p.add_argument("input")
-    common(p)
-    p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--resolution", type=int, default=None,
-                   help="also run the exhaustive weight-grid search")
-    p = sub.add_parser("verify-report", help="recompute a stored report against its input")
-    p.add_argument("report")
-    p.add_argument("input")
-    common(p)
+        if name == "oracle":
+            p.add_argument("--samples", type=int, default=10_000)
+            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--resolution", type=int, default=None,
+                           help="also run the exhaustive weight-grid search")
     return parser
+
+
+_PARSER = _build_parser()
 
 
 def _print_report(report: dict, as_json: bool) -> None:
@@ -371,12 +314,28 @@ def _print_report(report: dict, as_json: bool) -> None:
         print("residuals: " + ", ".join(f"{k}={v:.3e}" for k, v in residuals.items()))
 
 
+def _order(instance) -> int:
+    if isinstance(instance, KktInstance):
+        return instance.data.n
+    return instance.problem.n if isinstance(instance, QuadInstance) else instance.matrices.order
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handler = _COMMANDS[args.command]
     try:
-        code, report = handler(args)
+        args = _PARSER.parse_args(argv)
+        command = _COMMANDS[args.command]
+        instance = load_instance(args.input)
+        if command.kind is not None and not isinstance(instance, command.kind):
+            raise InputError(f"{args.input}: expected a '{_KIND_NAMES[command.kind]}' instance")
+        # kkt instances default to the critical cone's lineality space (vertex_hessians)
+        cone = None
+        if command.takes_cone and args.cone is not None:
+            cone = load_cone(args.cone, _order(instance))
+        elif command.takes_cone and not isinstance(instance, KktInstance):
+            cone = FirstOrderCone.full(_order(instance))
+        report = {"verdict": "error", "tool_version": __version__,
+                  "input_digest": input_digest(args.input)}
+        code = command.handler(args, instance, cone, report)
     except InputError as exc:  # ConeNotCriticalError included
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -82,7 +82,12 @@ class FirstOrderCone:
 
     @classmethod
     def full(cls, ambient_dim: int) -> "FirstOrderCone":
-        return cls(ambient_dim, np.eye(ambient_dim))
+        # the identity is its own Gram-Schmidt basis, so it is stored as is
+        cone = cls(ambient_dim)
+        sub = np.eye(ambient_dim)
+        sub.setflags(write=False)
+        object.__setattr__(cone, "subspace", sub)
+        return cone
 
     @property
     def ambient_dim(self) -> int:

@@ -20,6 +20,7 @@ from .errors import InputError, NumericalFailureError
 from .numeric_core import (
     DEFAULT_TOL,
     SymMatrix,
+    _normalized_rows,
     as_family,
     as_sym,
     matrix_set_rank,
@@ -66,12 +67,6 @@ class QuadProblem:
         return len(self.matrices)
 
 
-def _unit_rows(z: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(z, axis=1, keepdims=True)
-    keep = norms[:, 0] > 0.0
-    return z[keep] / norms[keep]
-
-
 def jacobian_at(prob: QuadProblem, x) -> np.ndarray:
     """(n+1) x m matrix with columns (A_i x; a)."""
     x = np.asarray(x, dtype=float)
@@ -114,7 +109,7 @@ def rank_increase_check(
     rng = np.random.default_rng(seed)
     max_rank = rank0
     worst = None
-    for x in _unit_rows(rng.standard_normal((samples, prob.n))):
+    for x in _normalized_rows(rng.standard_normal((samples, prob.n))):
         r = numerical_rank(jacobian_at(prob, x), tol)
         if r > max_rank:
             max_rank = r
@@ -250,7 +245,7 @@ def jacobian_rank_reduce(
 def _rank3_point(prob: QuadProblem, tol: float) -> tuple[np.ndarray, int] | None:
     rng = np.random.default_rng(_DEFAULT_SEED)
     candidates = [np.ones(prob.n) / np.sqrt(prob.n)]
-    candidates.extend(_unit_rows(rng.standard_normal((5000, prob.n))))
+    candidates.extend(_normalized_rows(rng.standard_normal((5000, prob.n))))
     for x in candidates:
         rank = numerical_rank(jacobian_at(prob, x), tol)
         if rank >= 3:

@@ -262,6 +262,65 @@ class TestCommands:
     def test_missing_file_exit_three(self, capsys):
         assert main(["certify", "/nonexistent/file.json"]) == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["certify"], ["certify", "example1.json", "--tol", "abc"],
+        ["rank", "example1.json", "--cone", "c.json"], ["bogus", "x.json"], [],
+    ])
+    def test_usage_error_exit_three(self, argv, capsys):
+        # exit 2 means "hypothesis violated", so a usage error must not use it
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("input error: ")
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_zero(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([flag])
+        assert exc.value.code == 0
+        assert "yuancert" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "1", "inf", "-inf", "nan", "1e-9x"])
+    def test_tolerance_outside_unit_interval_exit_three(self, tol, capsys):
+        # at tol -1 example1 read as rank 3 and at tol 1 or inf the refuted
+        # pair certified; verify-report must not accept such a tolerance either
+        example1 = str(INSTANCES / "example1.json")
+        pair12 = str(INSTANCES / "example2_pair12.json")
+        for argv in (["certify", example1], ["yuan2", pair12],
+                     ["verify-report", example1, example1]):
+            assert main(argv + ["--tol", tol]) == 3, argv
+            assert "argument --tol" in capsys.readouterr().err
+
+
+KIND_FILES = {"family": "example1.json", "kkt": "kkt_example1.json",
+              "quadprob": "quad_example1.json"}
+COMMAND_KINDS = {"yuan2": "family", "certify": "family", "rank": "family", "vertices": "kkt",
+                 "soc": "kkt", "quad": "quadprob", "oracle": "family", "verify-report": None}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_KINDS))
+def test_command_table(command, capsys, monkeypatch):
+    """Each command reads one instance kind, takes --cone or not, and shares one parser."""
+    import yuancert.cli as cli
+
+    def argv(path, *extra):
+        return [command, *([path] if command == "verify-report" else []), path, *extra]
+
+    expected = COMMAND_KINDS[command]
+    for kind, name in KIND_FILES.items():
+        if expected is not None and kind != expected:
+            assert main(argv(str(INSTANCES / name))) == 3, kind
+            assert f"expected a '{expected}' instance" in capsys.readouterr().err
+    if command in ("rank", "vertices", "quad"):
+        own = str(INSTANCES / KIND_FILES[expected])
+        assert main(argv(own, "--cone", own)) == 3
+        assert "unrecognized arguments: --cone" in capsys.readouterr().err
+
+    def no_parser():
+        raise AssertionError("the parser is built once, at import")
+
+    monkeypatch.setattr(cli, "_build_parser", no_parser)
+    assert main(["certify", str(INSTANCES / "example1.json")]) == 0
+
 
 class TestVerifyReport:
     def test_certified_roundtrip(self, example1, tmp_path, capsys):

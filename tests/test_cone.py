@@ -22,6 +22,15 @@ class TestFirstOrderCone:
         np.testing.assert_allclose(span_basis(cone), np.eye(2))
         assert cone.ray is None
 
+    def test_full_space_is_the_orthonormalized_identity(self):
+        # full() stores the identity without running Gram-Schmidt over it;
+        # the basis must be the one the generic constructor builds, bit for bit
+        for n in range(1, 13):
+            full, generic = FirstOrderCone.full(n), FirstOrderCone(n, np.eye(n))
+            assert full.subspace.tobytes() == generic.subspace.tobytes()
+            assert full.subspace.shape == generic.subspace.shape
+            assert not full.subspace.flags.writeable and full.ray is None
+
     def test_ray_only(self):
         cone = FirstOrderCone(2, (), ray=[1.0, 0.0])
         basis = span_basis(cone)
