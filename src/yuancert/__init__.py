@@ -27,7 +27,6 @@ from .nlp import (
     KKTData,
     MultiplierPoint,
     SecondOrderResult,
-    check_gsc,
     check_mfcq,
     critical_cone_lineality,
     lagrangian_hessian,
@@ -37,11 +36,9 @@ from .nlp import (
 from .numeric_core import (
     MatrixFamily,
     MatrixSetRank,
-    PsdVerdict,
     Spectrum,
     SymMatrix,
     express_in_basis,
-    is_psd,
     matrix_set_rank,
     min_eigenvalue,
     numerical_rank,
@@ -51,7 +48,6 @@ from .numeric_core import (
 from .oracle import (
     NoWitnessFound,
     Witness,
-    hull_psd_search,
     sample_max_nonneg,
     simplex_grid_search,
 )
@@ -63,7 +59,6 @@ from .quadprob import (
     NotDependent,
     QuadProblem,
     RankIncreaseCheck,
-    dependent_triple,
     extract_dependence,
     jacobian_at,
     jacobian_rank_reduce,
@@ -78,7 +73,6 @@ from .yuan import (
     Refuted,
     SimplexWeights,
     certify_rank2,
-    lambda_min_profile,
     make_weights,
     yuan_two,
 )
@@ -109,7 +103,6 @@ __all__ = [
     "NotDependent",
     "NotInSpanError",
     "NumericalFailureError",
-    "PsdVerdict",
     "QuadProblem",
     "RankIncreaseCheck",
     "Refuted",
@@ -120,18 +113,13 @@ __all__ = [
     "UnboundedError",
     "Witness",
     "certify_rank2",
-    "check_gsc",
     "check_mfcq",
     "cone_contains",
     "critical_cone_lineality",
-    "dependent_triple",
     "express_in_basis",
     "extract_dependence",
-    "hull_psd_search",
-    "is_psd",
     "jacobian_at",
     "lagrangian_hessian",
-    "lambda_min_profile",
     "jacobian_rank_reduce",
     "lp_solve",
     "make_weights",

@@ -1,7 +1,7 @@
 """Instance and report files: one JSON document per instance.
 
-Floats serialize through Python's shortest round-trip repr, so parse o
-serialize o parse is the identity on payloads. Parse errors carry the
+Report floats serialize through Python's shortest round-trip repr, so a
+stored value parses back to the same float. Parse errors carry the
 JSON-path position of the offending field.
 """
 
@@ -198,47 +198,6 @@ def load_json(path):
         raise InputError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-
-
-def serialize_instance(instance: Instance) -> dict:
-    if isinstance(instance, FamilyInstance):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "family",
-            "matrices": [mat.tolist() for mat in instance.matrices.members],
-        }
-    if isinstance(instance, QuadInstance):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "quadprob",
-            "matrices": [mat.tolist() for mat in instance.problem.matrices.members],
-            "ray_constant": instance.problem.ray_constant,
-        }
-    data = instance.data
-    out = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "kkt",
-        "grad_f": data.grad_f.tolist(),
-        "hess_f": data.hess_f.entries.tolist(),
-        "grad_h": data.grad_h.tolist(),
-        "hess_h": [h.entries.tolist() for h in data.hess_h],
-        "grad_g": data.grad_g.tolist(),
-        "hess_g": [h.entries.tolist() for h in data.hess_g],
-        "active": list(data.active),
-    }
-    if data.g_values is not None:
-        out["g_values"] = data.g_values.tolist()
-    return out
-
-
-def serialize_cone(cone: FirstOrderCone) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "cone",
-        "ambient_dim": cone.ambient_dim,
-        "subspace": cone.subspace.T.tolist(),
-        "ray": None if cone.ray is None else cone.ray.tolist(),
-    }
 
 
 def dump_json(document: dict) -> str:

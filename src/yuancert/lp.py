@@ -1,4 +1,4 @@
-"""Dense two-phase simplex kernel for small equality-form linear programs."""
+"""Dense two-phase simplex kernel for the small equality-form LP of `check_mfcq`."""
 
 from __future__ import annotations
 

@@ -263,17 +263,6 @@ def critical_cone_lineality(data: KKTData) -> np.ndarray:
     return np.array(spec.basis[:, mask])
 
 
-def check_gsc(data: KKTData, tol: float = DEFAULT_TOL) -> tuple[bool, tuple[int, ...]]:
-    """Generalized strict complementarity: at most one active index with
-    multiplier identically zero over the polytope (vertex maxima suffice
-    because each mu_i is linear)."""
-    vertices = multiplier_vertices(data, tol)
-    always_zero = tuple(
-        i for i in data.active if max(v.mu[i] for v in vertices) <= 1e-9
-    )
-    return len(always_zero) <= 1, always_zero
-
-
 @dataclass(frozen=True, eq=False)
 class SecondOrderResult:
     """Certificate report plus the recombined multiplier when certified."""

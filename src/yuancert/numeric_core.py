@@ -1,8 +1,8 @@
 """Dense symmetric linear algebra kernel.
 
-Eigendecomposition through LAPACK's symmetric solver, PSD tests with
-witnesses, quadratic-form evaluation, and the numerical rank of a set of
-matrices viewed as vectors. Everything here is pure and deterministic.
+Eigendecomposition through LAPACK's symmetric solver, the smallest
+eigenvalue, quadratic-form evaluation, and the numerical rank of a set
+of matrices viewed as vectors. Everything here is pure and deterministic.
 """
 
 from __future__ import annotations
@@ -107,30 +107,6 @@ def _spectrum(vals: np.ndarray, basis: np.ndarray) -> Spectrum:
 def min_eigenvalue(m: SymMatrix) -> float:
     """Smallest eigenvalue, equal to sym_eigen(m).eigenvalues[0]."""
     return float(sym_eigen(m).eigenvalues[0])
-
-
-@dataclass(frozen=True, eq=False)
-class PsdVerdict:
-    """PSD or not; a failing check carries a unit witness direction."""
-
-    psd: bool
-    witness: np.ndarray | None = None
-    value: float | None = None
-
-    def __bool__(self) -> bool:
-        return self.psd
-
-
-def is_psd(m: SymMatrix, tol: float = DEFAULT_TOL) -> PsdVerdict:
-    """PSD check at relative tolerance tol * (1 + largest entry magnitude)."""
-    if tol < 0.0:
-        raise InputError("tol must be nonnegative")
-    m = as_sym(m)
-    spec = sym_eigen(m)
-    lam = float(spec.eigenvalues[0])
-    if lam >= -tol * (1.0 + m.norm_max()):
-        return PsdVerdict(True)
-    return PsdVerdict(False, witness=spec.basis[:, 0].copy(), value=lam)
 
 
 def quad_form(m: SymMatrix, x) -> float:

@@ -168,17 +168,6 @@ def _dependence(a, b, c, d: SymMatrix, spec, tol: float) -> Equal | Delta | NotD
     return Delta(delta)
 
 
-def dependent_triple(a: SymMatrix, b: SymMatrix, delta: float) -> SymMatrix:
-    """C = (A + delta*B) / (1 + delta), the triple completion for a given delta.
-
-    delta near -1 makes the completion unsolvable and is rejected.
-    """
-    a, b = as_sym(a), as_sym(b)
-    if abs(1.0 + delta) <= 1e-6:
-        raise InputError("delta too close to -1: triple completion is ill-posed")
-    return SymMatrix((a.entries + delta * b.entries) / (1.0 + delta))
-
-
 @dataclass(frozen=True, eq=False)
 class JacobianRankReduction:
     """Every triple is affinely dependent; the set rank is at most 2."""

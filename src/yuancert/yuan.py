@@ -124,16 +124,6 @@ class CertificateReport:
         return isinstance(self.outcome, HypothesisViolated)
 
 
-def lambda_min_profile(a: SymMatrix, b: SymMatrix, t: float) -> float:
-    """Smallest eigenvalue of the pencil point t*A + (1-t)*B."""
-    a, b = as_sym(a), as_sym(b)
-    if a.order != b.order:
-        raise InputError("matrices must share one order")
-    if not 0.0 <= t <= 1.0:
-        raise InputError("t must lie in [0, 1]")
-    return min_eigenvalue(SymMatrix(t * a.entries + (1.0 - t) * b.entries))
-
-
 def restricted_forms(syms, cone: FirstOrderCone, tol: float) -> tuple[list[np.ndarray], float]:
     """The forms restricted to the cone span, and the threshold -tol*(1 + largest
     restricted entry) every verdict clears. An empty span gives ([], 0)."""

@@ -1,10 +1,12 @@
-"""Shared fixtures: the two worked 2x2 families and random-family builders."""
+"""Shared fixtures: the two worked 2x2 families, random-family builders and
+the instance and cone writers the file tests round-trip through."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from yuancert import FirstOrderCone, KKTData, MatrixFamily, SymMatrix
+from yuancert import FirstOrderCone, KKTData, MatrixFamily, SymMatrix, min_eigenvalue
+from yuancert.instances import SCHEMA_VERSION, FamilyInstance, QuadInstance
 
 # Family one: A3 = 2*A1 - A2; max of the three forms is nonnegative everywhere
 # and (0, 3/5, 2/5) is a PSD combination.
@@ -44,6 +46,16 @@ def counterexample_family() -> MatrixFamily:
 
 def full_cone(n: int) -> FirstOrderCone:
     return FirstOrderCone.full(n)
+
+
+def psd(m: SymMatrix, tol: float = 1e-9) -> bool:
+    """PSD at the tests' threshold: lambda_min >= -tol * (1 + largest entry)."""
+    return min_eigenvalue(m) >= -tol * (1.0 + m.norm_max())
+
+
+def pencil_min(a: SymMatrix, b: SymMatrix, t: float) -> float:
+    """lambda_min(t*A + (1-t)*B), the concave profile `yuan_two` maximizes."""
+    return min_eigenvalue(SymMatrix(t * a.entries + (1.0 - t) * b.entries))
 
 
 def random_sym(rng: np.random.Generator, n: int, scale: float = 1.0) -> SymMatrix:
@@ -129,3 +141,46 @@ def degenerate_kkt_point(rng: np.random.Generator, n: int, p1: int, blocks, *,
     zero = np.zeros((n, n))
     return KKTData(grad_f=grad_f, hess_f=zero, grad_h=grad_h, hess_h=[zero] * p1,
                    grad_g=rows, hess_g=[zero] * (na + inactive), g_values=g_values)
+
+
+def serialize_instance(instance) -> dict:
+    """The instance document that parses back to `instance`."""
+    if isinstance(instance, FamilyInstance):
+        return {
+            "schema_version": SCHEMA_VERSION,
+            "kind": "family",
+            "matrices": [mat.tolist() for mat in instance.matrices.members],
+        }
+    if isinstance(instance, QuadInstance):
+        return {
+            "schema_version": SCHEMA_VERSION,
+            "kind": "quadprob",
+            "matrices": [mat.tolist() for mat in instance.problem.matrices.members],
+            "ray_constant": instance.problem.ray_constant,
+        }
+    data = instance.data
+    out = {
+        "schema_version": SCHEMA_VERSION,
+        "kind": "kkt",
+        "grad_f": data.grad_f.tolist(),
+        "hess_f": data.hess_f.entries.tolist(),
+        "grad_h": data.grad_h.tolist(),
+        "hess_h": [h.entries.tolist() for h in data.hess_h],
+        "grad_g": data.grad_g.tolist(),
+        "hess_g": [h.entries.tolist() for h in data.hess_g],
+        "active": list(data.active),
+    }
+    if data.g_values is not None:
+        out["g_values"] = data.g_values.tolist()
+    return out
+
+
+def serialize_cone(cone: FirstOrderCone) -> dict:
+    """The cone document that parses back to `cone`."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "kind": "cone",
+        "ambient_dim": cone.ambient_dim,
+        "subspace": cone.subspace.T.tolist(),
+        "ray": None if cone.ray is None else cone.ray.tolist(),
+    }

@@ -19,7 +19,10 @@ from conftest import (
     counterexample_family,
     family_one,
     family_two,
+    pencil_min,
+    psd,
 )
+from hull_reference import hull_psd_search
 from yuancert import (
     Certified,
     FirstOrderCone,
@@ -31,13 +34,9 @@ from yuancert import (
     certify_rank2,
     check_mfcq,
     critical_cone_lineality,
-    dependent_triple,
     extract_dependence,
-    hull_psd_search,
-    is_psd,
     jacobian_at,
     lagrangian_hessian,
-    lambda_min_profile,
     matrix_set_rank,
     min_eigenvalue,
     multiplier_vertices,
@@ -176,7 +175,7 @@ def test_criterion_5_dependence_extraction(capsys):
                 delta = 10.0 ** rng.uniform(-2.0, 3.0)
             else:
                 delta = -(10.0 ** rng.uniform(-2.0, math.log10(0.99)))
-            c = dependent_triple(a, b, delta)
+            c = SymMatrix((a.entries + delta * b.entries) / (1.0 + delta))
             result = extract_dependence(a, b, c)
             rel = abs(result.delta - delta) / abs(delta)
             worst = max(worst, rel)
@@ -231,8 +230,8 @@ def test_criterion_7_pencil_concavity(capsys):
             scale = 1.0 + max(a.norm_max(), b.norm_max())
             for _ in range(20):
                 t1, t2 = sorted(rng.uniform(0.0, 1.0, size=2))
-                mid = lambda_min_profile(a, b, 0.5 * (t1 + t2))
-                avg = 0.5 * (lambda_min_profile(a, b, t1) + lambda_min_profile(a, b, t2))
+                mid = pencil_min(a, b, 0.5 * (t1 + t2))
+                avg = 0.5 * (pencil_min(a, b, t1) + pencil_min(a, b, t2))
                 worst = max(worst, (avg - mid) / scale)
         ok = worst <= 1e-10
     with capsys.disabled():
@@ -261,12 +260,12 @@ def test_criterion_8_span_reduction(capsys):
                 u = basis @ (z / np.linalg.norm(z))
                 drop = quad_form(SymMatrix(raw), u) + 1.0 * (1.0 + np.abs(raw).max())
                 mat = SymMatrix(raw - drop * np.outer(u, u))
-            verdict = is_psd(restrict(mat, basis))
+            restricted_psd = psd(restrict(mat, basis))
             z = rng.standard_normal((1000, width))
             z /= np.linalg.norm(z, axis=1, keepdims=True)
             scale = 1.0 + mat.norm_max()
             sampled_min = min(quad_form(mat, x) for x in z @ basis.T)
-            if (sampled_min >= -1e-9 * scale) != verdict.psd:
+            if (sampled_min >= -1e-9 * scale) != restricted_psd:
                 mismatches += 1
             fam = MatrixFamily([mat, SymMatrix(raw)])
             span_cone = FirstOrderCone(n, basis.T)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import yuancert.yuan as yuan_module
-from conftest import EX1_A1, EX1_A2, EX1_A3, EX2_A1, EX2_A2, EX2_A3, NEAR_PARALLEL
+from conftest import (EX1_A1, EX1_A2, EX1_A3, EX2_A1, EX2_A2, EX2_A3, NEAR_PARALLEL,
+                      serialize_cone, serialize_instance)
 from yuancert import FirstOrderCone, QuadProblem, to_kkt
 from yuancert.cli import main
 from yuancert.instances import (
@@ -15,8 +16,6 @@ from yuancert.instances import (
     dump_json,
     parse_cone,
     parse_instance,
-    serialize_cone,
-    serialize_instance,
 )
 
 

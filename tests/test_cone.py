@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_cone, random_sym
+from conftest import psd, random_cone, random_sym
 from yuancert import (
     FirstOrderCone,
     InputError,
     SymMatrix,
     cone_contains,
-    is_psd,
     quad_form,
     restrict,
     span_basis,
@@ -110,7 +109,7 @@ class TestRestrict:
             if basis.shape[1] >= 2:
                 rot[:2, :2] = [[math.cos(theta), -math.sin(theta)],
                                [math.sin(theta), math.cos(theta)]]
-            assert is_psd(restrict(m, basis)).psd == is_psd(restrict(m, basis @ rot)).psd
+            assert psd(restrict(m, basis)) == psd(restrict(m, basis @ rot))
 
 
 class TestConeContains:
@@ -147,13 +146,13 @@ class TestSpanReduction:
             if width == 0:
                 continue
             m = random_sym(rng, n)
-            verdict = is_psd(restrict(m, basis))
+            restricted_psd = psd(restrict(m, basis))
             z = rng.standard_normal((1500, width))
             z /= np.linalg.norm(z, axis=1, keepdims=True)
             points = z @ basis.T
             sampled_min = min(quad_form(m, x) for x in points)
             scale = 1.0 + m.norm_max()
             if sampled_min < -1e-7 * scale:
-                assert not verdict.psd
-            if verdict.psd:
+                assert not restricted_psd
+            if restricted_psd:
                 assert sampled_min >= -1e-9 * scale

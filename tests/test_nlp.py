@@ -19,7 +19,6 @@ from yuancert import (
     MfcqFailedError,
     MultiplierPoint,
     QuadProblem,
-    check_gsc,
     check_mfcq,
     critical_cone_lineality,
     lagrangian_hessian,
@@ -402,38 +401,6 @@ class TestCriticalConeLineality:
         basis = critical_cone_lineality(data)
         assert basis.shape == (2, 1)
         np.testing.assert_allclose(np.abs(basis[:, 0]), [0.0, 1.0], atol=1e-10)
-
-
-class TestCheckGsc:
-    def test_quad_problem_holds(self):
-        holds, zero = check_gsc(quad_data())
-        assert holds
-        assert zero == ()
-
-    def test_single_active(self):
-        data = KKTData(
-            grad_f=[1.0],
-            hess_f=[[0.0]],
-            grad_g=[[-1.0]],
-            hess_g=[np.zeros((1, 1))],
-            active=[0],
-        )
-        holds, zero = check_gsc(data)
-        assert holds
-
-    def test_two_forced_zero_multipliers(self):
-        # mu3 and mu4 vanish on the whole polytope: gradients orthogonal to
-        # the range only admit zero coefficients
-        data = KKTData(
-            grad_f=[1.0, 0.0],
-            hess_f=np.zeros((2, 2)),
-            grad_g=[[-1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, 1.0]],
-            hess_g=[np.zeros((2, 2))] * 4,
-            active=[0, 1, 2, 3],
-        )
-        holds, zero = check_gsc(data)
-        assert not holds
-        assert zero == (2, 3)
 
 
 class TestSecondOrderCertificate:

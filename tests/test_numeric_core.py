@@ -26,7 +26,6 @@ from yuancert import (
     NumericalFailureError,
     SymMatrix,
     express_in_basis,
-    is_psd,
     matrix_set_rank,
     multiplier_vertices,
     min_eigenvalue,
@@ -169,25 +168,6 @@ class TestMinEigenvalue:
 
     def test_derived(self):
         assert min_eigenvalue(SymMatrix(M_DERIVED)) == pytest.approx(LAM_LO, abs=1e-9)
-
-
-class TestIsPsd:
-    def test_zero_matrix(self):
-        assert is_psd(SymMatrix(np.zeros((2, 2)))).psd
-
-    def test_negative_identity_witness(self):
-        verdict = is_psd(SymMatrix(-np.eye(2)))
-        assert not verdict.psd
-        assert verdict.value == pytest.approx(-1.0, abs=1e-12)
-        assert quad_form(SymMatrix(-np.eye(2)), verdict.witness) == pytest.approx(-1.0, abs=1e-12)
-        assert np.linalg.norm(verdict.witness) == pytest.approx(1.0, abs=1e-12)
-
-    def test_derived_psd(self):
-        assert is_psd(SymMatrix(M_DERIVED)).psd
-
-    def test_negative_tol_rejected(self):
-        with pytest.raises(InputError):
-            is_psd(SymMatrix(np.eye(2)), tol=-1.0)
 
 
 class TestQuadForm:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import family_one, family_two, random_rank2_family
+from hull_reference import hull_psd_search
 from yuancert import (
     FirstOrderCone,
     HypothesisViolatedError,
@@ -10,7 +11,6 @@ from yuancert import (
     SymMatrix,
     Witness,
     cone_contains,
-    hull_psd_search,
     min_eigenvalue,
     quad_form,
     sample_max_nonneg,

@@ -27,7 +27,6 @@ from yuancert import (
     SymMatrix,
     check_mfcq,
     critical_cone_lineality,
-    dependent_triple,
     extract_dependence,
     jacobian_at,
     jacobian_rank_reduce,
@@ -172,7 +171,7 @@ class TestExtractDependence:
     def test_constructed_delta(self):
         rng = np.random.default_rng(0)
         a, b = random_sym(rng, 4), random_sym(rng, 4)
-        c = dependent_triple(a, b, 2.0)
+        c = SymMatrix((a.entries + 2.0 * b.entries) / 3.0)
         result = extract_dependence(a, b, c)
         assert isinstance(result, Delta)
         assert result.delta == pytest.approx(2.0, rel=1e-10)
@@ -197,16 +196,10 @@ class TestExtractDependence:
                 delta = 10.0 ** rng.uniform(-2, 3)
             else:
                 delta = -(10.0 ** rng.uniform(-2, np.log10(0.99)))
-            c = dependent_triple(a, b, delta)
+            c = SymMatrix((a.entries + delta * b.entries) / (1.0 + delta))
             result = extract_dependence(a, b, c)
             assert isinstance(result, Delta)
             assert abs(result.delta - delta) <= 1e-8 * abs(delta)
-
-    def test_near_degenerate_delta_flagged(self):
-        rng = np.random.default_rng(3)
-        a, b = random_sym(rng, 3), random_sym(rng, 3)
-        with pytest.raises(InputError):
-            dependent_triple(a, b, -1.0 + 1e-9)
 
 
 class TestJacobianRankReduce:
@@ -407,9 +400,12 @@ class TestToKkt:
             via_kkt = second_order_certificate(to_kkt(prob))
             assert direct.outcome.__class__ is via_kkt.report.outcome.__class__
             if isinstance(direct.outcome, Certified):
-                # each route's weights certify the other route's matrices
+                # each route's member weights certify the family: the direct
+                # route's simplex weights, and the multipliers mu of the soc
+                # route (its vertex weights follow the vertices' order, not
+                # the members')
                 scale = 1.0 + max(np.abs(mem).max() for mem in fam.members)
-                for weights in (direct.outcome.weights.t, via_kkt.report.outcome.weights.t):
+                for weights in (direct.outcome.weights.t, via_kkt.multiplier.mu):
                     combined = sum(w * mem for w, mem in zip(weights, fam.members))
                     assert min_eigenvalue(SymMatrix(combined)) >= -1e-9 * scale
             agreements += 1
