@@ -14,7 +14,6 @@ from .errors import (
     ConeNotCriticalError,
     DegenerateBasisError,
     EmptyMultiplierSetError,
-    HypothesisViolatedError,
     InfeasibleError,
     InputError,
     MfcqFailedError,
@@ -54,7 +53,6 @@ from .oracle import (
 from .quadprob import (
     Delta,
     Equal,
-    JacobianRankReduction,
     JacobianRankViolation,
     NotDependent,
     QuadProblem,
@@ -89,11 +87,9 @@ __all__ = [
     "Equal",
     "FirstOrderCone",
     "HypothesisViolated",
-    "HypothesisViolatedError",
     "InfeasibleError",
     "InputError",
     "KKTData",
-    "JacobianRankReduction",
     "JacobianRankViolation",
     "MatrixFamily",
     "MatrixSetRank",

@@ -17,7 +17,6 @@ from . import __version__
 from .cone import FirstOrderCone
 from .errors import (
     EmptyMultiplierSetError,
-    HypothesisViolatedError,
     InputError,
     MfcqFailedError,
     NumericalFailureError,
@@ -206,11 +205,14 @@ def _cmd_verify_report(args, instance, cone, out) -> int:
 def _report_field(stored: dict, key: str, shape: tuple) -> np.ndarray:
     """A numeric report field as a float array of the given shape.
 
-    Anything else (a missing key, strings, nesting, a wrong length, NaN or
-    infinity) is a malformed report and raises InputError.
+    Anything else (a missing key, strings, nesting, a wrong length, NaN,
+    infinity or an integer beyond the float range) is a malformed report
+    and raises InputError.
     """
     try:
         value = np.asarray(stored.get(key), dtype=float)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise InputError(f"report field {key!r} is too large for a float") from exc
     except (TypeError, ValueError) as exc:
         raise InputError(f"report field {key!r} is not numeric") from exc
     if value.shape != shape or not np.isfinite(value).all():
@@ -256,8 +258,10 @@ def _tolerance(text: str) -> float:
         tol = float(text)
     except ValueError:
         tol = float("nan")
-    if not 0.0 < tol < 1.0:
-        raise argparse.ArgumentTypeError(f"expected a number in (0, 1), got {text!r}")
+    # below 1e-15 the set-rank threshold tol*(first pivot norm) falls under the
+    # round-off of the elimination, so round-off would decide the rank
+    if not 1e-15 <= tol < 1.0:
+        raise argparse.ArgumentTypeError(f"expected a number in [1e-15, 1), got {text!r}")
     return tol
 
 
@@ -272,7 +276,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("report")
         p.add_argument("input")
         p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
-                       help="relative tolerance in (0, 1) (default 1e-9)")
+                       help="relative tolerance in [1e-15, 1) (default 1e-9)")
         p.add_argument("--json", action="store_true", help="emit the JSON report")
         if command.takes_cone:
             p.add_argument("--cone", default=None, help="path to a cone instance file")
@@ -339,7 +343,7 @@ def main(argv=None) -> int:
     except InputError as exc:  # ConeNotCriticalError included
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (MfcqFailedError, EmptyMultiplierSetError, HypothesisViolatedError) as exc:
+    except (MfcqFailedError, EmptyMultiplierSetError) as exc:
         print(f"hypothesis violated: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
     except NumericalFailureError as exc:

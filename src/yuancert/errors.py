@@ -35,14 +35,6 @@ class EmptyMultiplierSetError(RuntimeError):
     """Multiplier polytope is empty; the candidate point is not KKT."""
 
 
-class HypothesisViolatedError(RuntimeError):
-    """Rank hypothesis required by the operation does not hold."""
-
-    def __init__(self, message: str, rank: int | None = None) -> None:
-        super().__init__(message)
-        self.rank = rank
-
-
 class InfeasibleError(RuntimeError):
     """Linear program has no feasible point."""
 

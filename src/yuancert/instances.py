@@ -31,7 +31,10 @@ def _require(obj: dict, key: str, where: str):
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InputError(f"{where}: expected a number")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise InputError(f"{where}: number is too large for a float") from exc
     if not np.isfinite(out):
         raise InputError(f"{where}: number is not finite")
     return out

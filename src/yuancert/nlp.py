@@ -36,7 +36,7 @@ from .numeric_core import (
     numerical_rank,
     sym_eigen,
 )
-from .yuan import (CertificateReport, HypothesisViolated, certificate_value, certify_rank2,
+from .yuan import (CertificateReport, HypothesisViolated, _certify_ranked, certificate_value,
                    restricted_forms)
 
 ACTIVITY_TOL = 1e-8
@@ -320,7 +320,8 @@ def second_order_certificate(
     """Single-multiplier second-order certificate over a first-order subcone.
 
     Hands the Lagrangian Hessians at the multiplier vertices
-    (`vertex_hessians`) to certify_rank2 when their set rank is at most 2.
+    (`vertex_hessians`) to certify_rank2, with the set rank computed here,
+    when that rank is at most 2.
     On success, the vertex weights recombine into one multiplier whose
     Hessian is re-verified PSD on the cone by `certificate_value`.
     """
@@ -335,7 +336,7 @@ def second_order_certificate(
             {},
         )
         return SecondOrderResult(report, None, cone, vertices)
-    report = certify_rank2(hessians, cone, tol)
+    report = _certify_ranked(hessians, cone, tol, sr)
     multiplier = None
     if report.certified:
         multiplier = recombine(vertices, report.outcome.weights.t)

@@ -1,9 +1,11 @@
 """Independent brute-force verifiers for cross-checking certificates.
 
-These are independent of the solver by algorithm: optimal weights come
+These are independent of the solver by search: optimal weights come
 from an exhaustive simplex grid, and witnesses from sphere sampling,
-never from the pencil search or the conic-hull pass. Both sides take
-eigenvalues from LAPACK through numpy.linalg. Disagreement with the
+never from the pencil search or the conic-hull pass. They share the
+solver's acceptance rule: the restriction and threshold of
+`restricted_forms`, and a hit re-checked by `witness_check`. Both sides
+take eigenvalues from LAPACK through numpy.linalg. Disagreement with the
 solver beyond tolerance is a bug, never something to vote over.
 """
 
@@ -15,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import FirstOrderCone, cone_contains, restrict, span_basis
+from .cone import FirstOrderCone, span_basis
 from .errors import InputError
-from .numeric_core import DEFAULT_TOL, MatrixFamily, as_family, norm_max, quad_form
-from .yuan import SimplexWeights
+from .numeric_core import DEFAULT_TOL, MatrixFamily, as_family
+from .yuan import SimplexWeights, _into_cone, restricted_forms, witness_check
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,14 +32,6 @@ class Witness:
 @dataclass(frozen=True, eq=False)
 class NoWitnessFound:
     samples: int
-
-
-def _restricted(family: MatrixFamily, cone: FirstOrderCone):
-    syms = family.sym_members()
-    basis = span_basis(cone)
-    mats = [restrict(s, basis).entries for s in syms] if basis.shape[1] else []
-    scale = 1.0 + (max(norm_max(r) for r in mats) if mats else 0.0)
-    return syms, basis, mats, scale
 
 
 def sample_max_nonneg(
@@ -56,12 +50,12 @@ def sample_max_nonneg(
     """
     if samples < 1:
         raise InputError("samples must be >= 1")
-    family = as_family(family)
-    syms, basis, mats, scale = _restricted(family, cone)
-    k = basis.shape[1]
-    if k == 0:
+    syms = as_family(family).sym_members()
+    mats, threshold = restricted_forms(syms, cone, tol)
+    if not mats:
         return NoWitnessFound(0)
-    threshold = -tol * scale
+    basis = span_basis(cone)
+    k = basis.shape[1]
     rng = np.random.default_rng(seed)
     done = 0
     while done < samples:
@@ -73,11 +67,9 @@ def sample_max_nonneg(
         values = np.stack([np.einsum("ij,jk,ik->i", z, m, z) for m in mats])
         hits = np.flatnonzero(values.max(axis=0) < threshold)
         if hits.size:
-            x = basis @ z[int(hits[0])]
-            if cone.ray is not None and float(cone.ray @ x) < 0.0:
-                x = -x
-            forms = np.array([quad_form(s, x) for s in syms])
-            if cone_contains(cone, x, 1e-8) and (forms < threshold).all():
+            x = _into_cone(basis @ z[int(hits[0])], cone)
+            ok, forms = witness_check(syms, cone, x, threshold)
+            if ok:
                 return Witness(x, forms)
         done += count
     return NoWitnessFound(samples)
@@ -104,10 +96,9 @@ def simplex_grid_search(
     if resolution < 1:
         raise InputError("resolution must be >= 1")
     family = as_family(family)
-    m = len(family)
-    _, basis, mats, _ = _restricted(family, cone)
-    grid = _grid_weights(m, resolution)
-    if basis.shape[1] == 0:
+    mats, _ = restricted_forms(family.sym_members(), cone, DEFAULT_TOL)
+    grid = _grid_weights(len(family), resolution)
+    if not mats:
         return SimplexWeights(grid[0]), 0.0
     stack = np.stack(mats)
     best_val = -math.inf

@@ -19,6 +19,7 @@ from .cone import FirstOrderCone
 from .errors import InputError, NumericalFailureError
 from .numeric_core import (
     DEFAULT_TOL,
+    MatrixSetRank,
     SymMatrix,
     _normalized_rows,
     as_family,
@@ -29,7 +30,7 @@ from .numeric_core import (
     sym_eigen,
 )
 from .nlp import KKTData
-from .yuan import CertificateReport, HypothesisViolated, certify_rank2
+from .yuan import CertificateReport, HypothesisViolated, _certify_ranked
 
 _DEFAULT_SAMPLES = 1000
 _DEFAULT_SEED = 42
@@ -169,15 +170,6 @@ def _dependence(a, b, c, d: SymMatrix, spec, tol: float) -> Equal | Delta | NotD
 
 
 @dataclass(frozen=True, eq=False)
-class JacobianRankReduction:
-    """Every triple is affinely dependent; the set rank is at most 2."""
-
-    rank: int
-    basis: tuple[int, ...]
-    coefficients: np.ndarray | None
-
-
-@dataclass(frozen=True, eq=False)
 class JacobianRankViolation:
     """Some triple fails; carries an x where the Jacobian has rank 3."""
 
@@ -189,13 +181,14 @@ class JacobianRankViolation:
 
 def jacobian_rank_reduce(
     prob: QuadProblem, tol: float = DEFAULT_TOL
-) -> JacobianRankReduction | JacobianRankViolation:
+) -> MatrixSetRank | JacobianRankViolation:
     """Exact decision of 'Jacobian rank <= 2 everywhere' in one linear scan.
 
     Every triple is dependent exactly when all members lie on the line
     through member 0 and the member farthest from it, so each other member
     i is tested once, as the triple (i, far, 0): at most m - 2 extractions,
-    all sharing one eigendecomposition of A_far - A_0.
+    all sharing one eigendecomposition of A_far - A_0. When every triple
+    is dependent, the family's `matrix_set_rank` (at most 2) is returned.
     The first failing triple (sorted) is returned together with a sampled
     point where the Jacobian rank reaches 3 (one must exist, so a
     fruitless search raises NumericalFailureError rather than guessing).
@@ -228,7 +221,7 @@ def jacobian_rank_reduce(
         raise NumericalFailureError(
             f"all triples dependent yet set rank {sr.rank}; inconsistent tolerances"
         )
-    return JacobianRankReduction(sr.rank, sr.basis, sr.coefficients)
+    return sr
 
 
 def _rank3_point(prob: QuadProblem, tol: float) -> tuple[np.ndarray, int] | None:
@@ -247,8 +240,8 @@ def quad_certificate(prob: QuadProblem, tol: float = DEFAULT_TOL) -> Certificate
 
     Decides the premise exactly with `jacobian_rank_reduce`; a violation
     is reported with its failing triple and a rank-3 Jacobian point.
-    Otherwise hands the family to certify_rank2 over the full space (the
-    critical cone restriction is exactly the original family).
+    Otherwise hands the family and that set rank to certify_rank2 over the
+    full space (the critical cone restriction is exactly the original family).
     """
     _require_pipeline(prob)
     reduced = jacobian_rank_reduce(prob, tol)
@@ -262,7 +255,7 @@ def quad_certificate(prob: QuadProblem, tol: float = DEFAULT_TOL) -> Certificate
             ),
             {"triple_residual": reduced.residual},
         )
-    return certify_rank2(prob.matrices, FirstOrderCone.full(prob.n), tol)
+    return _certify_ranked(prob.matrices, FirstOrderCone.full(prob.n), tol, reduced)
 
 
 def to_kkt(prob: QuadProblem) -> KKTData:

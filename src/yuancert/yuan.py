@@ -8,8 +8,8 @@ evaluated, or refutes with a unit vector on which the two forms agree,
 from the span of that point's lowest eigenvector and a later one.
 `certify_rank2` extends the decision to any family whose matrix set has
 rank at most 2 by one pass over the members' coordinates in a two-member
-basis: a zero combination when 0 lies in their conic hull, otherwise
-`yuan_two` on its two extreme rays.
+basis: a zero combination when 0 lies in their conic hull, otherwise the
+same pencil decision on its two extreme rays, at the family's threshold.
 
 Every verdict, here, in `nlp` and in `verify-report`, meets one rule:
 the threshold of `restricted_forms`, cleared by `certificate_value` for a
@@ -28,6 +28,7 @@ from .errors import InputError, NumericalFailureError
 from .numeric_core import (
     DEFAULT_TOL,
     MatrixFamily,
+    MatrixSetRank,
     SymMatrix,
     as_family,
     as_sym,
@@ -206,6 +207,35 @@ def _pencil_max(ar: np.ndarray, br: np.ndarray) -> tuple[float, float, np.ndarra
     return best_t, best_lam, (den * v1 - p * spec.basis[:, j + 1]) / math.hypot(den, p)
 
 
+def _pencil_decision(syms, cone: FirstOrderCone, restricted, threshold: float,
+                     i: int, j: int) -> CertificateReport:
+    """Weights on members i and j, or a witness against every member, from
+    `_pencil_max` on restricted[i] and restricted[j] judged at the caller's
+    threshold.
+
+    The witness is mapped into the cone and checked once by `witness_check`
+    on all of syms; one that fails raises NumericalFailureError naming the
+    largest form value, the threshold and the margin.
+    """
+    t_star, lam_star, witness = _pencil_max(restricted[i], restricted[j])
+    residuals = {"pencil_argmax": t_star, "pencil_max": lam_star}
+    if lam_star >= threshold:
+        w = np.zeros(len(syms))
+        w[i] += t_star
+        w[j] += 1.0 - t_star
+        return CertificateReport(Certified(make_weights(w), lam_star), residuals)
+
+    x = _into_cone(span_basis(cone) @ witness, cone)
+    ok, values = witness_check(syms, cone, x, threshold)
+    if not ok:
+        worst = float(values.max())
+        raise NumericalFailureError(
+            f"pencil witness verification failed: largest form value {worst:.9e}"
+            f" against threshold {threshold:.9e} (margin {worst - threshold:.3e})"
+        )
+    return CertificateReport(Refuted(x, values), residuals)
+
+
 def yuan_two(
     a: SymMatrix,
     b: SymMatrix,
@@ -214,16 +244,8 @@ def yuan_two(
 ) -> CertificateReport:
     """Two-matrix certificate: a PSD pencil point or a double-negative witness.
 
-    Maximizes lambda(t) = lambda_min(t*A + (1-t)*B), restricted to the cone
-    span, by bisection on the sign of its supergradient v1'(A-B)v1 (see
-    `_pencil_max`). Certifies when the best value found clears the
-    `restricted_forms` threshold. Otherwise the witness of that search (v1
-    at an endpoint maximum; at an interior one, the unit x in the span of
-    v1 and a later eigenvector on which both forms equal
-    x'(t*A + (1-t*)B)x) is mapped into the cone and re-checked by
-    `witness_check`. A witness that fails it raises NumericalFailureError
-    naming the largest form value and the margin, instead of reporting an
-    unverified negative.
+    The pair restricted to the cone span, with its `restricted_forms`
+    threshold, is decided by the pencil search (`_pencil_decision`).
     """
     a, b = as_sym(a), as_sym(b)
     if a.order != b.order or a.order != cone.ambient_dim:
@@ -233,35 +255,18 @@ def yuan_two(
         return CertificateReport(
             Certified(SimplexWeights([0.5, 0.5]), 0.0), {"span_dim": 0.0}
         )
-    ar, br = restricted
-
-    t_star, lam_star, witness = _pencil_max(ar, br)
-    residuals = {"pencil_argmax": t_star, "pencil_max": lam_star}
-    if lam_star >= threshold:
-        return CertificateReport(
-            Certified(make_weights([t_star, 1.0 - t_star]), lam_star), residuals
-        )
-
-    x = _into_cone(span_basis(cone) @ witness, cone)
-    ok, values = witness_check((a, b), cone, x, threshold)
-    if not ok:
-        worst = float(values.max())
-        raise NumericalFailureError(
-            f"yuan_two witness verification failed: largest form value {worst:.9e}"
-            f" against threshold {threshold:.9e} (margin {worst - threshold:.3e})"
-        )
-    return CertificateReport(Refuted(x, values), residuals)
+    return _pencil_decision((a, b), cone, restricted, threshold, 0, 1)
 
 
 def _cross(u: np.ndarray, v: np.ndarray) -> float:
     return float(u[0] * v[1] - u[1] * v[0])
 
 
-def _plane_pass(top, syms, restricted, cone, tol: float, threshold: float) -> CertificateReport:
+def _plane_pass(top, syms, restricted, cone, threshold: float) -> CertificateReport:
     """Weights or a witness for a rank <= 2 family from its basis coordinates.
 
     Zero combinations carry lambda_min 0; the caller re-verifies every
-    certificate and transfers every witness to the whole family.
+    certificate. A witness is already checked on the whole family.
     """
     m = len(syms)
     w = np.zeros(m)
@@ -288,14 +293,7 @@ def _plane_pass(top, syms, restricted, cone, tol: float, threshold: float) -> Ce
             # two members bounding the gap, so a pair certificate or witness
             # for them holds for the family
             i, j = int(order[(g + 1) % m]), int(order[g])
-            rep = yuan_two(syms[i], syms[j], cone, tol=tol)
-            if not rep.certified:
-                return rep
-            w[i] += rep.outcome.weights.t[0]
-            w[j] += rep.outcome.weights.t[1]
-            return CertificateReport(
-                Certified(make_weights(w), rep.outcome.lambda_min), rep.residuals
-            )
+            return _pencil_decision(syms, cone, restricted, threshold, i, j)
         # 0 lies in the conic hull. With p the first member in angle order,
         # no gap above pi puts some member at or past the direction of -p.
         p = int(order[0])
@@ -325,22 +323,26 @@ def certify_rank2(
     cone span takes unit weight; when no angular gap between the points
     exceeds pi, 0 lies in their conic hull and a zero combination of at
     most three members certifies; otherwise the hull is pointed, every
-    member is a nonnegative combination of its two extreme rays, and
-    yuan_two on that pair decides. Rank above 2 is reported as a
-    hypothesis violation.
+    member is a nonnegative combination of its two extreme rays, and the
+    pencil of that pair decides at the family's threshold. Rank above 2
+    is reported as a hypothesis violation.
     """
     family = as_family(family)
-    syms = family.sym_members()
-    m = len(syms)
     if family.order != cone.ambient_dim:
         raise InputError("family and cone must share one ambient dimension")
+    return _certify_ranked(family, cone, tol, matrix_set_rank(family, tol))
+
+
+def _certify_ranked(family: MatrixFamily, cone: FirstOrderCone, tol: float,
+                    top: MatrixSetRank) -> CertificateReport:
+    """`certify_rank2` given the family's `matrix_set_rank` result."""
+    syms = family.sym_members()
+    m = len(syms)
     restricted, threshold = restricted_forms(syms, cone, tol)
     if not restricted:
         return CertificateReport(
             Certified(SimplexWeights(np.full(m, 1.0 / m)), 0.0), {"span_dim": 0.0}
         )
-
-    top = matrix_set_rank(family, tol)
     if top.rank > 2:
         return CertificateReport(
             HypothesisViolated(f"matrix set rank {top.rank} exceeds 2", rank=top.rank),
@@ -354,27 +356,18 @@ def certify_rank2(
             worst = max(worst, norm_max(mem - recon) / (1.0 + norm_max(mem)))
         diagnostics["basis_fit_residual"] = worst
 
-    report = _plane_pass(top, syms, restricted, cone, tol, threshold)
-
-    if report.certified:
-        weights = report.outcome.weights
-        lam = certificate_value(restricted, weights.t)
-        if lam < threshold:
-            raise NumericalFailureError(
-                f"certificate failed verification (lambda_min {lam:.3e})"
-            )
-        residuals = dict(report.residuals, **diagnostics)
-        residuals["combined_lambda_min"] = lam
-        residuals["weight_sum_error"] = abs(float(weights.t.sum()) - 1.0)
-        return CertificateReport(Certified(weights, lam), residuals)
-
+    report = _plane_pass(top, syms, restricted, cone, threshold)
+    residuals = dict(report.residuals, **diagnostics)
     if report.refuted:
-        x = report.outcome.witness
-        ok, values = witness_check(syms, cone, x, threshold)
-        if not ok:
-            raise NumericalFailureError("witness did not transfer to the full family")
-        residuals = dict(report.residuals, **diagnostics)
-        residuals["worst_form_value"] = float(values.max())
-        return CertificateReport(Refuted(x, values), residuals)
+        residuals["worst_form_value"] = float(report.outcome.form_values.max())
+        return CertificateReport(report.outcome, residuals)
 
-    return report
+    weights = report.outcome.weights
+    lam = certificate_value(restricted, weights.t)
+    if lam < threshold:
+        raise NumericalFailureError(
+            f"certificate failed verification (lambda_min {lam:.3e})"
+        )
+    residuals["combined_lambda_min"] = lam
+    residuals["weight_sum_error"] = abs(float(weights.t.sum()) - 1.0)
+    return CertificateReport(Certified(weights, lam), residuals)

@@ -1,8 +1,8 @@
 """Planar hull search, the reference criterion 6 checks `certify_rank2` against.
 
 It shares no search code with the solver: it never calls `certify_rank2`,
-`yuan_two` or the pencil bisection, only the LP, the cone and numeric
-kernels and the oracle's batched lambda_min.
+`yuan_two` or the pencil bisection, only the LP, the numeric kernels, the
+cone restriction of `restricted_forms` and the oracle's batched lambda_min.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from yuancert.cone import FirstOrderCone
-from yuancert.errors import HypothesisViolatedError, NumericalFailureError
+from yuancert.errors import NumericalFailureError
 from yuancert.lp import lp_solve
 from yuancert.numeric_core import (
     DEFAULT_TOL,
@@ -20,8 +20,17 @@ from yuancert.numeric_core import (
     matrix_set_rank,
     norm_max,
 )
-from yuancert.oracle import _lam_min_batch, _restricted
-from yuancert.yuan import SimplexWeights, make_weights
+from yuancert.oracle import _lam_min_batch
+from yuancert.yuan import SimplexWeights, make_weights, restricted_forms
+
+
+class HypothesisViolatedError(RuntimeError):
+    """Rank hypothesis required by the operation does not hold."""
+
+    def __init__(self, message: str, rank: int | None = None) -> None:
+        super().__init__(message)
+        self.rank = rank
+
 
 _TERNARY_TOL = 1e-10
 _TERNARY_CAP = 160
@@ -140,9 +149,10 @@ def hull_psd_search(
     sr = matrix_set_rank(family, tol)
     if sr.rank > 2:
         raise HypothesisViolatedError(f"matrix set rank {sr.rank} exceeds 2", rank=sr.rank)
-    syms, basis, mats, _ = _restricted(family, cone)
+    syms = family.sym_members()
+    mats, _ = restricted_forms(syms, cone, tol)
     uniform = SimplexWeights(np.full(m, 1.0 / m))
-    if basis.shape[1] == 0 or sr.rank == 0:
+    if not mats or sr.rank == 0:
         return uniform, 0.0
 
     flats = [flatten_sym(s.entries) for s in syms]

@@ -205,7 +205,7 @@ class TestCommands:
 
     @staticmethod
     def witness_failure(err):
-        found = re.search(r"yuan_two witness verification failed: largest form value (\S+)"
+        found = re.search(r"pencil witness verification failed: largest form value (\S+)"
                           r" against threshold (\S+) \(margin (\S+)\)", err)
         assert found, err
         return tuple(map(float, found.groups()))
@@ -219,6 +219,48 @@ class TestCommands:
         worst, threshold, margin = self.witness_failure(capsys.readouterr().err)
         assert (worst, threshold) == (1.0, -2e-9)
         assert margin == pytest.approx(1.0)
+
+    def test_certify_witness_failure_names_stage_and_margin(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # pointed family; the forced witness e1 fails on its first member
+        monkeypatch.setattr(yuan_module, "_pencil_max",
+                            lambda ar, br: (0.0, -1.0, np.array([1.0, 0.0])))
+        path = write(tmp_path, "forced.json",
+                     family_doc(np.diag([1.0, -1.0]), -np.eye(2), -2.0 * np.eye(2)))
+        assert main(["certify", path, "--json"]) == 4
+        worst, threshold, margin = self.witness_failure(capsys.readouterr().err)
+        assert (worst, threshold) == (1.0, -3e-9)
+        assert margin == pytest.approx(1.0)
+
+    def test_certify_pointed_family_at_the_family_threshold(self, tmp_path, capsys):
+        # the extreme pair P, Q alone has threshold -2e-9, which the pencil
+        # maximum -5e-9 at weights (1/2, 1/2) misses; the family threshold
+        # -1e-6 is what the weights must clear, and they do
+        p, q = np.diag([1.0, -1.0]), np.diag([-1.0, 1.0]) - 1e-8 * np.eye(2)
+        path = write(tmp_path, "scaled.json", family_doc(p, q, 1000.0 * (p + 2.0 * q)))
+        assert main(["certify", path, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["weights"] == [0.5, 0.5, 0.0]
+        assert report["lambda_min"] == pytest.approx(-5e-9)
+        report_path = write(tmp_path, "scaled.report.json", report)
+        assert main(["verify-report", report_path, path]) == 0
+
+    @pytest.mark.parametrize("command, name", [("certify", "example1.json"),
+                                               ("soc", "kkt_example1.json"),
+                                               ("quad", "quad_example1.json")])
+    def test_one_set_rank_call_per_command(self, command, name, capsys, monkeypatch):
+        calls = []
+        original = yuan_module.matrix_set_rank
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in ("numeric_core", "yuan", "nlp", "quadprob", "cli"):
+            monkeypatch.setattr(f"yuancert.{module}.matrix_set_rank", counted)
+        assert main([command, str(INSTANCES / name)]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
 
     def test_yuan2_on_threshold_refutes_or_names_margin(self, tmp_path, capsys):
         # pencil maximum shifted onto the threshold -tol*scale (c = 1): rounding
@@ -252,6 +294,15 @@ class TestCommands:
     def test_oracle_refuted(self, pair12, capsys):
         assert main(["oracle", pair12, "--samples", "5000"]) == 1
 
+    def test_oversized_integer_exit_three(self, tmp_path, capsys):
+        # float() of a JSON integer beyond the float range raised OverflowError (exit 1)
+        path = tmp_path / "huge.json"
+        path.write_text('{"schema_version": "1", "kind": "family", "matrices": [[[1'
+                        + "0" * 400 + ']]]}', encoding="utf-8")
+        assert main(["certify", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("input error: instance.matrices[0][0][0]: "), err
+
     def test_malformed_input_exit_three(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")
@@ -278,10 +329,12 @@ class TestCommands:
         assert exc.value.code == 0
         assert "yuancert" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("tol", ["-1", "0", "1", "inf", "-inf", "nan", "1e-9x"])
+    @pytest.mark.parametrize("tol", ["-1", "0", "1", "inf", "-inf", "nan", "1e-9x",
+                                     "1e-16", "1e-300"])
     def test_tolerance_outside_unit_interval_exit_three(self, tol, capsys):
         # at tol -1 example1 read as rank 3 and at tol 1 or inf the refuted
-        # pair certified; verify-report must not accept such a tolerance either
+        # pair certified; below 1e-15 round-off decided its set rank (rank 3
+        # at 1e-16 and 1e-300); verify-report must not accept such a tolerance
         example1 = str(INSTANCES / "example1.json")
         pair12 = str(INSTANCES / "example2_pair12.json")
         for argv in (["certify", example1], ["yuan2", pair12],
@@ -400,6 +453,7 @@ class TestVerifyReport:
     @pytest.mark.parametrize("field, value", [
         ("weights", ["a", "b", "c"]), ("weights", [[1.0, 0.0, 0.0]]),
         ("lambda_min", "low"), ("witness", ["x", "y"]), ("form_values", [-1.0]),
+        pytest.param("lambda_min", 10**400, id="lambda_min-beyond-float"),
     ])
     def test_malformed_report_field_exit_three(self, pair12, example1, field, value,
                                                tmp_path, capsys):
@@ -411,7 +465,8 @@ class TestVerifyReport:
         report_path = tmp_path / "malformed.json"
         report_path.write_text(json.dumps(report), encoding="utf-8")
         assert main(["verify-report", str(report_path), path]) == 3
-        assert "input error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: report field {field!r} "), err
 
     def run_report(self, tmp_path, capsys, argv, want):
         """Run a solver command, expect its exit code, and store its report."""

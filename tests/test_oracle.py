@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import family_one, family_two, random_rank2_family
-from hull_reference import hull_psd_search
+from hull_reference import HypothesisViolatedError, hull_psd_search
 from yuancert import (
     FirstOrderCone,
-    HypothesisViolatedError,
     MatrixFamily,
     NoWitnessFound,
     SymMatrix,

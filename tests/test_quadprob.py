@@ -18,9 +18,9 @@ from yuancert import (
     Equal,
     HypothesisViolated,
     InputError,
-    JacobianRankReduction,
     JacobianRankViolation,
     MatrixFamily,
+    MatrixSetRank,
     NotDependent,
     QuadProblem,
     Refuted,
@@ -207,12 +207,12 @@ class TestJacobianRankReduce:
         a = random_sym(np.random.default_rng(4), 3)
         prob = QuadProblem(MatrixFamily([a, a, a]))
         result = jacobian_rank_reduce(prob)
-        assert isinstance(result, JacobianRankReduction)
+        assert isinstance(result, MatrixSetRank)
         assert result.rank == 1
 
     def test_family_one_reduces(self):
         result = jacobian_rank_reduce(QuadProblem(family_one()))
-        assert isinstance(result, JacobianRankReduction)
+        assert isinstance(result, MatrixSetRank)
         assert result.rank == 2
         assert result.basis == (0, 1)
 
@@ -239,7 +239,7 @@ class TestJacobianRankReduce:
             failing = failing_triples(prob)
             result = jacobian_rank_reduce(prob)
             if not failing:
-                assert isinstance(result, JacobianRankReduction), (kind, m)
+                assert isinstance(result, MatrixSetRank), (kind, m)
                 assert result.rank <= 2
                 continue
             assert isinstance(result, JacobianRankViolation), (kind, m)
@@ -263,7 +263,7 @@ class TestJacobianRankReduce:
             return dependence(*args, **kwargs)
 
         monkeypatch.setattr(quadprob, "_dependence", counted)
-        assert isinstance(jacobian_rank_reduce(prob), JacobianRankReduction)
+        assert isinstance(jacobian_rank_reduce(prob), MatrixSetRank)
         assert len(calls) <= 38
 
     def test_scan_eigendecomposes_once(self, monkeypatch):
@@ -275,7 +275,7 @@ class TestJacobianRankReduce:
             return sym_eigen(m)
 
         monkeypatch.setattr(quadprob, "sym_eigen", counted)
-        assert isinstance(jacobian_rank_reduce(prob), JacobianRankReduction)
+        assert isinstance(jacobian_rank_reduce(prob), MatrixSetRank)
         assert len(calls) == 1
 
     @pytest.mark.parametrize("kind", sorted(SCAN_FAMILIES))
@@ -296,7 +296,7 @@ class TestJacobianRankReduce:
                     break
             result = jacobian_rank_reduce(prob)
             if want is None:
-                assert isinstance(result, JacobianRankReduction), (kind, m)
+                assert isinstance(result, MatrixSetRank), (kind, m)
             else:
                 assert (result.triple, result.residual) == want, (kind, m)
 
@@ -307,7 +307,7 @@ class TestJacobianRankReduce:
             m = int(rng.integers(1, 6))
             prob = QuadProblem(random_collinear_family(rng, n, m))
             result = jacobian_rank_reduce(prob)
-            assert isinstance(result, JacobianRankReduction)
+            assert isinstance(result, MatrixSetRank)
             assert result.rank <= 2
 
 

@@ -374,6 +374,27 @@ class TestCertifyRank2:
         combined = sum(w * m for w, m in zip(out.weights.t, members))
         assert min_eigenvalue(SymMatrix(combined)) >= -1e-9 * (1.0 + np.abs(combined).max())
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["certified", "refuted"])
+    def test_pointed_family_restricts_each_member_once(self, sign, monkeypatch):
+        # the extreme pair is decided on the family's restriction and
+        # threshold: no yuan_two call and no second restriction of the pair
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("yuan_two", "restrict"):
+            monkeypatch.setattr(yuan_module, name, counted(name, getattr(yuan_module, name)))
+        members = [sign * (a * np.eye(3) + b * NP_D)
+                   for a, b in ((1.0, 0.2), (0.5, -0.4), (0.8, 0.0), (0.3, 0.1))]
+        cone = FirstOrderCone(3, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], ray=[0.0, 0.0, 1.0])
+        out = certify_rank2(MatrixFamily(members), cone).outcome
+        assert isinstance(out, Certified if sign > 0.0 else Refuted)
+        assert calls == Counter(restrict=len(members))
+
 
 def reference_certify_rank2(family, cone, tol=1e-9):
     """Outcome of the drop-one-member case loop that certify_rank2 replaced.
