@@ -85,8 +85,7 @@ def _cmd_yuan2(args, instance, cone, report) -> int:
     family = instance.matrices
     if len(family) != 2:
         raise InputError(f"{args.input}: expected exactly 2 matrices, got {len(family)}")
-    a, b = family.sym_members()
-    return _apply_outcome(report, yuan_two(a, b, cone, tol=args.tol))
+    return _apply_outcome(report, yuan_two(*family.members, cone, tol=args.tol))
 
 
 def _cmd_certify(args, instance, cone, report) -> int:
@@ -166,7 +165,7 @@ def _cmd_verify_report(args, instance, cone, out) -> int:
     if verdict == "certified" and "weights" in stored:
         weights = _report_field(stored, "weights", (len(forms),))
         on_simplex = bool((weights >= 0.0).all()) and abs(float(weights.sum()) - 1.0) <= 1e-12
-        restricted, threshold = restricted_forms(forms.sym_members(), cone, args.tol)
+        restricted, threshold = restricted_forms(forms, cone, args.tol)
         lam = out["lambda_min"] = certificate_value(restricted, weights)
         out["margin"] = lam - threshold
         ok = on_simplex and lam >= threshold
@@ -181,9 +180,8 @@ def _cmd_verify_report(args, instance, cone, out) -> int:
             ok = ok and _matches(want.mu, _report_field(mult, "mu", want.mu.shape))
     elif verdict == "refuted" and "witness" in stored:
         x = _report_field(stored, "witness", (forms.order,))
-        syms = forms.sym_members()
-        _, threshold = restricted_forms(syms, cone, args.tol)
-        ok, values = witness_check(syms, cone, x, threshold)
+        _, threshold = restricted_forms(forms, cone, args.tol)
+        ok, values = witness_check(forms.members, cone, x, threshold)
         out["form_values"] = values.tolist()
         out["margin"] = threshold - float(values.max())
         if "form_values" in stored:

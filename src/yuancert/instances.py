@@ -16,7 +16,7 @@ import numpy as np
 from .cone import FirstOrderCone
 from .errors import InputError
 from .nlp import KKTData
-from .numeric_core import MatrixFamily, SymMatrix, norm_max
+from .numeric_core import MatrixFamily, SymMatrix
 from .quadprob import QuadProblem
 
 SCHEMA_VERSION = "1"
@@ -66,10 +66,20 @@ def _square(value, where: str) -> np.ndarray:
 
 def _symmetric(value, where: str) -> SymMatrix:
     mat = _square(value, where)
-    skew = norm_max(mat - mat.T)
-    if skew > 1e-12 * (1.0 + norm_max(mat)):
-        raise InputError(f"{where}: matrix asymmetry {skew:.3e} exceeds 1e-12")
-    return SymMatrix(0.5 * (mat + mat.T))
+    try:
+        return SymMatrix(mat)
+    except InputError as exc:
+        raise InputError(f"{where}: {exc}") from exc
+
+
+def _array(document: dict, key: str, where: str) -> list:
+    """An optional array field; absent, null and [] all read as empty."""
+    value = document.get(key)
+    if value is None:
+        return []
+    if not isinstance(value, list):
+        raise InputError(f"{where}.{key}: expected an array")
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,14 +136,10 @@ def _parse_kkt(document: dict) -> KKTData:
     grad_f = _vector(_require(document, "grad_f", "instance"), "instance.grad_f")
     n = grad_f.size
     hess_f = _symmetric(_require(document, "hess_f", "instance"), "instance.hess_f")
-    grad_h = document.get("grad_h") or []
-    grad_g = document.get("grad_g") or []
-    hess_h = document.get("hess_h") or []
-    hess_g = document.get("hess_g") or []
-    gh = [_vector(v, f"instance.grad_h[{i}]") for i, v in enumerate(grad_h)]
-    gg = [_vector(v, f"instance.grad_g[{i}]") for i, v in enumerate(grad_g)]
-    hh = [_symmetric(v, f"instance.hess_h[{i}]") for i, v in enumerate(hess_h)]
-    hg = [_symmetric(v, f"instance.hess_g[{i}]") for i, v in enumerate(hess_g)]
+    gh, gg, hh, hg = (
+        [parse(v, f"instance.{key}[{i}]") for i, v in enumerate(_array(document, key, "instance"))]
+        for key, parse in (("grad_h", _vector), ("grad_g", _vector), ("hess_h", _symmetric),
+                           ("hess_g", _symmetric)))
     active = document.get("active")
     if active is not None:
         if not isinstance(active, list) or any(
@@ -142,7 +148,7 @@ def _parse_kkt(document: dict) -> KKTData:
             raise InputError("instance.active: expected an array of integers")
     g_values = document.get("g_values")
     if g_values is not None:
-        g_values = _vector(g_values, "instance.g_values") if g_values else np.zeros(0)
+        g_values = _vector(g_values, "instance.g_values") if g_values != [] else np.zeros(0)
     try:
         return KKTData(
             grad_f=grad_f,
@@ -174,8 +180,8 @@ def parse_cone(document, ambient_dim: int | None = None) -> FirstOrderCone:
         raise InputError(
             f"cone.ambient_dim: {dim} does not match the instance dimension {ambient_dim}"
         )
-    raw = document.get("subspace") or []
-    generators = [_vector(v, f"cone.subspace[{i}]") for i, v in enumerate(raw)]
+    generators = [_vector(v, f"cone.subspace[{i}]")
+                  for i, v in enumerate(_array(document, "subspace", "cone"))]
     ray = document.get("ray")
     if ray is not None:
         ray = _vector(ray, "cone.ray")

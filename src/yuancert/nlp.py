@@ -340,8 +340,8 @@ def second_order_certificate(
     multiplier = None
     if report.certified:
         multiplier = recombine(vertices, report.outcome.weights.t)
-        restricted, threshold = restricted_forms([lagrangian_hessian(data, multiplier)],
-                                                 cone, tol)
+        restricted, threshold = restricted_forms(
+            MatrixFamily([lagrangian_hessian(data, multiplier)]), cone, tol)
         value = certificate_value(restricted, [1.0])
         if value < threshold:
             raise NumericalFailureError(

@@ -34,6 +34,18 @@ def _as_square(values, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def _mirrored(a: np.ndarray) -> tuple[np.ndarray | None, float]:
+    """A (..., n, n) stack with each lower triangle mirrored from the upper one, or None
+    when some matrix breaks the asymmetry rule; and the largest asymmetry max|A - A'|."""
+    at = np.swapaxes(a, -1, -2)
+    skew = np.abs(a - at).max(axis=(-2, -1))
+    if (skew > 1e-12 * (1.0 + np.abs(a).max(axis=(-2, -1)))).any():  # the asymmetry rule
+        return None, float(skew.max())
+    sym = np.where(np.tri(a.shape[-1], k=-1, dtype=bool), at, a) + 0.0  # -0.0 reads as 0.0
+    sym.setflags(write=False)
+    return sym, float(skew.max())
+
+
 class SymMatrix:
     """Real symmetric matrix of order >= 1.
 
@@ -44,12 +56,9 @@ class SymMatrix:
     __slots__ = ("entries",)
 
     def __init__(self, values) -> None:
-        a = _as_square(values)
-        skew = norm_max(a - a.T)
-        if skew > 1e-12 * (1.0 + norm_max(a)):
+        sym, skew = _mirrored(_as_square(values))
+        if sym is None:
             raise InputError(f"matrix is not symmetric (asymmetry {skew:.3e})")
-        sym = np.triu(a) + np.triu(a, 1).T
-        sym.setflags(write=False)
         object.__setattr__(self, "entries", sym)
 
     def __setattr__(self, name, value):
@@ -123,26 +132,27 @@ def quad_form(m: SymMatrix, x) -> float:
 class MatrixFamily:
     """Ordered family of square matrices sharing one order.
 
-    Certificate pipelines require symmetric members; general square
-    members are accepted so that the set rank of a non-symmetric family
-    can still be measured.
+    `members` is one read-only (m, n, n) stack, checked once here, and
+    `symmetric` says whether every member keeps the asymmetry rule of
+    SymMatrix; the members of a symmetric family are mirrored from their
+    upper triangles as SymMatrix entries are. Certificate pipelines require
+    a symmetric family; a non-symmetric one still has a set rank.
     """
 
-    __slots__ = ("members",)
+    __slots__ = ("members", "symmetric")
 
     def __init__(self, members) -> None:
-        mats = []
-        for k, raw in enumerate(members):
-            a = raw.entries if isinstance(raw, SymMatrix) else raw
-            a = _as_square(a, name=f"member {k}").copy()
-            a.setflags(write=False)
-            mats.append(a)
+        mats = [_as_square(raw.entries if isinstance(raw, SymMatrix) else raw, name=f"member {k}")
+                for k, raw in enumerate(members)]
         if not mats:
             raise InputError("family must contain at least one matrix")
-        order = mats[0].shape[0]
-        if any(mat.shape[0] != order for mat in mats):
+        if any(mat.shape[0] != mats[0].shape[0] for mat in mats):
             raise InputError("family members have mixed orders")
-        object.__setattr__(self, "members", tuple(mats))
+        stack = np.stack(mats)
+        stack.setflags(write=False)
+        sym, _ = _mirrored(stack)
+        object.__setattr__(self, "members", stack if sym is None else sym)
+        object.__setattr__(self, "symmetric", sym is not None)
 
     def __setattr__(self, name, value):
         raise AttributeError("MatrixFamily is immutable")
@@ -152,15 +162,7 @@ class MatrixFamily:
 
     @property
     def order(self) -> int:
-        return self.members[0].shape[0]
-
-    def is_symmetric(self) -> bool:
-        return all(
-            norm_max(mat - mat.T) <= 1e-12 * (1.0 + norm_max(mat)) for mat in self.members
-        )
-
-    def sym_members(self) -> list[SymMatrix]:
-        return [SymMatrix(mat) for mat in self.members]
+        return self.members.shape[1]
 
 
 def as_family(members) -> MatrixFamily:
@@ -168,21 +170,15 @@ def as_family(members) -> MatrixFamily:
 
 
 def flatten_sym(a: np.ndarray) -> np.ndarray:
-    """Upper-triangle flattening with sqrt(2)-scaled off-diagonal entries.
+    """Upper-triangle flattening with sqrt(2)-scaled off-diagonal entries,
+    of one matrix or of each matrix in a (..., n, n) stack.
 
     Chosen so the Euclidean inner product of two flattened symmetric
     matrices equals their trace inner product sum_ij A_ij B_ij.
     """
-    n = a.shape[0]
-    ii, jj = np.triu_indices(n)
+    ii, jj = np.triu_indices(a.shape[-1])
     w = np.where(ii == jj, 1.0, _SQRT2)
-    return a[ii, jj] * w
-
-
-def _flatten_family(family: MatrixFamily) -> np.ndarray:
-    if family.is_symmetric():
-        return np.stack([flatten_sym(mat) for mat in family.members])
-    return np.stack([mat.reshape(-1) for mat in family.members])
+    return a[..., ii, jj] * w
 
 
 def _normalized_rows(rows: np.ndarray) -> np.ndarray:
@@ -259,7 +255,8 @@ def matrix_set_rank(family: MatrixFamily, tol: float = DEFAULT_TOL) -> MatrixSet
     coordinates of every member in the first two independent members.
     """
     family = as_family(family)
-    flat = _flatten_family(family)
+    members = family.members
+    flat = flatten_sym(members) if family.symmetric else members.reshape(len(members), -1)
     unit = _normalized_rows(flat)
     ranks, pivots = _pivoted_rank(unit[None], tol)
     rank = int(ranks[0])

@@ -50,9 +50,9 @@ def sample_max_nonneg(
     """
     if samples < 1:
         raise InputError("samples must be >= 1")
-    syms = as_family(family).sym_members()
-    mats, threshold = restricted_forms(syms, cone, tol)
-    if not mats:
+    family = as_family(family)
+    mats, threshold = restricted_forms(family, cone, tol)
+    if not mats.size:
         return NoWitnessFound(0)
     basis = span_basis(cone)
     k = basis.shape[1]
@@ -68,7 +68,7 @@ def sample_max_nonneg(
         hits = np.flatnonzero(values.max(axis=0) < threshold)
         if hits.size:
             x = _into_cone(basis @ z[int(hits[0])], cone)
-            ok, forms = witness_check(syms, cone, x, threshold)
+            ok, forms = witness_check(family.members, cone, x, threshold)
             if ok:
                 return Witness(x, forms)
         done += count
@@ -96,16 +96,15 @@ def simplex_grid_search(
     if resolution < 1:
         raise InputError("resolution must be >= 1")
     family = as_family(family)
-    mats, _ = restricted_forms(family.sym_members(), cone, DEFAULT_TOL)
+    mats, _ = restricted_forms(family, cone, DEFAULT_TOL)
     grid = _grid_weights(len(family), resolution)
-    if not mats:
+    if not mats.size:
         return SimplexWeights(grid[0]), 0.0
-    stack = np.stack(mats)
     best_val = -math.inf
     best_t = grid[0]
     for start in range(0, grid.shape[0], 65536):
         chunk = grid[start : start + 65536]
-        combos = np.tensordot(chunk, stack, axes=(1, 0))
+        combos = np.tensordot(chunk, mats, axes=(1, 0))
         vals = _lam_min_batch(combos)
         j = int(np.argmax(vals))
         if vals[j] > best_val:

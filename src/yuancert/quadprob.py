@@ -80,7 +80,7 @@ def jacobian_at(prob: QuadProblem, x) -> np.ndarray:
 def _require_pipeline(prob: QuadProblem) -> None:
     if prob.ray_constant != -1.0:
         raise InputError("the optimization pipeline requires ray constant -1")
-    if not prob.matrices.is_symmetric():
+    if not prob.matrices.symmetric:
         raise InputError("the optimization pipeline requires symmetric matrices")
 
 
@@ -151,19 +151,20 @@ def extract_dependence(
     if not (a.order == b.order == c.order):
         raise InputError("matrices must share one order")
     d = SymMatrix(b.entries - c.entries)
-    return _dependence(a, b, c, d, sym_eigen(d), tol)
+    return _dependence(a.entries, b.entries, c.entries, d.entries, sym_eigen(d), tol)
 
 
-def _dependence(a, b, c, d: SymMatrix, spec, tol: float) -> Equal | Delta | NotDependent:
-    """`extract_dependence` given d = B - C and its spectrum."""
-    scale = max(a.norm_max(), b.norm_max(), c.norm_max())
+def _dependence(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray, spec,
+                tol: float) -> Equal | Delta | NotDependent:
+    """`extract_dependence` on symmetric arrays, given d = B - C and its spectrum."""
+    scale = max(norm_max(a), norm_max(b), norm_max(c))
     if norm_max(spec.eigenvalues) <= tol * (1.0 + scale):
         return Equal()
     top = int(np.argmax(np.abs(spec.eigenvalues)))
     lam = float(spec.eigenvalues[top])
     v = spec.basis[:, top]
-    delta = -float(v @ (a.entries - c.entries) @ v) / lam
-    residual = norm_max(a.entries - c.entries + delta * d.entries)
+    delta = -float(v @ (a - c) @ v) / lam
+    residual = norm_max(a - c + delta * d)
     if residual > tol * (1.0 + scale):
         return NotDependent(residual)
     return Delta(delta)
@@ -193,19 +194,18 @@ def jacobian_rank_reduce(
     point where the Jacobian rank reaches 3 (one must exist, so a
     fruitless search raises NumericalFailureError rather than guessing).
     """
-    if not prob.matrices.is_symmetric():
+    if not prob.matrices.symmetric:
         raise InputError("the triple reduction requires symmetric matrices")
-    syms = prob.matrices.sym_members()
-    base = syms[0].entries
-    gaps = [norm_max(s.entries - base) for s in syms]
+    mats = prob.matrices.members
+    base = mats[0]
+    gaps = [norm_max(mat - base) for mat in mats]
     far = int(np.argmax(gaps))
-    scale = max(s.norm_max() for s in syms)
-    spread = gaps[far] > tol * (1.0 + scale)
+    spread = gaps[far] > tol * (1.0 + norm_max(mats))
     others = [i for i in range(1, prob.m) if i != far] if spread else []
-    d = SymMatrix(syms[far].entries - base)
+    d = SymMatrix(mats[far] - base)
     spec = sym_eigen(d) if others else None
     for i in others:
-        res = _dependence(syms[i], syms[far], syms[0], d, spec, tol)
+        res = _dependence(mats[i], mats[far], base, d.entries, spec, tol)
         if isinstance(res, NotDependent):
             triple = tuple(sorted((0, far, i)))
             witness = _rank3_point(prob, tol)
@@ -270,11 +270,8 @@ def to_kkt(prob: QuadProblem) -> KKTData:
     grad_f[n] = 1.0
     grad_g = np.zeros((m, n + 1))
     grad_g[:, n] = -1.0
-    hess_g = []
-    for mat in prob.matrices.members:
-        block = np.zeros((n + 1, n + 1))
-        block[:n, :n] = mat
-        hess_g.append(SymMatrix(block))
+    hess_g = np.zeros((m, n + 1, n + 1))
+    hess_g[:, :n, :n] = prob.matrices.members
     return KKTData(
         grad_f=grad_f,
         hess_f=SymMatrix(np.zeros((n + 1, n + 1))),

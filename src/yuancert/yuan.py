@@ -11,9 +11,10 @@ rank at most 2 by one pass over the members' coordinates in a two-member
 basis: a zero combination when 0 lies in their conic hull, otherwise the
 same pencil decision on its two extreme rays, at the family's threshold.
 
-Every verdict, here, in `nlp` and in `verify-report`, meets one rule:
-the threshold of `restricted_forms`, cleared by `certificate_value` for a
-certificate and by every form value in `witness_check` for a refutation.
+Every verdict, here, in `nlp`, `oracle` and `verify-report`, meets one
+rule: the threshold of `restricted_forms`, which turns a non-symmetric
+family away, cleared by `certificate_value` for a certificate and by
+every form value in `witness_check` for a refutation.
 """
 
 from __future__ import annotations
@@ -23,20 +24,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import FirstOrderCone, cone_contains, restrict, span_basis
+from .cone import FirstOrderCone, cone_contains, span_basis
 from .errors import InputError, NumericalFailureError
 from .numeric_core import (
     DEFAULT_TOL,
     MatrixFamily,
     MatrixSetRank,
     SymMatrix,
+    _mirrored,
     as_family,
-    as_sym,
     flatten_sym,
     matrix_set_rank,
     min_eigenvalue,
     norm_max,
-    quad_form,
     sym_eigen,
 )
 
@@ -125,26 +125,29 @@ class CertificateReport:
         return isinstance(self.outcome, HypothesisViolated)
 
 
-def restricted_forms(syms, cone: FirstOrderCone, tol: float) -> tuple[list[np.ndarray], float]:
-    """The forms restricted to the cone span, and the threshold -tol*(1 + largest
-    restricted entry) every verdict clears. An empty span gives ([], 0)."""
+def restricted_forms(family, cone: FirstOrderCone, tol: float) -> tuple[np.ndarray, float]:
+    """The (m, k, k) stack of the members restricted to the k-dimensional cone span,
+    and the threshold -tol*(1 + largest restricted entry) every verdict clears (0
+    when k = 0). The symmetry gate of every verdict: a non-symmetric family raises."""
+    members = family.members
+    if not family.symmetric:
+        raise InputError(f"family is not symmetric (asymmetry {_mirrored(members)[1]:.3e})")
     basis = span_basis(cone)
-    if basis.shape[1] == 0:
-        return [], 0.0
-    restricted = [restrict(s, basis).entries for s in syms]
-    return restricted, -tol * (1.0 + max(norm_max(r) for r in restricted))
+    raw = basis.T @ members @ basis
+    restricted = 0.5 * (raw + np.swapaxes(raw, 1, 2))
+    return restricted, (-tol * (1.0 + norm_max(restricted)) if restricted.size else 0.0)
 
 
-def certificate_value(restricted: list[np.ndarray], weights) -> float:
+def certificate_value(restricted: np.ndarray, weights) -> float:
     """lambda_min of the weighted restriction sum_i w_i*R_i (0 on an empty span)."""
     combined = sum(w * r for w, r in zip(weights, restricted))
-    return min_eigenvalue(SymMatrix(combined)) if restricted else 0.0
+    return min_eigenvalue(SymMatrix(combined)) if restricted.size else 0.0
 
 
-def witness_check(syms, cone: FirstOrderCone, x, threshold: float) -> tuple[bool, np.ndarray]:
-    """Whether x lies in the cone (at 1e-8) with every form value x'A_i x,
-    also returned, below the threshold."""
-    values = np.array([quad_form(s, x) for s in syms])
+def witness_check(members, cone: FirstOrderCone, x, threshold: float) -> tuple[bool, np.ndarray]:
+    """Whether x lies in the cone (at 1e-8) with every form value x'A_i x of
+    the member stack, also returned, below the threshold."""
+    values = np.array([float(x @ m @ x) for m in members])
     return cone_contains(cone, x, 1e-8) and bool((values < threshold).all()), values
 
 
@@ -207,26 +210,26 @@ def _pencil_max(ar: np.ndarray, br: np.ndarray) -> tuple[float, float, np.ndarra
     return best_t, best_lam, (den * v1 - p * spec.basis[:, j + 1]) / math.hypot(den, p)
 
 
-def _pencil_decision(syms, cone: FirstOrderCone, restricted, threshold: float,
-                     i: int, j: int) -> CertificateReport:
+def _pencil_decision(members: np.ndarray, cone: FirstOrderCone, restricted: np.ndarray,
+                     threshold: float, i: int, j: int) -> CertificateReport:
     """Weights on members i and j, or a witness against every member, from
     `_pencil_max` on restricted[i] and restricted[j] judged at the caller's
     threshold.
 
     The witness is mapped into the cone and checked once by `witness_check`
-    on all of syms; one that fails raises NumericalFailureError naming the
+    on all the members; one that fails raises NumericalFailureError naming the
     largest form value, the threshold and the margin.
     """
     t_star, lam_star, witness = _pencil_max(restricted[i], restricted[j])
     residuals = {"pencil_argmax": t_star, "pencil_max": lam_star}
     if lam_star >= threshold:
-        w = np.zeros(len(syms))
+        w = np.zeros(len(members))
         w[i] += t_star
         w[j] += 1.0 - t_star
         return CertificateReport(Certified(make_weights(w), lam_star), residuals)
 
     x = _into_cone(span_basis(cone) @ witness, cone)
-    ok, values = witness_check(syms, cone, x, threshold)
+    ok, values = witness_check(members, cone, x, threshold)
     if not ok:
         worst = float(values.max())
         raise NumericalFailureError(
@@ -247,28 +250,28 @@ def yuan_two(
     The pair restricted to the cone span, with its `restricted_forms`
     threshold, is decided by the pencil search (`_pencil_decision`).
     """
-    a, b = as_sym(a), as_sym(b)
-    if a.order != b.order or a.order != cone.ambient_dim:
+    pair = MatrixFamily([a, b])
+    if pair.order != cone.ambient_dim:
         raise InputError("matrices and cone must share one ambient dimension")
-    restricted, threshold = restricted_forms((a, b), cone, tol)
-    if not restricted:
+    restricted, threshold = restricted_forms(pair, cone, tol)
+    if not restricted.size:
         return CertificateReport(
             Certified(SimplexWeights([0.5, 0.5]), 0.0), {"span_dim": 0.0}
         )
-    return _pencil_decision((a, b), cone, restricted, threshold, 0, 1)
+    return _pencil_decision(pair.members, cone, restricted, threshold, 0, 1)
 
 
 def _cross(u: np.ndarray, v: np.ndarray) -> float:
     return float(u[0] * v[1] - u[1] * v[0])
 
 
-def _plane_pass(top, syms, restricted, cone, threshold: float) -> CertificateReport:
+def _plane_pass(top, members, restricted, cone, threshold: float) -> CertificateReport:
     """Weights or a witness for a rank <= 2 family from its basis coordinates.
 
     Zero combinations carry lambda_min 0; the caller re-verifies every
     certificate. A witness is already checked on the whole family.
     """
-    m = len(syms)
+    m = len(members)
     w = np.zeros(m)
     sizes = [float(np.linalg.norm(r)) for r in restricted]
     zero = int(np.argmin(sizes))
@@ -280,7 +283,7 @@ def _plane_pass(top, syms, restricted, cone, threshold: float) -> CertificateRep
         if top.rank == 2:
             pts = top.coefficients
         else:
-            flats = np.stack([flatten_sym(s.entries) for s in syms])
+            flats = flatten_sym(members)
             ref = flats[top.basis[0]]
             pts = np.column_stack([flats @ ref / float(ref @ ref), np.zeros(m)])
         theta = np.arctan2(pts[:, 1], pts[:, 0])
@@ -293,7 +296,7 @@ def _plane_pass(top, syms, restricted, cone, threshold: float) -> CertificateRep
             # two members bounding the gap, so a pair certificate or witness
             # for them holds for the family
             i, j = int(order[(g + 1) % m]), int(order[g])
-            return _pencil_decision(syms, cone, restricted, threshold, i, j)
+            return _pencil_decision(members, cone, restricted, threshold, i, j)
         # 0 lies in the conic hull. With p the first member in angle order,
         # no gap above pi puts some member at or past the direction of -p.
         p = int(order[0])
@@ -336,10 +339,10 @@ def certify_rank2(
 def _certify_ranked(family: MatrixFamily, cone: FirstOrderCone, tol: float,
                     top: MatrixSetRank) -> CertificateReport:
     """`certify_rank2` given the family's `matrix_set_rank` result."""
-    syms = family.sym_members()
-    m = len(syms)
-    restricted, threshold = restricted_forms(syms, cone, tol)
-    if not restricted:
+    members = family.members
+    m = len(members)
+    restricted, threshold = restricted_forms(family, cone, tol)
+    if not restricted.size:
         return CertificateReport(
             Certified(SimplexWeights(np.full(m, 1.0 / m)), 0.0), {"span_dim": 0.0}
         )
@@ -351,12 +354,12 @@ def _certify_ranked(family: MatrixFamily, cone: FirstOrderCone, tol: float,
     diagnostics = {}
     if top.rank == 2 and top.coefficients is not None:
         worst = 0.0
-        for mem, (al, be) in zip(family.members, top.coefficients):
-            recon = al * family.members[top.basis[0]] + be * family.members[top.basis[1]]
+        for mem, (al, be) in zip(members, top.coefficients):
+            recon = al * members[top.basis[0]] + be * members[top.basis[1]]
             worst = max(worst, norm_max(mem - recon) / (1.0 + norm_max(mem)))
         diagnostics["basis_fit_residual"] = worst
 
-    report = _plane_pass(top, syms, restricted, cone, threshold)
+    report = _plane_pass(top, members, restricted, cone, threshold)
     residuals = dict(report.residuals, **diagnostics)
     if report.refuted:
         residuals["worst_form_value"] = float(report.outcome.form_values.max())

@@ -149,13 +149,12 @@ def hull_psd_search(
     sr = matrix_set_rank(family, tol)
     if sr.rank > 2:
         raise HypothesisViolatedError(f"matrix set rank {sr.rank} exceeds 2", rank=sr.rank)
-    syms = family.sym_members()
-    mats, _ = restricted_forms(syms, cone, tol)
+    mats, _ = restricted_forms(family, cone, tol)
     uniform = SimplexWeights(np.full(m, 1.0 / m))
-    if not mats or sr.rank == 0:
+    if not mats.size or sr.rank == 0:
         return uniform, 0.0
 
-    flats = [flatten_sym(s.entries) for s in syms]
+    flats = [flatten_sym(s) for s in family.members]
     if sr.rank == 1:
         ref = sr.basis[0]
         fref = flats[ref]

@@ -14,6 +14,7 @@ from yuancert.instances import (
     KktInstance,
     QuadInstance,
     dump_json,
+    input_digest,
     parse_cone,
     parse_instance,
 )
@@ -116,6 +117,67 @@ class TestParsing:
         with pytest.raises(Exception) as err:
             parse_instance(doc)
         assert "asymmetry" in str(err.value)
+
+
+def kkt_example_doc() -> dict:
+    return serialize_instance(KktInstance(to_kkt(QuadProblem([EX1_A1, EX1_A2, EX1_A3]))))
+
+
+@pytest.mark.parametrize("value", [3, 0, "", {}], ids=["three", "zero", "empty_string", "object"])
+@pytest.mark.parametrize("field", ["grad_h", "grad_g", "hess_h", "hess_g", "g_values", "subspace"])
+def test_non_array_field_exit_three(field, value, tmp_path, capsys):
+    # a number, string or object where an array of vectors or matrices
+    # belongs is an input error naming the field, never read as empty
+    if field == "subspace":
+        fam = write(tmp_path, "fam.json", family_doc(np.diag([-1.0, 1.0])))
+        cone = write(tmp_path, "cone.json", {"schema_version": "1", "kind": "cone",
+                                             "ambient_dim": 2, field: value})
+        runs, where = [["certify", fam, "--cone", cone]], "cone.subspace"
+    else:
+        path = write(tmp_path, "kkt.json", dict(kkt_example_doc(), **{field: value}))
+        runs, where = [["soc", path], ["vertices", path]], f"instance.{field}"
+    for argv in runs:
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {where}: expected "), err
+
+
+@pytest.mark.parametrize("value", [None, []], ids=["null", "empty"])
+def test_empty_array_fields_still_read_as_empty(value, tmp_path, capsys):
+    doc = dict(kkt_example_doc(), grad_h=value, hess_h=value)
+    assert main(["soc", write(tmp_path, "kkt.json", doc)]) == 0
+    del doc["grad_h"], doc["hess_h"]
+    assert main(["soc", write(tmp_path, "absent.json", doc)]) == 0
+    fam = write(tmp_path, "fam.json", family_doc(np.eye(2)))
+    cone = write(tmp_path, "cone.json", {"schema_version": "1", "kind": "cone",
+                                         "ambient_dim": 2, "subspace": value})
+    assert main(["certify", fam, "--cone", cone]) == 0
+
+
+class TestNonSymmetricFamily:
+    """instances/counterexample.json has an asymmetric member: its set rank
+    is defined, but every verdict on it is an input error naming the asymmetry."""
+
+    PATH = str(INSTANCES / "counterexample.json")
+
+    @pytest.mark.parametrize("command", ["certify", "oracle"])
+    def test_solvers_reject_asymmetry(self, command, capsys):
+        assert main([command, self.PATH]) == 3
+        assert "asymmetry" in capsys.readouterr().err
+
+    def test_rank_is_three(self, capsys):
+        assert main(["rank", self.PATH, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["rank"] == 3
+
+    @pytest.mark.parametrize("report", [
+        {"verdict": "certified", "weights": [0.5, 0.5, 0.0], "lambda_min": 0.0},
+        {"verdict": "refuted", "witness": [0.0, 1.0], "form_values": [0.0, 1.0, 0.0]},
+    ], ids=["certified", "refuted"])
+    def test_verify_report_rejects_asymmetry(self, report, tmp_path, capsys):
+        report = dict(report, input_digest=input_digest(self.PATH))
+        path = write(tmp_path, "report.json", report)
+        assert main(["verify-report", path, self.PATH]) == 3
+        assert "asymmetry" in capsys.readouterr().err
 
 
 class TestCommands:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +34,10 @@ from yuancert import (
     quad_form,
     sym_eigen,
 )
+from yuancert.instances import load_instance
 from yuancert.numeric_core import _pivoted_rank
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 # eigenvalues of [[0.4, -0.6], [-0.6, 1.0]] from its characteristic
 # polynomial lam^2 - 1.4 lam + 0.04 = 0, solved by hand
@@ -188,6 +192,31 @@ class TestQuadForm:
     def test_even_in_sign(self, x):
         m = SymMatrix(M_DERIVED)
         assert quad_form(m, x) == quad_form(m, [-v for v in x])
+
+
+class TestMatrixFamily:
+    def test_members_are_one_read_only_stack(self):
+        fam = MatrixFamily([EX1_A1, SymMatrix(EX1_A2), EX1_A3.tolist()])
+        assert isinstance(fam.members, np.ndarray)
+        assert fam.members.shape == (3, 2, 2)
+        assert not fam.members.flags.writeable
+        with pytest.raises(ValueError):
+            fam.members[0, 0, 0] = 5.0
+
+    def test_symmetric_members_equal_their_transposes(self):
+        rng = np.random.default_rng(7)
+        raw = [random_sym(rng, 4).entries + 1e-14 * rng.standard_normal((4, 4))
+               for _ in range(3)]
+        fam = MatrixFamily(raw)
+        assert fam.symmetric
+        assert np.array_equal(fam.members, np.swapaxes(fam.members, 1, 2))
+        for mem, mat in zip(fam.members, raw):
+            assert np.array_equal(mem, SymMatrix(mat).entries)
+
+    def test_counterexample_file_is_not_symmetric(self):
+        fam = load_instance(INSTANCES / "counterexample.json").matrices
+        assert fam.symmetric is False
+        assert np.array_equal(fam.members, counterexample_family().members)
 
 
 class TestMatrixSetRank:

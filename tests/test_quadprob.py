@@ -52,7 +52,7 @@ def rank3_problem() -> QuadProblem:
 
 def failing_triples(prob: QuadProblem) -> list[tuple[int, int, int]]:
     """Reference: every C(m,3) index triple put through extract_dependence."""
-    syms = prob.matrices.sym_members()
+    syms = prob.matrices.members
     return [
         t for t in itertools.combinations(range(prob.m), 3)
         if isinstance(extract_dependence(syms[t[0]], syms[t[1]], syms[t[2]]), NotDependent)
@@ -285,8 +285,8 @@ class TestJacobianRankReduce:
         rng = np.random.default_rng(20 + sorted(SCAN_FAMILIES).index(kind))
         for m in range(3, 13):
             prob = QuadProblem(SCAN_FAMILIES[kind](rng, int(rng.integers(2, 7)), m))
-            syms = prob.matrices.sym_members()
-            gaps = [np.abs(s.entries - syms[0].entries).max() for s in syms]
+            syms = prob.matrices.members
+            gaps = [np.abs(s - syms[0]).max() for s in syms]
             far = int(np.argmax(gaps))
             want = None
             for i in range(1, m):

@@ -377,7 +377,8 @@ class TestCertifyRank2:
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["certified", "refuted"])
     def test_pointed_family_restricts_each_member_once(self, sign, monkeypatch):
         # the extreme pair is decided on the family's restriction and
-        # threshold: no yuan_two call and no second restriction of the pair
+        # threshold: one restricted_forms call for the whole family, no
+        # yuan_two call and so no second restriction of the pair
         calls = Counter()
 
         def counted(name, fn):
@@ -386,14 +387,14 @@ class TestCertifyRank2:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in ("yuan_two", "restrict"):
+        for name in ("yuan_two", "restricted_forms"):
             monkeypatch.setattr(yuan_module, name, counted(name, getattr(yuan_module, name)))
         members = [sign * (a * np.eye(3) + b * NP_D)
                    for a, b in ((1.0, 0.2), (0.5, -0.4), (0.8, 0.0), (0.3, 0.1))]
         cone = FirstOrderCone(3, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], ray=[0.0, 0.0, 1.0])
         out = certify_rank2(MatrixFamily(members), cone).outcome
         assert isinstance(out, Certified if sign > 0.0 else Refuted)
-        assert calls == Counter(restrict=len(members))
+        assert calls == Counter(restricted_forms=1)
 
 
 def reference_certify_rank2(family, cone, tol=1e-9):
@@ -405,7 +406,7 @@ def reference_certify_rank2(family, cone, tol=1e-9):
     reference the one-pass decision must agree with; residual bookkeeping
     is left out, the final verification and witness transfer are not.
     """
-    syms = family.sym_members()
+    syms = family.members
     m = len(syms)
     basis = span_basis(cone)
     if basis.shape[1] == 0:
@@ -425,7 +426,7 @@ def reference_certify_rank2(family, cone, tol=1e-9):
         return Certified(make_weights(w), out.lambda_min)
 
     def solve_rank1(idxs):
-        flats = [flatten_sym(syms[i].entries) for i in idxs]
+        flats = [flatten_sym(syms[i]) for i in idxs]
         ref_pos = max(range(len(idxs)), key=lambda p: float(flats[p] @ flats[p]))
         fref = flats[ref_pos]
         coeffs = np.array([float(f @ fref) / float(fref @ fref) for f in flats])
@@ -616,7 +617,7 @@ def near_opposite_pair(rng):
 
 
 def pencil_verdict(a, b) -> str:
-    return verdict_class(lambda fam, cone: yuan_two(*fam.sym_members(), cone),
+    return verdict_class(lambda fam, cone: yuan_two(*fam.members, cone),
                          MatrixFamily([a, b]), FirstOrderCone.full(a.shape[0]))
 
 
