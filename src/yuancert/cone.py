@@ -115,19 +115,21 @@ def span_basis(cone: FirstOrderCone) -> np.ndarray:
     return np.column_stack([cone.subspace, cone.ray])
 
 
-def restrict(m: SymMatrix, basis: np.ndarray) -> SymMatrix:
-    """The restriction B^T M B of a form to the span of orthonormal columns."""
-    m = as_sym(m)
+def restrict(m, basis: np.ndarray):
+    """The restriction B^T M B of a form, or of an (m, n, n) stack of symmetric
+    forms, to the span of orthonormal columns; a SymMatrix gives a SymMatrix."""
+    stack = isinstance(m, np.ndarray) and m.ndim == 3
+    forms = m if stack else as_sym(m).entries
     basis = np.asarray(basis, dtype=float)
-    if basis.ndim != 2 or basis.shape[0] != m.order:
-        raise InputError(f"basis must have {m.order} rows, got shape {basis.shape}")
+    if basis.ndim != 2 or basis.shape[0] != forms.shape[-1]:
+        raise InputError(f"basis must have {forms.shape[-1]} rows, got shape {basis.shape}")
     if basis.shape[1] == 0:
         raise InputError("basis must have at least one column")
-    gram = basis.T @ basis
-    if norm_max(gram - np.eye(basis.shape[1])) > 1e-8:
+    if norm_max(basis.T @ basis - np.eye(basis.shape[1])) > 1e-8:
         raise InputError("basis columns are not orthonormal")
-    raw = basis.T @ m.entries @ basis
-    return SymMatrix(0.5 * (raw + raw.T))
+    raw = basis.T @ forms @ basis
+    restricted = 0.5 * (raw + np.swapaxes(raw, -1, -2))
+    return restricted if stack else SymMatrix(restricted)
 
 
 def cone_contains(cone: FirstOrderCone, x, tol: float = 1e-9) -> bool:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import FirstOrderCone, cone_contains, span_basis
+from .cone import FirstOrderCone, cone_contains, restrict, span_basis
 from .errors import InputError, NumericalFailureError
 from .numeric_core import (
     DEFAULT_TOL,
@@ -130,12 +130,14 @@ def restricted_forms(family, cone: FirstOrderCone, tol: float) -> tuple[np.ndarr
     and the threshold -tol*(1 + largest restricted entry) every verdict clears (0
     when k = 0). The symmetry gate of every verdict: a non-symmetric family raises."""
     members = family.members
+    if family.order != cone.ambient_dim:
+        raise InputError("family and cone must share one ambient dimension")
     if not family.symmetric:
         raise InputError(f"family is not symmetric (asymmetry {_mirrored(members)[1]:.3e})")
-    basis = span_basis(cone)
-    raw = basis.T @ members @ basis
-    restricted = 0.5 * (raw + np.swapaxes(raw, 1, 2))
-    return restricted, (-tol * (1.0 + norm_max(restricted)) if restricted.size else 0.0)
+    if not cone.span_dim:
+        return np.zeros((len(members), 0, 0)), 0.0
+    restricted = restrict(members, span_basis(cone))
+    return restricted, -tol * (1.0 + norm_max(restricted))
 
 
 def certificate_value(restricted: np.ndarray, weights) -> float:
@@ -251,8 +253,6 @@ def yuan_two(
     threshold, is decided by the pencil search (`_pencil_decision`).
     """
     pair = MatrixFamily([a, b])
-    if pair.order != cone.ambient_dim:
-        raise InputError("matrices and cone must share one ambient dimension")
     restricted, threshold = restricted_forms(pair, cone, tol)
     if not restricted.size:
         return CertificateReport(
@@ -331,8 +331,6 @@ def certify_rank2(
     is reported as a hypothesis violation.
     """
     family = as_family(family)
-    if family.order != cone.ambient_dim:
-        raise InputError("family and cone must share one ambient dimension")
     return _certify_ranked(family, cone, tol, matrix_set_rank(family, tol))
 
 

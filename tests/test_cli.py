@@ -118,6 +118,17 @@ class TestParsing:
             parse_instance(doc)
         assert "asymmetry" in str(err.value)
 
+    def test_near_symmetric_matrices_mirror_the_upper_triangle(self):
+        # asymmetry within 1e-12 is accepted and the lower triangle is
+        # replaced by the upper one, not averaged with it
+        near = [[1.0, 0.5], [0.5 + 1e-14, 2.0]]
+        quad = parse_instance({"schema_version": "1", "kind": "quadprob", "matrices": [near]})
+        kkt = parse_instance({"schema_version": "1", "kind": "kkt", "grad_f": [0.0, 0.0],
+                              "hess_f": near, "hess_h": [near], "grad_h": [[1.0, 0.0]]})
+        for entries in (quad.problem.matrices.members[0], kkt.data.hess_f.entries,
+                        kkt.data.hess_h[0].entries):
+            assert entries.tolist() == [[1.0, 0.5], [0.5, 2.0]]
+
 
 def kkt_example_doc() -> dict:
     return serialize_instance(KktInstance(to_kkt(QuadProblem([EX1_A1, EX1_A2, EX1_A3]))))

@@ -7,6 +7,7 @@ from conftest import psd, random_cone, random_sym
 from yuancert import (
     FirstOrderCone,
     InputError,
+    MatrixFamily,
     SymMatrix,
     cone_contains,
     quad_form,
@@ -89,6 +90,19 @@ class TestRestrict:
         m = SymMatrix(np.diag([-1.0, 1.0]))
         basis = np.array([[0.0], [1.0]])
         np.testing.assert_allclose(restrict(m, basis).entries, [[1.0]])
+
+    def test_stack_matches_each_member_bitwise(self):
+        rng = np.random.default_rng(3)
+        members = MatrixFamily([random_sym(rng, 4) for _ in range(3)]).members
+        basis = span_basis(FirstOrderCone(4, rng.standard_normal((2, 4)), ray=rng.standard_normal(4)))
+        stacked = restrict(members, basis)
+        assert stacked.shape == (3, 3, 3)
+        for m, r in zip(members, stacked):
+            assert np.array_equal(restrict(SymMatrix(m), basis).entries, r)
+
+    def test_stack_of_another_order_rejected(self):
+        with pytest.raises(InputError, match="basis must have 2 rows"):
+            restrict(np.zeros((3, 2, 2)), np.eye(3))
 
     def test_non_orthonormal_rejected(self):
         with pytest.raises(InputError):

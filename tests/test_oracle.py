@@ -5,6 +5,7 @@ from conftest import family_one, family_two, random_rank2_family
 from hull_reference import HypothesisViolatedError, hull_psd_search
 from yuancert import (
     FirstOrderCone,
+    InputError,
     MatrixFamily,
     NoWitnessFound,
     SymMatrix,
@@ -70,6 +71,16 @@ class TestSimplexGridSearch:
     def test_grid_is_exhaustive(self):
         weights, _ = simplex_grid_search(family_one(), FULL2, 4)
         np.testing.assert_allclose(weights.t * 4, np.round(weights.t * 4), atol=1e-12)
+
+
+@pytest.mark.parametrize("cone", [FirstOrderCone.full(3), FirstOrderCone(3, ())],
+                         ids=["full", "empty-span"])
+@pytest.mark.parametrize("search", [lambda f, c: sample_max_nonneg(f, c, samples=10),
+                                    lambda f, c: simplex_grid_search(f, c, 2)],
+                         ids=["sample", "grid"])
+def test_cone_of_another_dimension_rejected(search, cone):
+    with pytest.raises(InputError, match="share one ambient dimension"):
+        search(family_one(), cone)
 
 
 class TestHullPsdSearch:

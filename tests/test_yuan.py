@@ -377,8 +377,9 @@ class TestCertifyRank2:
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["certified", "refuted"])
     def test_pointed_family_restricts_each_member_once(self, sign, monkeypatch):
         # the extreme pair is decided on the family's restriction and
-        # threshold: one restricted_forms call for the whole family, no
-        # yuan_two call and so no second restriction of the pair
+        # threshold: one restricted_forms call, which restricts the whole
+        # member stack in one restrict call, and no yuan_two call, so no
+        # second restriction of the pair
         calls = Counter()
 
         def counted(name, fn):
@@ -387,14 +388,14 @@ class TestCertifyRank2:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in ("yuan_two", "restricted_forms"):
+        for name in ("yuan_two", "restricted_forms", "restrict"):
             monkeypatch.setattr(yuan_module, name, counted(name, getattr(yuan_module, name)))
         members = [sign * (a * np.eye(3) + b * NP_D)
                    for a, b in ((1.0, 0.2), (0.5, -0.4), (0.8, 0.0), (0.3, 0.1))]
         cone = FirstOrderCone(3, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], ray=[0.0, 0.0, 1.0])
         out = certify_rank2(MatrixFamily(members), cone).outcome
         assert isinstance(out, Certified if sign > 0.0 else Refuted)
-        assert calls == Counter(restricted_forms=1)
+        assert calls == Counter(restricted_forms=1, restrict=1)
 
 
 def reference_certify_rank2(family, cone, tol=1e-9):
