@@ -43,6 +43,13 @@ def _number(value, where: str) -> float:
 def _vector(value, where: str) -> np.ndarray:
     if not isinstance(value, list) or not value:
         raise InputError(f"{where}: expected a nonempty array of numbers")
+    if {type(v) for v in value} <= {int, float}:  # one conversion, equal to float(v) per entry
+        try:
+            out = np.array(value, dtype=float)
+        except OverflowError:  # an integer beyond the float range: named below
+            out = None
+        if out is not None and np.isfinite(out).all():
+            return out
     return np.array([_number(v, f"{where}[{i}]") for i, v in enumerate(value)])
 
 

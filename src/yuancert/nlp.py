@@ -150,12 +150,18 @@ def lagrangian_hessian(data: KKTData, pt: MultiplierPoint) -> SymMatrix:
     """hess_f + sum_i lam_i * hess_h_i + sum_i mu_i * hess_g_i."""
     if pt.lam.size != data.p1 or pt.mu.size != data.p2:
         raise InputError("multiplier dimensions do not match the problem")
-    total = np.array(data.hess_f.entries)
-    for w, h in zip(pt.lam, data.hess_h):
-        total += w * h.entries
-    for w, h in zip(pt.mu, data.hess_g):
-        total += w * h.entries
-    return SymMatrix(total)
+    return SymMatrix(_hessian_stack(data, pt.lam[None], pt.mu[None])[0])
+
+
+def _hessian_stack(data: KKTData, lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """The (V, n, n) Lagrangian Hessians of the V multiplier rows (lam[v], mu[v]),
+    summed in constraint order for all rows at once."""
+    total = np.repeat(data.hess_f.entries[None], len(lam), axis=0)
+    for w, h in zip(lam.T, data.hess_h):
+        total += w[:, None, None] * h.entries
+    for w, h in zip(mu.T, data.hess_g):
+        total += w[:, None, None] * h.entries
+    return total
 
 
 def check_mfcq(data: KKTData, tol: float = DEFAULT_TOL) -> bool:
@@ -309,7 +315,9 @@ def vertex_hessians(
         if cone.ray is not None and rows_ineq.size and (rows_ineq @ cone.ray > ctol).any():
             raise ConeNotCriticalError("cone ray violates an active inequality")
     vertices = tuple(multiplier_vertices(data, tol))
-    return cone, vertices, MatrixFamily([lagrangian_hessian(data, v) for v in vertices])
+    lam = np.array([v.lam for v in vertices])
+    mu = np.array([v.mu for v in vertices])
+    return cone, vertices, MatrixFamily(_hessian_stack(data, lam, mu))
 
 
 def second_order_certificate(

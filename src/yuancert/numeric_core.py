@@ -97,12 +97,17 @@ def sym_eigen(m: SymMatrix) -> Spectrum:
     The result is deterministic for a fixed input; a LAPACK convergence
     failure is raised as NumericalFailureError.
     """
-    m = as_sym(m)
+    return _spectrum(*_eigh(as_sym(m).entries))
+
+
+def _eigh(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """numpy.linalg.eigh of one symmetric matrix or of each in an (..., n, n) stack,
+    which LAPACK decomposes one by one, each as it would alone; a convergence
+    failure is raised as NumericalFailureError."""
     try:
-        vals, basis = np.linalg.eigh(m.entries)
+        return np.linalg.eigh(stack)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"symmetric eigensolver failed: {exc}") from exc
-    return _spectrum(vals, basis)
 
 
 def _spectrum(vals: np.ndarray, basis: np.ndarray) -> Spectrum:

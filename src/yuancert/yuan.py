@@ -31,13 +31,13 @@ from .numeric_core import (
     MatrixFamily,
     MatrixSetRank,
     SymMatrix,
+    _eigh,
     _mirrored,
     as_family,
     flatten_sym,
     matrix_set_rank,
     min_eigenvalue,
     norm_max,
-    sym_eigen,
 )
 
 # Coordinate directions this close to opposite count as an opposite pair:
@@ -168,48 +168,65 @@ def _pencil_max(ar: np.ndarray, br: np.ndarray) -> tuple[float, float, np.ndarra
     maximum lies. g(0) <= 0 puts it at 0 and g(1) >= 0 at 1, with that
     endpoint's v1 as the witness. Otherwise [0, 1] is halved on the sign
     of g until it is no wider than ulp(1), the float resolution of t there,
-    and the best t evaluated is kept. Its witness is the unit x with
-    x'(A-B)x = 0 nearest v1 in span(v1, vj) for the first later eigenvector
-    vj that admits one, or v1 when none does: there x'Ax = x'Bx =
-    x'(tA + (1-t)B)x, close to lambda(t).
+    and the best midpoint evaluated is kept. The next four midpoints of a
+    bracket [lo, hi] all lie among lo + j*(hi - lo)/16, j = 1..15, and every
+    such point is a multiple of 2**-52 in [0, 1], so exact: each point of the
+    16-way grid is decomposed in one stacked call, and the halvings replay on
+    it as one point at a time would, with the same t*. That is at most 2 + 13
+    stacked eigendecompositions for the 52 halvings. The witness is the unit
+    x with x'(A-B)x = 0 nearest v1 in span(v1, vj) for the first later
+    eigenvector vj that admits one, or v1 when none does: there x'Ax =
+    x'Bx = x'(tA + (1-t)B)x, close to lambda(t).
     """
     diff = ar - br
 
-    def at(t: float):
-        spec = sym_eigen(SymMatrix(t * ar + (1.0 - t) * br))
-        v1 = spec.basis[:, 0]
-        return float(spec.eigenvalues[0]), float(v1 @ diff @ v1), spec
+    def at(ts: np.ndarray) -> dict:
+        """t -> (lambda(t), eigenvectors) for each t of ts, from one stacked call;
+        both restrictions are mirrored, so every point is exactly symmetric."""
+        pts = ts[:, None, None] * ar + (1.0 - ts)[:, None, None] * br + 0.0  # -0.0 reads as 0.0
+        if not np.isfinite(pts).all():
+            raise InputError("matrix has non-finite entries")
+        vals, vecs = _eigh(pts)
+        return dict(zip(ts.tolist(), zip(vals[:, 0].tolist(), vecs)))
 
-    lam0, g, spec0 = at(0.0)
+    def judged(lam: float, vecs: np.ndarray) -> tuple[float, float, np.ndarray]:
+        """lambda, g and the basis, laid out as sym_eigen's, at one point."""
+        basis = np.ascontiguousarray(vecs)
+        v1 = basis[:, 0]
+        return lam, float(v1 @ diff @ v1), basis
+
+    lam0, g, basis0 = judged(*at(np.zeros(1))[0.0])
     if g <= 0.0:
-        return 0.0, lam0, spec0.basis[:, 0]
-    lam1, g, spec1 = at(1.0)
+        return 0.0, lam0, basis0[:, 0]
+    lam1, g, basis1 = judged(*at(np.ones(1))[1.0])
     if g >= 0.0:
-        return 1.0, lam1, spec1.basis[:, 0]
+        return 1.0, lam1, basis1[:, 0]
     # g = a - b is constant at order 1, so from here on the order is >= 2
-    best_lam, best_t, spec = max((lam0, 0.0, spec0), (lam1, 1.0, spec1), key=lambda e: e[0])
-    lo, hi = 0.0, 1.0
+    best_lam, best_t, basis = max((lam0, 0.0, basis0), (lam1, 1.0, basis1), key=lambda e: e[0])
+    lo, hi, grid = 0.0, 1.0, {}
     while hi - lo > math.ulp(1.0):
         mid = 0.5 * (lo + hi)
-        lam, g, mid_spec = at(mid)
+        if mid not in grid:  # every fourth halving
+            grid = at(lo + np.arange(1.0, 16.0) * ((hi - lo) / 16.0))
+        lam, g, mid_basis = judged(*grid[mid])
         if lam > best_lam:
-            best_lam, best_t, spec = lam, mid, mid_spec
+            best_lam, best_t, basis = lam, mid, mid_basis
         if g == 0.0:
             break
         lo, hi = (mid, hi) if g > 0.0 else (lo, mid)
     # x = v1 + tau*vj with p + 2q*tau + r*tau^2 = 0; the small root
     # tau = -p / (q + sign(q)*sqrt(q^2 - p*r)) loses no digits to cancellation,
     # and q^2 - p*r >= 0 holds for any vj with r of the sign opposite to p
-    forms = spec.basis.T @ diff @ spec.basis
+    forms = basis.T @ diff @ basis
     p, q, r = float(forms[0, 0]), forms[0, 1:], np.diag(forms)[1:]
     disc = q * q - p * r
     real = np.flatnonzero(disc >= 0.0)
-    v1 = spec.basis[:, 0]
+    v1 = basis[:, 0]
     if p == 0.0 or real.size == 0:
         return best_t, best_lam, v1
     j = int(real[0])
     den = float(q[j]) + math.copysign(math.sqrt(float(disc[j])), float(q[j]))
-    return best_t, best_lam, (den * v1 - p * spec.basis[:, j + 1]) / math.hypot(den, p)
+    return best_t, best_lam, (den * v1 - p * basis[:, j + 1]) / math.hypot(den, p)
 
 
 def _pencil_decision(members: np.ndarray, cone: FirstOrderCone, restricted: np.ndarray,

@@ -8,7 +8,7 @@ import pytest
 import yuancert.yuan as yuan_module
 from conftest import (EX1_A1, EX1_A2, EX1_A3, EX2_A1, EX2_A2, EX2_A3, NEAR_PARALLEL,
                       serialize_cone, serialize_instance)
-from yuancert import FirstOrderCone, QuadProblem, to_kkt
+from yuancert import FirstOrderCone, QuadProblem, instances, to_kkt
 from yuancert.cli import main
 from yuancert.instances import (
     KktInstance,
@@ -128,6 +128,36 @@ class TestParsing:
         for entries in (quad.problem.matrices.members[0], kkt.data.hess_f.entries,
                         kkt.data.hess_h[0].entries):
             assert entries.tolist() == [[1.0, 0.5], [0.5, 2.0]]
+
+
+class TestNumberArrays:
+    """An array of JSON ints and floats is converted in one call, equal to the
+    per-entry walk; any other array takes the walk and its error names the entry."""
+
+    @pytest.mark.parametrize("row", [
+        [1, 2.5, -0.0, 0, -3],
+        [5e-324, -5e-324, 2.2250738585072014e-308, 1e-310],
+        [2**53 + 1, 2**63 + 1, -(2**63) - 1, 2**64 + 1, 2**100 + 3, 0.1],
+        [1.7976931348623157e308, -(2**1023), 3],
+    ])
+    def test_one_call_equals_the_walk(self, row):
+        walked = np.array([instances._number(v, f"x[{i}]") for i, v in enumerate(row)])
+        assert instances._vector(row, "x").tobytes() == walked.tobytes()
+
+    @pytest.mark.parametrize("text, message", [
+        ("true", "expected a number"),
+        ('"1"', "expected a number"),
+        ("NaN", "number is not finite"),
+        ("Infinity", "number is not finite"),
+        ("1e400", "number is not finite"),
+        ("1" + "0" * 400, "number is too large for a float"),
+    ])
+    def test_bad_entry_names_its_path(self, text, message, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"schema_version": "1", "kind": "family", "matrices": '
+                        f'[[[1, 0.5], [0.5, {text}]]]}}', encoding="utf-8")
+        assert main(["certify", str(path)]) == 3
+        assert capsys.readouterr().err == f"input error: instance.matrices[0][1][1]: {message}\n"
 
 
 def kkt_example_doc() -> dict:

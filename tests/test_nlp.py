@@ -378,6 +378,54 @@ class TestVertexEnumerationReference:
         assert assert_same_vertices(twin) is MfcqFailedError
 
 
+def reference_lagrangian_hessian(data, pt):
+    """Reference: the per-vertex sum in constraint order that the stack replaced."""
+    total = np.array(data.hess_f.entries)
+    for w, h in zip(pt.lam, data.hess_h):
+        total += w * h.entries
+    for w, h in zip(pt.mu, data.hess_g):
+        total += w * h.entries
+    return MatrixFamily([total]).members[0]
+
+
+def assert_hessians_match(data, vertices, stack):
+    want = np.stack([reference_lagrangian_hessian(data, v) for v in vertices])
+    assert stack.tobytes() == want.tobytes()
+    for v, hess in zip(vertices, stack):
+        assert lagrangian_hessian(data, v).entries.tobytes() == hess.tobytes()
+
+
+class TestVertexHessians:
+    """The vertex Hessians, summed for all vertices at once, equal the per-vertex
+    sum bitwise."""
+
+    @pytest.mark.parametrize("p1, blocks", [(0, [(2, 4), (1, 3)]), (1, [(2, 5)]),
+                                            (2, [(1, 3), (2, 4)])])
+    def test_degenerate_points(self, p1, blocks):
+        rng = np.random.default_rng(70 + p1)
+        n = p1 + sum(dim for dim, _ in blocks) + 1
+        point = degenerate_kkt_point(rng, n, p1, blocks, sparse=True, inactive=1)
+
+        def sym():
+            raw = rng.standard_normal((n, n))
+            return 0.5 * (raw + raw.T)
+
+        data = KKTData(grad_f=point.grad_f, hess_f=sym(), grad_h=point.grad_h,
+                       hess_h=[sym() for _ in range(p1)], grad_g=point.grad_g,
+                       hess_g=[sym() for _ in range(point.p2)], g_values=point.g_values)
+        vertices = multiplier_vertices(data)
+        assert len(vertices) >= 2
+        lam = np.array([v.lam for v in vertices])
+        mu = np.array([v.mu for v in vertices])
+        assert_hessians_match(data, vertices, nlp._hessian_stack(data, lam, mu))
+
+    def test_vertex_family(self):
+        data = quad_data(family_two())
+        _, vertices, family = nlp.vertex_hessians(data)
+        assert len(vertices) >= 2
+        assert_hessians_match(data, vertices, family.members)
+
+
 class TestCriticalConeLineality:
     def test_quad_problem(self):
         basis = critical_cone_lineality(quad_data())

@@ -152,10 +152,101 @@ class TestYuanTwo:
     def test_bisection_stops_at_float_resolution(self, monkeypatch):
         # g(0) = 2 > 0 but g = -1 at every t > 0, so the bracket shrinks towards 0
         calls = []
-        monkeypatch.setattr(yuan_module, "sym_eigen", lambda m: calls.append(m) or sym_eigen(m))
+        monkeypatch.setattr(yuan_module, "_eigh",
+                            lambda stack: calls.append(len(stack)) or numeric_core._eigh(stack))
         out = yuan_two(SymMatrix(np.diag([1.0, -2.0])), SymMatrix(-np.eye(2)), FULL2).outcome
         assert isinstance(out, Refuted)
-        assert len(calls) <= 2 + 52  # both endpoints, then [0, 1] halved to width 2**-52
+        # both endpoints, then [0, 1] halved 52 times to width 2**-52, four
+        # halvings per stacked call on a 16-way grid
+        assert calls == [1, 1] + [15] * 13
+
+    def test_zero_slope_stops_the_search(self, monkeypatch):
+        # the bottom eigenvector is e1 at t = 0 (g = 4), e2 at t = 1 (g = -4) and
+        # e3 at t = 1/2, where A - B vanishes on it: g = 0 ends the search there
+        calls = []
+        monkeypatch.setattr(yuan_module, "_eigh",
+                            lambda stack: calls.append(len(stack)) or numeric_core._eigh(stack))
+        a, b = np.diag([2.0, -2.0, -1.0]), np.diag([-2.0, 2.0, -1.0])
+        t_star, lam, witness = yuan_module._pencil_max(a, b)
+        assert (t_star, lam, np.abs(witness).tolist()) == (0.5, -1.0, [0.0, 0.0, 1.0])
+        assert calls == [1, 1, 15]
+
+
+def reference_pencil_max(ar, br):
+    """The pencil search that the 16-way replay replaced: one sym_eigen call
+    per endpoint and per bisection midpoint."""
+    diff = ar - br
+
+    def at(t):
+        spec = sym_eigen(SymMatrix(t * ar + (1.0 - t) * br))
+        v1 = spec.basis[:, 0]
+        return float(spec.eigenvalues[0]), float(v1 @ diff @ v1), spec
+
+    lam0, g, spec0 = at(0.0)
+    if g <= 0.0:
+        return 0.0, lam0, spec0.basis[:, 0]
+    lam1, g, spec1 = at(1.0)
+    if g >= 0.0:
+        return 1.0, lam1, spec1.basis[:, 0]
+    best_lam, best_t, spec = max((lam0, 0.0, spec0), (lam1, 1.0, spec1), key=lambda e: e[0])
+    lo, hi = 0.0, 1.0
+    while hi - lo > math.ulp(1.0):
+        mid = 0.5 * (lo + hi)
+        lam, g, mid_spec = at(mid)
+        if lam > best_lam:
+            best_lam, best_t, spec = lam, mid, mid_spec
+        if g == 0.0:
+            break
+        lo, hi = (mid, hi) if g > 0.0 else (lo, mid)
+    forms = spec.basis.T @ diff @ spec.basis
+    p, q, r = float(forms[0, 0]), forms[0, 1:], np.diag(forms)[1:]
+    disc = q * q - p * r
+    real = np.flatnonzero(disc >= 0.0)
+    v1 = spec.basis[:, 0]
+    if p == 0.0 or real.size == 0:
+        return best_t, best_lam, v1
+    j = int(real[0])
+    den = float(q[j]) + math.copysign(math.sqrt(float(disc[j])), float(q[j]))
+    return best_t, best_lam, (den * v1 - p * spec.basis[:, j + 1]) / math.hypot(den, p)
+
+
+def seeded_pencils():
+    """Exactly symmetric pairs: random pencils of orders 1 to 8, shifted so their
+    maximum sits at 0, with members scaled by 2**40 and 2**-40; tied integer
+    diagonals; integer pairs whose zeros are -0.0 in both members; and the
+    pencils of test_bisection_stops_at_float_resolution,
+    test_triple_bottom_eigenvalue_refuted and test_zero_slope_stops_the_search."""
+    rng = np.random.default_rng(1990)
+    for n in range(1, 9):
+        for _ in range(8):
+            a, b = random_sym(rng, n).entries, random_sym(rng, n).entries
+            shift = -eigvalsh_pencil_max(a, b) * np.eye(n)
+            for sa, sb in ((1.0, 1.0), (2.0**40, 1.0), (1.0, 2.0**-40), (2.0**-40, 2.0**40)):
+                yield sa * (a + shift), sb * (b + shift)
+    for _ in range(40):
+        n = int(rng.integers(2, 6))
+        yield np.diag(rng.integers(-2, 3, n) * 1.0), np.diag(rng.integers(-2, 3, n) * 1.0)
+    for _ in range(60):
+        n = int(rng.integers(2, 6))
+        a, b = (rng.integers(-2, 3, (n, n)) * 1.0 for _ in range(2))
+        a, b = np.triu(a) + np.triu(a, 1).T, np.triu(b) + np.triu(b, 1).T
+        both = (a == 0.0) & (b == 0.0)
+        a[both] = b[both] = -0.0  # a pencil point is -0.0 there, which eigh tells from 0.0
+        yield a, b
+    yield np.diag([1.0, -2.0]), -np.eye(2)
+    yield np.diag([0.0, -0.5, -2.0]), np.diag([-2.0, -1.5, 0.0])
+    yield np.diag([2.0, -2.0, -1.0]), np.diag([-2.0, 2.0, -1.0])
+
+
+class TestPencilReplay:
+    def test_matches_the_bisection_bitwise(self):
+        interior = 0
+        for k, (ar, br) in enumerate(seeded_pencils()):
+            want, got = reference_pencil_max(ar, br), yuan_module._pencil_max(ar, br)
+            assert [np.float64(v).tobytes() for v in got] == \
+                [np.float64(v).tobytes() for v in want], k
+            interior += 0.0 < want[0] < 1.0
+        assert interior >= 200, interior  # 223 of the 359 with numpy 2.4
 
 
 class TestCertifyRank2:
