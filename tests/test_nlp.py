@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import degenerate_kkt_point, family_one, family_two
+from conftest import degenerate_kkt_point, family_one, family_two, random_sym
 from yuancert import nlp
 from yuancert.numeric_core import norm_max
 from yuancert import (
@@ -405,14 +405,10 @@ class TestVertexHessians:
         rng = np.random.default_rng(70 + p1)
         n = p1 + sum(dim for dim, _ in blocks) + 1
         point = degenerate_kkt_point(rng, n, p1, blocks, sparse=True, inactive=1)
-
-        def sym():
-            raw = rng.standard_normal((n, n))
-            return 0.5 * (raw + raw.T)
-
-        data = KKTData(grad_f=point.grad_f, hess_f=sym(), grad_h=point.grad_h,
-                       hess_h=[sym() for _ in range(p1)], grad_g=point.grad_g,
-                       hess_g=[sym() for _ in range(point.p2)], g_values=point.g_values)
+        data = KKTData(grad_f=point.grad_f, hess_f=random_sym(rng, n), grad_h=point.grad_h,
+                       hess_h=[random_sym(rng, n) for _ in range(p1)], grad_g=point.grad_g,
+                       hess_g=[random_sym(rng, n) for _ in range(point.p2)],
+                       g_values=point.g_values)
         vertices = multiplier_vertices(data)
         assert len(vertices) >= 2
         lam = np.array([v.lam for v in vertices])
