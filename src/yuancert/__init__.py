@@ -41,7 +41,6 @@ from .numeric_core import (
     matrix_set_rank,
     min_eigenvalue,
     numerical_rank,
-    quad_form,
     sym_eigen,
 )
 from .oracle import (
@@ -62,7 +61,6 @@ from .quadprob import (
     jacobian_rank_reduce,
     rank_increase_check,
     quad_certificate,
-    to_kkt,
 )
 from .yuan import (
     CertificateReport,
@@ -123,7 +121,6 @@ __all__ = [
     "min_eigenvalue",
     "multiplier_vertices",
     "numerical_rank",
-    "quad_form",
     "rank_increase_check",
     "restrict",
     "sample_max_nonneg",
@@ -132,6 +129,5 @@ __all__ = [
     "span_basis",
     "sym_eigen",
     "quad_certificate",
-    "to_kkt",
     "yuan_two",
 ]

@@ -22,9 +22,6 @@ from .errors import (
     NumericalFailureError,
 )
 from .instances import (
-    FamilyInstance,
-    KktInstance,
-    QuadInstance,
     dump_json,
     input_digest,
     load_cone,
@@ -32,6 +29,7 @@ from .instances import (
     load_json,
 )
 from .nlp import (
+    KKTData,
     check_mfcq,
     critical_cone_lineality,
     multiplier_vertices,
@@ -39,9 +37,9 @@ from .nlp import (
     second_order_certificate,
     vertex_hessians,
 )
-from .numeric_core import DEFAULT_TOL, matrix_set_rank, norm_max, numerical_rank
+from .numeric_core import DEFAULT_TOL, MatrixFamily, matrix_set_rank, norm_max, numerical_rank
 from .oracle import NoWitnessFound, sample_max_nonneg, simplex_grid_search
-from .quadprob import jacobian_at, quad_certificate
+from .quadprob import QuadProblem, jacobian_at, quad_certificate
 from .yuan import (
     Certified,
     Refuted,
@@ -81,27 +79,25 @@ def _apply_outcome(report: dict, cert_report) -> int:
     return EXIT_HYPOTHESIS
 
 
-def _cmd_yuan2(args, instance, cone, report) -> int:
-    family = instance.matrices
+def _cmd_yuan2(args, family, cone, report) -> int:
     if len(family) != 2:
         raise InputError(f"{args.input}: expected exactly 2 matrices, got {len(family)}")
     return _apply_outcome(report, yuan_two(*family.members, cone, tol=args.tol))
 
 
-def _cmd_certify(args, instance, cone, report) -> int:
-    return _apply_outcome(report, certify_rank2(instance.matrices, cone, tol=args.tol))
+def _cmd_certify(args, family, cone, report) -> int:
+    return _apply_outcome(report, certify_rank2(family, cone, tol=args.tol))
 
 
-def _cmd_rank(args, instance, cone, report) -> int:
-    result = matrix_set_rank(instance.matrices, args.tol)
+def _cmd_rank(args, family, cone, report) -> int:
+    result = matrix_set_rank(family, args.tol)
     report.update(verdict="certified", rank=result.rank, basis=list(result.basis))
     if result.coefficients is not None:
         report["coefficients"] = result.coefficients.tolist()
     return EXIT_OK
 
 
-def _cmd_vertices(args, instance, cone, report) -> int:
-    data = instance.data
+def _cmd_vertices(args, data, cone, report) -> int:
     # without MFCQ the multiplier set is unbounded and no vertex list describes it
     if not check_mfcq(data, args.tol):
         raise MfcqFailedError("Mangasarian-Fromovitz constraint qualification fails")
@@ -113,8 +109,8 @@ def _cmd_vertices(args, instance, cone, report) -> int:
     return EXIT_OK
 
 
-def _cmd_soc(args, instance, cone, report) -> int:
-    result = second_order_certificate(instance.data, cone, tol=args.tol)
+def _cmd_soc(args, data, cone, report) -> int:
+    result = second_order_certificate(data, cone, tol=args.tol)
     code = _apply_outcome(report, result.report)
     if (mult := result.multiplier) is not None:
         report["multiplier"] = {"lambda": mult.lam.tolist(), "mu": mult.mu.tolist()}
@@ -122,12 +118,11 @@ def _cmd_soc(args, instance, cone, report) -> int:
     return code
 
 
-def _cmd_quad(args, instance, cone, report) -> int:
-    return _apply_outcome(report, quad_certificate(instance.problem, tol=args.tol))
+def _cmd_quad(args, prob, cone, report) -> int:
+    return _apply_outcome(report, quad_certificate(prob, tol=args.tol))
 
 
-def _cmd_oracle(args, instance, cone, report) -> int:
-    family = instance.matrices
+def _cmd_oracle(args, family, cone, report) -> int:
     verdict = sample_max_nonneg(family, cone, samples=args.samples, seed=args.seed, tol=args.tol)
     if isinstance(verdict, NoWitnessFound):
         report.update(verdict="certified", samples=verdict.samples)
@@ -154,14 +149,14 @@ def _cmd_verify_report(args, instance, cone, out) -> int:
     # the forms the report is checked against; for a kkt instance, the Lagrangian
     # Hessians at the multiplier vertices, on the cone soc uses
     vertices = None
-    if isinstance(instance, KktInstance):
-        cone, vertices, forms = vertex_hessians(instance.data, cone, args.tol)
-    elif isinstance(instance, QuadInstance):
+    if isinstance(instance, KKTData):
+        cone, vertices, forms = vertex_hessians(instance, cone, args.tol)
+    elif isinstance(instance, QuadProblem):
         if args.cone is not None:
             raise InputError("quad decides on the full space and takes no --cone")
-        forms = instance.problem.matrices
-    else:
         forms = instance.matrices
+    else:
+        forms = instance
     if verdict == "certified" and "weights" in stored:
         weights = _report_field(stored, "weights", (len(forms),))
         on_simplex = bool((weights >= 0.0).all()) and abs(float(weights.sum()) - 1.0) <= 1e-12
@@ -186,10 +181,10 @@ def _cmd_verify_report(args, instance, cone, out) -> int:
         out["margin"] = threshold - float(values.max())
         if "form_values" in stored:
             ok = ok and _matches(values, _report_field(stored, "form_values", values.shape))
-    elif verdict == "hypothesis_violated" and isinstance(instance, QuadInstance):
+    elif verdict == "hypothesis_violated" and isinstance(instance, QuadProblem):
         # the premise fails where the Jacobian reaches rank 3, not where the set rank does
-        x = _report_field(stored, "witness", (instance.problem.n,))
-        out["rank"] = numerical_rank(jacobian_at(instance.problem, x), args.tol)
+        x = _report_field(stored, "witness", (instance.n,))
+        out["rank"] = numerical_rank(jacobian_at(instance, x), args.tol)
         ok = out["rank"] >= 3 and stored.get("rank") == out["rank"]
     elif verdict == "hypothesis_violated":
         out["rank"] = matrix_set_rank(forms, args.tol).rank
@@ -231,17 +226,17 @@ class _Command(NamedTuple):
 
 
 _COMMANDS = {
-    "yuan2": _Command(_cmd_yuan2, FamilyInstance, True, "two-matrix certificate (pencil search)"),
-    "certify": _Command(_cmd_certify, FamilyInstance, True, "rank-<=2 family certificate"),
-    "rank": _Command(_cmd_rank, FamilyInstance, False, "numerical rank of the matrix set"),
-    "vertices": _Command(_cmd_vertices, KktInstance, False, "multiplier polytope vertices"),
-    "soc": _Command(_cmd_soc, KktInstance, True, "single-multiplier second-order certificate"),
-    "quad": _Command(_cmd_quad, QuadInstance, False, "quadratic-problem certificate pipeline"),
-    "oracle": _Command(_cmd_oracle, FamilyInstance, True, "sampling cross-check"),
+    "yuan2": _Command(_cmd_yuan2, MatrixFamily, True, "two-matrix certificate (pencil search)"),
+    "certify": _Command(_cmd_certify, MatrixFamily, True, "rank-<=2 family certificate"),
+    "rank": _Command(_cmd_rank, MatrixFamily, False, "numerical rank of the matrix set"),
+    "vertices": _Command(_cmd_vertices, KKTData, False, "multiplier polytope vertices"),
+    "soc": _Command(_cmd_soc, KKTData, True, "single-multiplier second-order certificate"),
+    "quad": _Command(_cmd_quad, QuadProblem, False, "quadratic-problem certificate pipeline"),
+    "oracle": _Command(_cmd_oracle, MatrixFamily, True, "sampling cross-check"),
     "verify-report": _Command(_cmd_verify_report, None, True,
                               "recompute a stored report against its input"),
 }
-_KIND_NAMES = {FamilyInstance: "family", KktInstance: "kkt", QuadInstance: "quadprob"}
+_KIND_NAMES = {MatrixFamily: "family", KKTData: "kkt", QuadProblem: "quadprob"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -317,9 +312,7 @@ def _print_report(report: dict, as_json: bool) -> None:
 
 
 def _order(instance) -> int:
-    if isinstance(instance, KktInstance):
-        return instance.data.n
-    return instance.problem.n if isinstance(instance, QuadInstance) else instance.matrices.order
+    return instance.order if isinstance(instance, MatrixFamily) else instance.n
 
 
 def main(argv=None) -> int:
@@ -333,7 +326,7 @@ def main(argv=None) -> int:
         cone = None
         if command.takes_cone and args.cone is not None:
             cone = load_cone(args.cone, _order(instance))
-        elif command.takes_cone and not isinstance(instance, KktInstance):
+        elif command.takes_cone and not isinstance(instance, KKTData):
             cone = FirstOrderCone.full(_order(instance))
         report = {"verdict": "error", "tool_version": __version__,
                   "input_digest": input_digest(args.input)}

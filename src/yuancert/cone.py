@@ -12,33 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputError
-from .numeric_core import SymMatrix, as_sym, norm_max
+from .numeric_core import _gram_schmidt, norm_max
 
 _RAY_ABSORB_TOL = 1e-8
-
-
-def _orthonormalize(vectors, ambient_dim: int) -> np.ndarray:
-    """Modified Gram-Schmidt with re-orthogonalization; drops dependents."""
-    basis: list[np.ndarray] = []
-    for k, raw in enumerate(vectors):
-        v = np.asarray(raw, dtype=float)
-        if v.ndim != 1 or v.size != ambient_dim:
-            raise InputError(f"generator {k} must be a vector of length {ambient_dim}")
-        if not np.isfinite(v).all():
-            raise InputError(f"generator {k} has non-finite entries")
-        original = float(np.linalg.norm(v))
-        if original == 0.0:
-            continue
-        v = v.copy()
-        for _ in range(2):
-            for q in basis:
-                v -= (v @ q) * q
-        nv = float(np.linalg.norm(v))
-        if nv > 1e-10 * original:
-            basis.append(v / nv)
-    if basis:
-        return np.column_stack(basis)
-    return np.zeros((ambient_dim, 0))
 
 
 class FirstOrderCone:
@@ -54,7 +30,19 @@ class FirstOrderCone:
     def __init__(self, ambient_dim: int, generators=(), ray=None) -> None:
         if ambient_dim < 1:
             raise InputError("ambient dimension must be >= 1")
-        sub = _orthonormalize(generators, ambient_dim)
+        rows, limits = [], []
+        for k, raw in enumerate(generators):
+            v = np.asarray(raw, dtype=float)
+            if v.ndim != 1 or v.size != ambient_dim:
+                raise InputError(f"generator {k} must be a vector of length {ambient_dim}")
+            if not np.isfinite(v).all():
+                raise InputError(f"generator {k} has non-finite entries")
+            norm = float(np.linalg.norm(v))
+            if norm > 0.0:  # one of norm 0, also by underflow, adds nothing
+                rows.append(v)
+                limits.append(1e-10 * norm)  # it joins when its residual exceeds this
+        _, qs = _gram_schmidt(rows, limits, ambient_dim)
+        sub = np.column_stack(qs) if qs else np.zeros((ambient_dim, 0))
         ray_dir = None
         if ray is not None:
             r = np.asarray(ray, dtype=float)
@@ -115,11 +103,9 @@ def span_basis(cone: FirstOrderCone) -> np.ndarray:
     return np.column_stack([cone.subspace, cone.ray])
 
 
-def restrict(m, basis: np.ndarray):
-    """The restriction B^T M B of a form, or of an (m, n, n) stack of symmetric
-    forms, to the span of orthonormal columns; a SymMatrix gives a SymMatrix."""
-    stack = isinstance(m, np.ndarray) and m.ndim == 3
-    forms = m if stack else as_sym(m).entries
+def restrict(forms: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """The restrictions B^T A_i B of an (m, n, n) stack of symmetric forms to the
+    span of orthonormal columns, as an (m, k, k) stack."""
     basis = np.asarray(basis, dtype=float)
     if basis.ndim != 2 or basis.shape[0] != forms.shape[-1]:
         raise InputError(f"basis must have {forms.shape[-1]} rows, got shape {basis.shape}")
@@ -128,8 +114,7 @@ def restrict(m, basis: np.ndarray):
     if norm_max(basis.T @ basis - np.eye(basis.shape[1])) > 1e-8:
         raise InputError("basis columns are not orthonormal")
     raw = basis.T @ forms @ basis
-    restricted = 0.5 * (raw + np.swapaxes(raw, -1, -2))
-    return restricted if stack else SymMatrix(restricted)
+    return 0.5 * (raw + np.swapaxes(raw, -1, -2))
 
 
 def cone_contains(cone: FirstOrderCone, x, tol: float = 1e-9) -> bool:

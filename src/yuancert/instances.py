@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,26 +88,8 @@ def _array(document: dict, key: str, where: str) -> list:
     return value
 
 
-@dataclass(frozen=True, eq=False)
-class FamilyInstance:
-    matrices: MatrixFamily
-
-
-@dataclass(frozen=True, eq=False)
-class KktInstance:
-    data: KKTData
-
-
-@dataclass(frozen=True, eq=False)
-class QuadInstance:
-    problem: QuadProblem
-
-
-Instance = FamilyInstance | KktInstance | QuadInstance
-
-
-def parse_instance(document) -> Instance:
-    """Parse a decoded JSON document into a typed instance."""
+def parse_instance(document) -> MatrixFamily | KKTData | QuadProblem:
+    """Parse a decoded JSON document into the library object of its kind."""
     if not isinstance(document, dict):
         raise InputError("instance: expected a JSON object")
     version = _require(document, "schema_version", "instance")
@@ -121,7 +102,7 @@ def parse_instance(document) -> Instance:
             raise InputError("instance.matrices: expected a nonempty array")
         mats = [_square(mat, f"instance.matrices[{i}]") for i, mat in enumerate(raw)]
         try:
-            return FamilyInstance(MatrixFamily(mats))
+            return MatrixFamily(mats)
         except InputError as exc:
             raise InputError(f"instance.matrices: {exc}") from exc
     if kind == "quadprob":
@@ -131,11 +112,11 @@ def parse_instance(document) -> Instance:
         mats = [_symmetric(mat, f"instance.matrices[{i}]") for i, mat in enumerate(raw)]
         a = _number(document.get("ray_constant", -1.0), "instance.ray_constant")
         try:
-            return QuadInstance(QuadProblem(MatrixFamily(mats), a))
+            return QuadProblem(MatrixFamily(mats), a)
         except InputError as exc:
             raise InputError(f"instance: {exc}") from exc
     if kind == "kkt":
-        return KktInstance(_parse_kkt(document))
+        return _parse_kkt(document)
     raise InputError(f"instance.kind: unknown kind {kind!r}")
 
 
@@ -198,7 +179,7 @@ def parse_cone(document, ambient_dim: int | None = None) -> FirstOrderCone:
         raise InputError(f"cone: {exc}") from exc
 
 
-def load_instance(path) -> Instance:
+def load_instance(path) -> MatrixFamily | KKTData | QuadProblem:
     return parse_instance(load_json(path))
 
 

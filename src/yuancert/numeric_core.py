@@ -1,8 +1,8 @@
 """Dense symmetric linear algebra kernel.
 
 Eigendecomposition through LAPACK's symmetric solver, the smallest
-eigenvalue, quadratic-form evaluation, and the numerical rank of a set
-of matrices viewed as vectors. Everything here is pure and deterministic.
+eigenvalue, and the numerical rank of a set of matrices viewed as
+vectors. Everything here is pure and deterministic.
 """
 
 from __future__ import annotations
@@ -123,17 +123,6 @@ def min_eigenvalue(m: SymMatrix) -> float:
     return float(sym_eigen(m).eigenvalues[0])
 
 
-def quad_form(m: SymMatrix, x) -> float:
-    """The scalar x^T M x."""
-    m = as_sym(m)
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size != m.order:
-        raise InputError(f"vector of length {m.order} expected, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise InputError("vector has non-finite entries")
-    return float(x @ m.entries @ x)
-
-
 class MatrixFamily:
     """Ordered family of square matrices sharing one order.
 
@@ -224,22 +213,28 @@ def _pivoted_rank(stack: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray
     return (pivots >= 0).sum(axis=1), pivots
 
 
-def _greedy_basis(rows: np.ndarray, tol: float, size: int) -> list[int]:
-    """First `size` members independent in index order (rows pre-normalized)."""
-    basis: list[int] = []
+def _gram_schmidt(
+    rows: np.ndarray | list[np.ndarray], limits: np.ndarray | list[float], size: int
+) -> tuple[list[int], list[np.ndarray]]:
+    """Modified Gram-Schmidt with re-orthogonalization over the rows in index order.
+
+    Row i joins when its residual norm exceeds limits[i], until `size` rows
+    have joined. Returns the joined indices and their orthonormal vectors.
+    """
+    kept: list[int] = []
     qs: list[np.ndarray] = []
-    for idx in range(rows.shape[0]):
-        if len(basis) == size:
+    for idx, row in enumerate(rows):
+        if len(kept) == size:
             break
-        v = rows[idx].copy()
+        v = row.copy()
         for _ in range(2):
             for q in qs:
                 v -= (v @ q) * q
         nv = float(np.linalg.norm(v))
-        if nv > tol:
-            basis.append(idx)
+        if nv > limits[idx]:
+            kept.append(idx)
             qs.append(v / nv)
-    return basis
+    return kept, qs
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,7 +260,7 @@ def matrix_set_rank(family: MatrixFamily, tol: float = DEFAULT_TOL) -> MatrixSet
     unit = _normalized_rows(flat)
     ranks, pivots = _pivoted_rank(unit[None], tol)
     rank = int(ranks[0])
-    basis = _greedy_basis(unit, tol, rank)
+    basis, _ = _gram_schmidt(unit, np.full(len(unit), tol), rank)
     if len(basis) < rank:  # threshold disagreement; fall back to pivot choice
         basis = sorted(pivots[0, :rank].tolist())
     coefficients = None

@@ -4,9 +4,11 @@ These are independent of the solver by search: optimal weights come
 from an exhaustive simplex grid, and witnesses from sphere sampling,
 never from the pencil search or the conic-hull pass. They share the
 solver's acceptance rule: the restriction and threshold of
-`restricted_forms`, and a hit re-checked by `witness_check`. Both sides
-take eigenvalues from LAPACK through numpy.linalg. Disagreement with the
-solver beyond tolerance is a bug, never something to vote over.
+`restricted_forms`, and a hit re-checked by `witness_check`. The grid
+search takes lambda_min in closed form on a cone span of dimension at
+most 2 and from numpy.linalg.eigvalsh above it; the solver takes every
+eigenvalue from LAPACK's eigh. Disagreement with the solver beyond
+tolerance is a bug, never something to vote over.
 """
 
 from __future__ import annotations

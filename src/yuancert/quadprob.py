@@ -29,7 +29,6 @@ from .numeric_core import (
     numerical_rank,
     sym_eigen,
 )
-from .nlp import KKTData
 from .yuan import CertificateReport, HypothesisViolated, _certify_ranked
 
 _DEFAULT_SAMPLES = 1000
@@ -75,13 +74,6 @@ def jacobian_at(prob: QuadProblem, x) -> np.ndarray:
         raise InputError(f"vector of length {prob.n} expected")
     cols = [np.append(mat @ x, prob.ray_constant) for mat in prob.matrices.members]
     return np.column_stack(cols)
-
-
-def _require_pipeline(prob: QuadProblem) -> None:
-    if prob.ray_constant != -1.0:
-        raise InputError("the optimization pipeline requires ray constant -1")
-    if not prob.matrices.symmetric:
-        raise InputError("the optimization pipeline requires symmetric matrices")
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,7 +235,8 @@ def quad_certificate(prob: QuadProblem, tol: float = DEFAULT_TOL) -> Certificate
     Otherwise hands the family and that set rank to certify_rank2 over the
     full space (the critical cone restriction is exactly the original family).
     """
-    _require_pipeline(prob)
+    if prob.ray_constant != -1.0:
+        raise InputError("the optimization pipeline requires ray constant -1")
     reduced = jacobian_rank_reduce(prob, tol)
     if isinstance(reduced, JacobianRankViolation):
         return CertificateReport(
@@ -256,26 +249,3 @@ def quad_certificate(prob: QuadProblem, tol: float = DEFAULT_TOL) -> Certificate
             {"triple_residual": reduced.residual},
         )
     return _certify_ranked(prob.matrices, FirstOrderCone.full(prob.n), tol, reduced)
-
-
-def to_kkt(prob: QuadProblem) -> KKTData:
-    """KKT data of the epigraph problem at the origin.
-
-    Variables (x, z) with objective gradient (0, 1); every constraint is
-    active with gradient (0, -1) and Hessian blockdiag(A_i, 0).
-    """
-    _require_pipeline(prob)
-    n, m = prob.n, prob.m
-    grad_f = np.zeros(n + 1)
-    grad_f[n] = 1.0
-    grad_g = np.zeros((m, n + 1))
-    grad_g[:, n] = -1.0
-    hess_g = np.zeros((m, n + 1, n + 1))
-    hess_g[:, :n, :n] = prob.matrices.members
-    return KKTData(
-        grad_f=grad_f,
-        hess_f=SymMatrix(np.zeros((n + 1, n + 1))),
-        grad_g=grad_g,
-        hess_g=hess_g,
-        g_values=np.zeros(m),
-    )

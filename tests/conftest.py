@@ -5,8 +5,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from yuancert import FirstOrderCone, KKTData, MatrixFamily, SymMatrix, min_eigenvalue
-from yuancert.instances import SCHEMA_VERSION, FamilyInstance, QuadInstance
+from yuancert import FirstOrderCone, KKTData, MatrixFamily, QuadProblem, SymMatrix, min_eigenvalue
+from yuancert.instances import SCHEMA_VERSION
+from yuancert.numeric_core import as_sym
 
 # Family one: A3 = 2*A1 - A2; max of the three forms is nonnegative everywhere
 # and (0, 3/5, 2/5) is a PSD combination.
@@ -48,8 +49,10 @@ def full_cone(n: int) -> FirstOrderCone:
     return FirstOrderCone.full(n)
 
 
-def psd(m: SymMatrix, tol: float = 1e-9) -> bool:
-    """PSD at the tests' threshold: lambda_min >= -tol * (1 + largest entry)."""
+def psd(m, tol: float = 1e-9) -> bool:
+    """PSD at the tests' threshold: lambda_min >= -tol * (1 + largest entry).
+    m is a SymMatrix or a symmetric array."""
+    m = as_sym(m)
     return min_eigenvalue(m) >= -tol * (1.0 + m.norm_max())
 
 
@@ -84,6 +87,37 @@ def random_collinear_family(rng: np.random.Generator, n: int, m: int) -> MatrixF
     direction = random_sym(rng, n).entries
     members = [base + float(s) * direction for s in rng.standard_normal(m)]
     return MatrixFamily(members)
+
+
+def dependent_row_sets(rng: np.random.Generator, count: int, max_rows: int = 8,
+                       max_dim: int = 6) -> list[np.ndarray]:
+    """Seeded row sets for the Gram-Schmidt references.
+
+    Besides generic rows, a row may be zero, exactly dependent on earlier
+    rows (a power-of-2 multiple of one, or, in the sets of integer rows, an
+    integer combination), or within 1e-12 of a multiple of one. Sets may
+    have more rows than columns.
+    """
+    sets = []
+    for k in range(count):
+        m, d = int(rng.integers(1, max_rows + 1)), int(rng.integers(1, max_dim + 1))
+        integer = k % 2 == 1
+        if integer:
+            rows = rng.integers(-3, 4, (m, d)).astype(float)
+        else:
+            rows = rng.standard_normal((m, d)) * rng.uniform(0.1, 10.0, (m, 1))
+        for i in range(m):
+            kind = int(rng.integers(5)) if i else int(rng.integers(2))
+            if kind == 1:
+                rows[i] = 0.0
+            elif kind == 2:
+                rows[i] = 2.0 ** int(rng.integers(-3, 4)) * rows[rng.integers(i)]
+            elif kind == 3 and integer:
+                rows[i] = rng.integers(-2, 3, i).astype(float) @ rows[:i]
+            elif kind == 4:
+                rows[i] = rows[rng.integers(i)] + 1e-12 * rng.standard_normal(d)
+        sets.append(rows)
+    return sets
 
 
 def random_cone(rng: np.random.Generator, n: int, subspace_dim: int, with_ray: bool) -> FirstOrderCone:
@@ -143,22 +177,40 @@ def degenerate_kkt_point(rng: np.random.Generator, n: int, p1: int, blocks, *,
                    grad_g=rows, hess_g=[zero] * (na + inactive), g_values=g_values)
 
 
-def serialize_instance(instance) -> dict:
+def to_kkt(prob: QuadProblem) -> KKTData:
+    """KKT data of the epigraph problem of `prob` (ray constant -1) at the origin.
+
+    Variables (x, z) with objective gradient (0, 1); every constraint is
+    active with gradient (0, -1) and Hessian blockdiag(A_i, 0). The `soc`
+    route on this data must agree with `quad_certificate` on `prob`.
+    """
+    n, m = prob.n, prob.m
+    grad_f = np.zeros(n + 1)
+    grad_f[n] = 1.0
+    grad_g = np.zeros((m, n + 1))
+    grad_g[:, n] = -1.0
+    hess_g = np.zeros((m, n + 1, n + 1))
+    hess_g[:, :n, :n] = prob.matrices.members
+    return KKTData(grad_f=grad_f, hess_f=np.zeros((n + 1, n + 1)), grad_g=grad_g,
+                   hess_g=hess_g, g_values=np.zeros(m))
+
+
+def serialize_instance(instance: MatrixFamily | KKTData | QuadProblem) -> dict:
     """The instance document that parses back to `instance`."""
-    if isinstance(instance, FamilyInstance):
+    if isinstance(instance, MatrixFamily):
         return {
             "schema_version": SCHEMA_VERSION,
             "kind": "family",
-            "matrices": [mat.tolist() for mat in instance.matrices.members],
+            "matrices": [mat.tolist() for mat in instance.members],
         }
-    if isinstance(instance, QuadInstance):
+    if isinstance(instance, QuadProblem):
         return {
             "schema_version": SCHEMA_VERSION,
             "kind": "quadprob",
-            "matrices": [mat.tolist() for mat in instance.problem.matrices.members],
-            "ray_constant": instance.problem.ray_constant,
+            "matrices": [mat.tolist() for mat in instance.matrices.members],
+            "ray_constant": instance.ray_constant,
         }
-    data = instance.data
+    data = instance
     out = {
         "schema_version": SCHEMA_VERSION,
         "kind": "kkt",

@@ -21,6 +21,7 @@ from conftest import (
     family_two,
     pencil_min,
     psd,
+    to_kkt,
 )
 from hull_reference import hull_psd_search
 from yuancert import (
@@ -41,7 +42,6 @@ from yuancert import (
     min_eigenvalue,
     multiplier_vertices,
     numerical_rank,
-    quad_form,
     restrict,
     sample_max_nonneg,
     second_order_certificate,
@@ -49,7 +49,6 @@ from yuancert import (
     span_basis,
     sym_eigen,
     quad_certificate,
-    to_kkt,
     yuan_two,
 )
 from yuancert.cli import main
@@ -105,7 +104,7 @@ def test_criterion_2_example_two(capsys):
             pair = yuan_two(SymMatrix(a), SymMatrix(b), FirstOrderCone.full(2))
             out = pair.outcome
             ok = ok and isinstance(out, Refuted)
-            values = [quad_form(SymMatrix(a), out.witness), quad_form(SymMatrix(b), out.witness)]
+            values = [out.witness @ a @ out.witness, out.witness @ b @ out.witness]
             ok = ok and max(values) < -1e-6
             pair_margins.append(max(values))
     ok = ok and main(["certify", str(INSTANCES / "example2.json")]) == 0
@@ -152,7 +151,8 @@ def test_criterion_4_quadratic_pipeline(capsys):
         ok = ok and isinstance(soc.report.outcome, Certified)
         ok = ok and isinstance(direct.outcome, Certified)
         basis = span_basis(soc.cone)
-        lam_soc = min_eigenvalue(restrict(lagrangian_hessian(data, soc.multiplier), basis))
+        hessian = lagrangian_hessian(data, soc.multiplier).entries
+        lam_soc = min_eigenvalue(restrict(hessian[None], basis)[0])
         ok = ok and lam_soc >= -1e-9
         combined = sum(w * mem for w, mem in zip(direct.outcome.weights.t, family_one().members))
         lam_direct = min_eigenvalue(SymMatrix(combined))
@@ -258,13 +258,13 @@ def test_criterion_8_span_reduction(capsys):
             else:
                 z = rng.standard_normal(width)
                 u = basis @ (z / np.linalg.norm(z))
-                drop = quad_form(SymMatrix(raw), u) + 1.0 * (1.0 + np.abs(raw).max())
+                drop = u @ raw @ u + 1.0 * (1.0 + np.abs(raw).max())
                 mat = SymMatrix(raw - drop * np.outer(u, u))
-            restricted_psd = psd(restrict(mat, basis))
+            restricted_psd = psd(restrict(mat.entries[None], basis)[0])
             z = rng.standard_normal((1000, width))
             z /= np.linalg.norm(z, axis=1, keepdims=True)
             scale = 1.0 + mat.norm_max()
-            sampled_min = min(quad_form(mat, x) for x in z @ basis.T)
+            sampled_min = min(x @ mat.entries @ x for x in z @ basis.T)
             if (sampled_min >= -1e-9 * scale) != restricted_psd:
                 mismatches += 1
             fam = MatrixFamily([mat, SymMatrix(raw)])

@@ -7,17 +7,10 @@ import pytest
 
 import yuancert.yuan as yuan_module
 from conftest import (EX1_A1, EX1_A2, EX1_A3, EX2_A1, EX2_A2, EX2_A3, NEAR_PARALLEL,
-                      serialize_cone, serialize_instance)
-from yuancert import FirstOrderCone, QuadProblem, instances, to_kkt
+                      serialize_cone, serialize_instance, to_kkt)
+from yuancert import FirstOrderCone, KKTData, MatrixFamily, QuadProblem, instances
 from yuancert.cli import main
-from yuancert.instances import (
-    KktInstance,
-    QuadInstance,
-    dump_json,
-    input_digest,
-    parse_cone,
-    parse_instance,
-)
+from yuancert.instances import dump_json, input_digest, load_instance, parse_cone, parse_instance
 
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
@@ -57,7 +50,7 @@ class TestRoundTrip:
         doc = family_doc(EX1_A1, EX1_A2, EX1_A3)
         parsed = parse_instance(doc)
         again = parse_instance(serialize_instance(parsed))
-        for a, b in zip(parsed.matrices.members, again.matrices.members):
+        for a, b in zip(parsed.members, again.members):
             assert np.array_equal(a, b)
 
     def test_family_with_odd_floats(self):
@@ -65,24 +58,24 @@ class TestRoundTrip:
         doc = family_doc(mat)
         parsed = parse_instance(doc)
         again = parse_instance(serialize_instance(parsed))
-        assert np.array_equal(parsed.matrices.members[0], again.matrices.members[0])
+        assert np.array_equal(parsed.members[0], again.members[0])
 
     def test_kkt(self):
         data = to_kkt(QuadProblem([EX1_A1, EX1_A2, EX1_A3]))
-        doc = serialize_instance(KktInstance(data))
+        doc = serialize_instance(data)
         parsed = parse_instance(doc)
         again = parse_instance(serialize_instance(parsed))
-        assert np.array_equal(parsed.data.grad_f, again.data.grad_f)
-        assert parsed.data.active == again.data.active
-        for a, b in zip(parsed.data.hess_g, again.data.hess_g):
+        assert np.array_equal(parsed.grad_f, again.grad_f)
+        assert parsed.active == again.active
+        for a, b in zip(parsed.hess_g, again.hess_g):
             assert np.array_equal(a.entries, b.entries)
 
     def test_quadprob(self):
-        doc = serialize_instance(QuadInstance(QuadProblem([EX1_A1, EX1_A2])))
+        doc = serialize_instance(QuadProblem([EX1_A1, EX1_A2]))
         parsed = parse_instance(doc)
         again = parse_instance(serialize_instance(parsed))
-        assert parsed.problem.ray_constant == again.problem.ray_constant
-        for a, b in zip(parsed.problem.matrices.members, again.problem.matrices.members):
+        assert parsed.ray_constant == again.ray_constant
+        for a, b in zip(parsed.matrices.members, again.matrices.members):
             assert np.array_equal(a, b)
 
     def test_cone(self):
@@ -94,6 +87,17 @@ class TestRoundTrip:
 
 
 class TestParsing:
+    @pytest.mark.parametrize("name, kind", [
+        ("counterexample.json", MatrixFamily),
+        ("example1.json", MatrixFamily),
+        ("example2.json", MatrixFamily),
+        ("example2_pair12.json", MatrixFamily),
+        ("kkt_example1.json", KKTData),
+        ("quad_example1.json", QuadProblem),
+    ])
+    def test_instance_file_parses_to_its_library_type(self, name, kind):
+        assert type(load_instance(INSTANCES / name)) is kind
+
     def test_position_annotated_error(self):
         doc = family_doc(EX1_A1)
         doc["matrices"][0][1][0] = "oops"
@@ -125,8 +129,7 @@ class TestParsing:
         quad = parse_instance({"schema_version": "1", "kind": "quadprob", "matrices": [near]})
         kkt = parse_instance({"schema_version": "1", "kind": "kkt", "grad_f": [0.0, 0.0],
                               "hess_f": near, "hess_h": [near], "grad_h": [[1.0, 0.0]]})
-        for entries in (quad.problem.matrices.members[0], kkt.data.hess_f.entries,
-                        kkt.data.hess_h[0].entries):
+        for entries in (quad.matrices.members[0], kkt.hess_f.entries, kkt.hess_h[0].entries):
             assert entries.tolist() == [[1.0, 0.5], [0.5, 2.0]]
 
 
@@ -161,7 +164,7 @@ class TestNumberArrays:
 
 
 def kkt_example_doc() -> dict:
-    return serialize_instance(KktInstance(to_kkt(QuadProblem([EX1_A1, EX1_A2, EX1_A3]))))
+    return serialize_instance(to_kkt(QuadProblem([EX1_A1, EX1_A2, EX1_A3])))
 
 
 @pytest.mark.parametrize("value", [3, 0, "", {}], ids=["three", "zero", "empty_string", "object"])
@@ -283,7 +286,7 @@ class TestCommands:
 
     def test_soc_and_vertices(self, tmp_path, capsys):
         data = to_kkt(QuadProblem([EX1_A1, EX1_A2, EX1_A3]))
-        path = write(tmp_path, "kkt.json", serialize_instance(KktInstance(data)))
+        path = write(tmp_path, "kkt.json", serialize_instance(data))
         assert main(["vertices", path, "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["mfcq"] is True
@@ -382,7 +385,7 @@ class TestCommands:
             assert 0.0 <= margin < 1e-12
 
     def test_quad_pipeline(self, tmp_path, capsys):
-        doc = serialize_instance(QuadInstance(QuadProblem([EX1_A1, EX1_A2, EX1_A3])))
+        doc = serialize_instance(QuadProblem([EX1_A1, EX1_A2, EX1_A3]))
         path = write(tmp_path, "quad.json", doc)
         assert main(["quad", path, "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
@@ -530,7 +533,7 @@ class TestVerifyReport:
         # planar non-collinear family: set rank 2, Jacobian rank 3 at the witness
         c, d = np.array(EX2_A1), np.array(EX2_A2)
         mats = [c, d, c + d, 0.5 * c + 1.2 * d]
-        path = write(tmp_path, "planar.json", serialize_instance(QuadInstance(QuadProblem(mats))))
+        path = write(tmp_path, "planar.json", serialize_instance(QuadProblem(mats)))
         assert main(["quad", path, "--json"]) == 2
         report = json.loads(capsys.readouterr().out)
         report_path = tmp_path / "report.json"
@@ -608,7 +611,7 @@ class TestVerifyReport:
         # quad decides on the full space, so a cone may not relax its check:
         # weights (1, 0) are PSD on e1 only
         quad = write(tmp_path, "quad.json", serialize_instance(
-            QuadInstance(QuadProblem([np.diag([1.0, -1.0]), np.diag([-1.0, 1.0])]))))
+            QuadProblem([np.diag([1.0, -1.0]), np.diag([-1.0, 1.0])])))
         cone = write(tmp_path, "cone.json", serialize_cone(FirstOrderCone(2, [[1.0, 0.0]])))
         report, path = self.run_report(tmp_path, capsys, ["quad", quad], 0)
         assert report["weights"] == [0.5, 0.5]
@@ -621,7 +624,7 @@ class TestVerifyReport:
     @staticmethod
     def kkt_of(tmp_path, name, *matrices):
         data = to_kkt(QuadProblem([np.asarray(m, float) for m in matrices]))
-        return write(tmp_path, name, serialize_instance(KktInstance(data)))
+        return write(tmp_path, name, serialize_instance(data))
 
     def verdict_cases(self, kind, tmp_path):
         """(command, instance path, solver exit) for every verdict of one kind."""
@@ -634,7 +637,7 @@ class TestVerifyReport:
         if kind == "quad":
             c, d = np.array(EX2_A1), np.array(EX2_A2)
             planar = write(tmp_path, "planar.json", serialize_instance(
-                QuadInstance(QuadProblem([c, d, c + d, 0.5 * c + 1.2 * d]))))
+                QuadProblem([c, d, c + d, 0.5 * c + 1.2 * d])))
             return [("quad", str(INSTANCES / "quad_example1.json"), 0), ("quad", planar, 2)]
         return [("soc", str(INSTANCES / "kkt_example1.json"), 0),
                 ("soc", self.kkt_of(tmp_path, "refuted.json", EX2_A1, EX2_A2), 1),

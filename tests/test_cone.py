@@ -3,17 +3,36 @@ import math
 import numpy as np
 import pytest
 
-from conftest import psd, random_cone, random_sym
+from conftest import dependent_row_sets, psd, random_cone, random_sym
 from yuancert import (
     FirstOrderCone,
     InputError,
     MatrixFamily,
-    SymMatrix,
     cone_contains,
-    quad_form,
     restrict,
     span_basis,
 )
+
+
+def reference_orthonormalize(vectors, ambient_dim: int) -> np.ndarray:
+    """Reference: the cone's own Gram-Schmidt loop before the shared kernel.
+    Modified Gram-Schmidt with re-orthogonalization; drops dependents."""
+    basis: list[np.ndarray] = []
+    for raw in vectors:
+        v = np.asarray(raw, dtype=float)
+        original = float(np.linalg.norm(v))
+        if original == 0.0:
+            continue
+        v = v.copy()
+        for _ in range(2):
+            for q in basis:
+                v -= (v @ q) * q
+        nv = float(np.linalg.norm(v))
+        if nv > 1e-10 * original:
+            basis.append(v / nv)
+    if basis:
+        return np.column_stack(basis)
+    return np.zeros((ambient_dim, 0))
 
 
 class TestFirstOrderCone:
@@ -68,6 +87,26 @@ class TestFirstOrderCone:
                 if v.shape[1]:
                     assert np.abs(v.T @ cone.ray).max() <= 1e-10
 
+    def test_subspace_matches_the_reference_bitwise(self):
+        rng = np.random.default_rng(25)
+        dropped = capped = 0
+        for rows in dependent_row_sets(rng, 600):
+            n = rows.shape[1]
+            want = reference_orthonormalize(rows, n)
+            got = FirstOrderCone(n, rows).subspace
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            dropped += want.shape[1] < len(rows)
+            capped += want.shape[1] == n < len(rows)
+        assert dropped > 300 and capped > 50
+
+    def test_generator_of_underflowing_norm_dropped_as_zero(self):
+        # the norm of the second generator underflows to 0, but its residual
+        # after the first one does not; it adds nothing, as a zero generator
+        gens = [[1.0, 1.0, 1.0, -1.0], [1.5e-162] * 4]
+        subspace = FirstOrderCone(4, gens).subspace
+        assert subspace.shape == (4, 1)
+        assert subspace.tobytes() == reference_orthonormalize(gens, 4).tobytes()
+
     def test_zero_ray_rejected(self):
         with pytest.raises(InputError):
             FirstOrderCone(2, (), ray=[0.0, 0.0])
@@ -75,8 +114,8 @@ class TestFirstOrderCone:
 
 class TestRestrict:
     def test_identity_basis(self):
-        m = random_sym(np.random.default_rng(1), 3)
-        np.testing.assert_allclose(restrict(m, np.eye(3)).entries, m.entries)
+        m = random_sym(np.random.default_rng(1), 3).entries
+        np.testing.assert_allclose(restrict(m[None], np.eye(3)), [m])
 
     def test_block_embedding(self):
         # restricting blockdiag(A, 0) to the first coordinates recovers A
@@ -84,12 +123,11 @@ class TestRestrict:
         block = np.zeros((3, 3))
         block[:2, :2] = a
         basis = np.eye(3)[:, :2]
-        np.testing.assert_allclose(restrict(SymMatrix(block), basis).entries, a)
+        np.testing.assert_allclose(restrict(block[None], basis), [a])
 
     def test_scalar_restriction(self):
-        m = SymMatrix(np.diag([-1.0, 1.0]))
         basis = np.array([[0.0], [1.0]])
-        np.testing.assert_allclose(restrict(m, basis).entries, [[1.0]])
+        np.testing.assert_allclose(restrict(np.diag([-1.0, 1.0])[None], basis), [[[1.0]]])
 
     def test_stack_matches_each_member_bitwise(self):
         rng = np.random.default_rng(3)
@@ -98,7 +136,7 @@ class TestRestrict:
         stacked = restrict(members, basis)
         assert stacked.shape == (3, 3, 3)
         for m, r in zip(members, stacked):
-            assert np.array_equal(restrict(SymMatrix(m), basis).entries, r)
+            assert np.array_equal(restrict(m[None], basis)[0], r)
 
     def test_stack_of_another_order_rejected(self):
         with pytest.raises(InputError, match="basis must have 2 rows"):
@@ -106,13 +144,13 @@ class TestRestrict:
 
     def test_non_orthonormal_rejected(self):
         with pytest.raises(InputError):
-            restrict(SymMatrix(np.eye(2)), np.array([[1.0], [1.0]]))
+            restrict(np.eye(2)[None], np.array([[1.0], [1.0]]))
 
     def test_psd_verdict_invariant_under_basis_rotation(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             n = int(rng.integers(2, 6))
-            m = random_sym(rng, n)
+            m = random_sym(rng, n).entries[None]
             k = int(rng.integers(1, n + 1))
             cone = random_cone(rng, n, k, with_ray=False)
             basis = span_basis(cone)
@@ -123,7 +161,7 @@ class TestRestrict:
             if basis.shape[1] >= 2:
                 rot[:2, :2] = [[math.cos(theta), -math.sin(theta)],
                                [math.sin(theta), math.cos(theta)]]
-            assert psd(restrict(m, basis)) == psd(restrict(m, basis @ rot))
+            assert psd(restrict(m, basis)[0]) == psd(restrict(m, basis @ rot)[0])
 
 
 class TestConeContains:
@@ -160,11 +198,11 @@ class TestSpanReduction:
             if width == 0:
                 continue
             m = random_sym(rng, n)
-            restricted_psd = psd(restrict(m, basis))
+            restricted_psd = psd(restrict(m.entries[None], basis)[0])
             z = rng.standard_normal((1500, width))
             z /= np.linalg.norm(z, axis=1, keepdims=True)
             points = z @ basis.T
-            sampled_min = min(quad_form(m, x) for x in points)
+            sampled_min = min(x @ m.entries @ x for x in points)
             scale = 1.0 + m.norm_max()
             if sampled_min < -1e-7 * scale:
                 assert not restricted_psd

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import degenerate_kkt_point, family_one, family_two, random_sym
+from conftest import degenerate_kkt_point, family_one, family_two, random_sym, to_kkt
 from yuancert import nlp
 from yuancert.numeric_core import norm_max
 from yuancert import (
@@ -29,7 +29,6 @@ from yuancert import (
     restrict,
     second_order_certificate,
     span_basis,
-    to_kkt,
 )
 
 
@@ -457,11 +456,11 @@ class TestSecondOrderCertificate:
         assert stationarity_residual(data, mult) <= 1e-8
         # the certified multiplier's Hessian is PSD on the lineality space
         basis = span_basis(result.cone)
-        lam = min_eigenvalue(restrict(lagrangian_hessian(data, mult), basis))
+        lam = min_eigenvalue(restrict(lagrangian_hessian(data, mult).entries[None], basis)[0])
         assert lam >= -1e-9
         # the reference multiplier (0, 3/5, 2/5) validates too
         ref = MultiplierPoint(np.zeros(0), np.array([0.0, 0.6, 0.4]))
-        lam_ref = min_eigenvalue(restrict(lagrangian_hessian(data, ref), basis))
+        lam_ref = min_eigenvalue(restrict(lagrangian_hessian(data, ref).entries[None], basis)[0])
         assert lam_ref == pytest.approx((1.4 - np.sqrt(1.8)) / 2, abs=1e-9)
 
     def test_example_two_pipeline(self):
@@ -470,7 +469,7 @@ class TestSecondOrderCertificate:
         assert isinstance(result.report.outcome, Certified)
         uniform = MultiplierPoint(np.zeros(0), np.full(3, 1 / 3))
         basis = span_basis(result.cone)
-        lam = min_eigenvalue(restrict(lagrangian_hessian(data, uniform), basis))
+        lam = min_eigenvalue(restrict(lagrangian_hessian(data, uniform).entries[None], basis)[0])
         assert lam == pytest.approx(0.0, abs=1e-12)
 
     def test_licq_unit_weight(self):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import (
     counterexample_family,
     degenerate_kkt_point,
+    dependent_row_sets,
     family_one,
     random_sym,
     EX1_A1,
@@ -31,11 +32,10 @@ from yuancert import (
     multiplier_vertices,
     min_eigenvalue,
     numerical_rank,
-    quad_form,
     sym_eigen,
 )
 from yuancert.instances import load_instance
-from yuancert.numeric_core import _pivoted_rank
+from yuancert.numeric_core import _gram_schmidt, _normalized_rows, _pivoted_rank
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -113,7 +113,7 @@ class TestSymEigen:
             for _ in range(5):
                 x = rng.standard_normal(n)
                 x /= np.linalg.norm(x)
-                assert quad_form(m, x) >= lam - 1e-9 * scale
+                assert x @ m.entries @ x >= lam - 1e-9 * scale
 
     @pytest.mark.parametrize(
         "mat",
@@ -175,23 +175,22 @@ class TestMinEigenvalue:
 
 
 class TestQuadForm:
+    """Form values x'Ax of the worked examples, written inline."""
+
     def test_identity(self):
-        assert quad_form(SymMatrix(np.eye(2)), [3.0, 4.0]) == pytest.approx(25.0)
+        x = np.array([3.0, 4.0])
+        assert x @ SymMatrix(np.eye(2)).entries @ x == pytest.approx(25.0)
 
     def test_example_two_values(self):
-        x = [1.0, -0.3]
-        assert quad_form(SymMatrix(EX2_A1), x) == pytest.approx(-0.91, abs=1e-12)
-        assert quad_form(SymMatrix(EX2_A2), x) == pytest.approx(-0.38, abs=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(InputError):
-            quad_form(SymMatrix(np.eye(2)), [1.0, 2.0, 3.0])
+        x = np.array([1.0, -0.3])
+        assert x @ EX2_A1 @ x == pytest.approx(-0.91, abs=1e-12)
+        assert x @ EX2_A2 @ x == pytest.approx(-0.38, abs=1e-12)
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(-10, 10), min_size=2, max_size=2))
     def test_even_in_sign(self, x):
-        m = SymMatrix(M_DERIVED)
-        assert quad_form(m, x) == quad_form(m, [-v for v in x])
+        m, x = SymMatrix(M_DERIVED).entries, np.array(x)
+        assert x @ m @ x == (-x) @ m @ (-x)
 
 
 class TestMatrixFamily:
@@ -214,7 +213,7 @@ class TestMatrixFamily:
             assert np.array_equal(mem, SymMatrix(mat).entries)
 
     def test_counterexample_file_is_not_symmetric(self):
-        fam = load_instance(INSTANCES / "counterexample.json").matrices
+        fam = load_instance(INSTANCES / "counterexample.json")
         assert fam.symmetric is False
         assert np.array_equal(fam.members, counterexample_family().members)
 
@@ -248,6 +247,41 @@ class TestMatrixSetRank:
     def test_mixed_orders_rejected(self):
         with pytest.raises(InputError):
             MatrixFamily([np.eye(2), np.eye(3)])
+
+
+def reference_greedy_basis(rows: np.ndarray, tol: float, size: int) -> list[int]:
+    """Reference: the set rank's own basis loop before the shared kernel.
+    First `size` members independent in index order (rows pre-normalized)."""
+    basis: list[int] = []
+    qs: list[np.ndarray] = []
+    for idx in range(rows.shape[0]):
+        if len(basis) == size:
+            break
+        v = rows[idx].copy()
+        for _ in range(2):
+            for q in qs:
+                v -= (v @ q) * q
+        nv = float(np.linalg.norm(v))
+        if nv > tol:
+            basis.append(idx)
+            qs.append(v / nv)
+    return basis
+
+
+class TestGramSchmidt:
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12, 0.3])
+    def test_matches_the_set_rank_basis_loop(self, tol):
+        rng = np.random.default_rng(23)
+        short = 0
+        for rows in dependent_row_sets(rng, 600):
+            unit = _normalized_rows(rows)
+            m = len(unit)
+            for size in range(m + 2):
+                kept, qs = _gram_schmidt(unit, np.full(m, tol), size)
+                assert kept == reference_greedy_basis(unit, tol, size)
+                assert len(qs) == len(kept)
+            short += len(kept) < m
+        assert short > 300
 
 
 class TestExpressInBasis:

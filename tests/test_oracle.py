@@ -12,7 +12,6 @@ from yuancert import (
     Witness,
     cone_contains,
     min_eigenvalue,
-    quad_form,
     sample_max_nonneg,
     simplex_grid_search,
 )
@@ -36,7 +35,7 @@ class TestSampleMaxNonneg:
         assert isinstance(verdict, Witness)
         assert (verdict.form_values < 0).all()
         for mat, value in zip(fam.members, verdict.form_values):
-            assert quad_form(SymMatrix(mat), verdict.x) == pytest.approx(value)
+            assert verdict.x @ mat @ verdict.x == pytest.approx(value)
 
     def test_witness_lies_in_cone(self):
         cone = FirstOrderCone(2, [[1.0, 0.0]], ray=[0.0, 1.0])

@@ -10,6 +10,7 @@ from conftest import (
     random_collinear_family,
     random_rank2_family,
     random_sym,
+    to_kkt,
 )
 from yuancert import quadprob
 from yuancert import (
@@ -33,12 +34,10 @@ from yuancert import (
     min_eigenvalue,
     multiplier_vertices,
     numerical_rank,
-    quad_form,
     rank_increase_check,
     second_order_certificate,
     quad_certificate,
     sym_eigen,
-    to_kkt,
 )
 
 E11 = np.diag([1.0, 0.0])
@@ -359,7 +358,7 @@ class TestQuadCertificate:
         monkeypatch.setattr(quadprob, "rank_increase_check", forbidden)
         out = quad_certificate(prob).outcome
         assert isinstance(out, Refuted)
-        assert max(quad_form(SymMatrix(m), out.witness) for m in prob.matrices.members) < 0.0
+        assert max(out.witness @ m @ out.witness for m in prob.matrices.members) < 0.0
 
     def test_requires_optimization_ray_constant(self):
         with pytest.raises(InputError):
@@ -419,6 +418,6 @@ class TestHomogeneity:
         for _ in range(25):
             x = rng.standard_normal(2)
             s = float(rng.uniform(0.1, 10.0))
-            base = max(quad_form(SymMatrix(m), x) for m in members)
-            scaled = max(quad_form(SymMatrix(m), s * x) for m in members)
+            base = max(x @ m @ x for m in members)
+            scaled = max((s * x) @ m @ (s * x) for m in members)
             assert np.sign(base) == np.sign(scaled)

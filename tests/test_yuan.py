@@ -38,7 +38,6 @@ from yuancert import (
     make_weights,
     matrix_set_rank,
     min_eigenvalue,
-    quad_form,
     restrict,
     sample_max_nonneg,
     span_basis,
@@ -121,8 +120,8 @@ class TestYuanTwo:
         report = yuan_two(a, b, FULL2)
         out = report.outcome
         assert isinstance(out, Refuted)
-        assert quad_form(a, out.witness) < -1e-6
-        assert quad_form(b, out.witness) < -1e-6
+        assert out.witness @ a.entries @ out.witness < -1e-6
+        assert out.witness @ b.entries @ out.witness < -1e-6
 
     def test_cone_restricted(self):
         # indefinite on the plane, positive along the kept axis
@@ -338,7 +337,7 @@ class TestCertifyRank2:
                 witness = report.outcome.witness
                 assert cone_contains(cone, witness, 1e-8)
                 for mem in fam.members:
-                    assert quad_form(SymMatrix(mem), witness) < -1e-9 * scale
+                    assert witness @ mem @ witness < -1e-9 * scale
 
     def test_oracle_agreement_sampled(self):
         rng = np.random.default_rng(6)
@@ -376,7 +375,7 @@ class TestCertifyRank2:
             else:
                 assert isinstance(report.outcome, Refuted)
                 for mem in fam.members:
-                    assert quad_form(SymMatrix(mem), report.outcome.witness) < -1e-9 * scale
+                    assert report.outcome.witness @ mem @ report.outcome.witness < -1e-9 * scale
 
     def test_ray_cone_witness_membership(self):
         rng = np.random.default_rng(8)
@@ -407,7 +406,7 @@ class TestCertifyRank2:
         assert isinstance(out, Certified)
         combined = sum(w * m for w, m in zip(out.weights.t, fam3))
         basis = span_basis(cone)
-        assert min_eigenvalue(restrict(SymMatrix(combined), basis)) >= -1e-9
+        assert min_eigenvalue(restrict(combined[None], basis)[0]) >= -1e-9
 
     def test_nearly_parallel_basis_pair(self):
         # normal equations on this basis pair lose the third member from the span
@@ -503,7 +502,7 @@ def reference_certify_rank2(family, cone, tol=1e-9):
     basis = span_basis(cone)
     if basis.shape[1] == 0:
         return Certified(SimplexWeights(np.full(m, 1.0 / m)), 0.0)
-    restricted = [restrict(s, basis).entries for s in syms]
+    restricted = list(restrict(syms, basis))
     scale = 1.0 + max(norm_max(r) for r in restricted)
     threshold = -tol * scale
     top = matrix_set_rank(family, tol)
@@ -539,7 +538,7 @@ def reference_certify_rank2(family, cone, tol=1e-9):
 
         def refute(col):
             x = _into_cone(basis @ spec.basis[:, col], cone)
-            return Refuted(x, np.array([quad_form(s, x) for s in syms]))
+            return Refuted(x, np.array([x @ s @ x for s in syms]))
 
         if spread <= tau:
             return uniform()
@@ -604,7 +603,7 @@ def reference_certify_rank2(family, cone, tol=1e-9):
         if min_eigenvalue(SymMatrix(0.5 * (combined + combined.T))) < threshold:
             raise NumericalFailureError("certificate failed verification")
     elif isinstance(out, Refuted):
-        values = np.array([quad_form(s, out.witness) for s in syms])
+        values = np.array([out.witness @ s @ out.witness for s in syms])
         if not cone_contains(cone, out.witness, 1e-8) or not (values < threshold).all():
             raise NumericalFailureError("witness did not transfer to the full family")
     return out
