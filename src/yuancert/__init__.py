@@ -36,7 +36,6 @@ from .numeric_core import (
     MatrixFamily,
     MatrixSetRank,
     Spectrum,
-    SymMatrix,
     express_in_basis,
     matrix_set_rank,
     min_eigenvalue,
@@ -103,7 +102,6 @@ __all__ = [
     "SecondOrderResult",
     "SimplexWeights",
     "Spectrum",
-    "SymMatrix",
     "UnboundedError",
     "Witness",
     "certify_rank2",

@@ -15,7 +15,7 @@ import numpy as np
 from .cone import FirstOrderCone
 from .errors import InputError
 from .nlp import KKTData
-from .numeric_core import MatrixFamily, SymMatrix
+from .numeric_core import MatrixFamily, _as_symmetric
 from .quadprob import QuadProblem
 
 SCHEMA_VERSION = "1"
@@ -70,10 +70,10 @@ def _square(value, where: str) -> np.ndarray:
     return mat
 
 
-def _symmetric(value, where: str) -> SymMatrix:
+def _symmetric(value, where: str) -> np.ndarray:
     mat = _square(value, where)
     try:
-        return SymMatrix(mat)
+        return _as_symmetric(mat)
     except InputError as exc:
         raise InputError(f"{where}: {exc}") from exc
 
@@ -191,7 +191,7 @@ def load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc

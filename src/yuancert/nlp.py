@@ -27,10 +27,9 @@ from .lp import lp_solve
 from .numeric_core import (
     DEFAULT_TOL,
     MatrixFamily,
-    SymMatrix,
+    _as_symmetric,
     _normalized_rows,
     _pivoted_rank,
-    as_sym,
     matrix_set_rank,
     norm_max,
     numerical_rank,
@@ -62,14 +61,15 @@ def _vectors(raw, n: int, name: str) -> np.ndarray:
 class KKTData:
     """Problem derivatives frozen at a candidate point.
 
-    Gradients are stored as rows; Hessians as SymMatrix. The active set
-    is either given directly (0-based indices) or derived from g_values
-    with an absolute activity tolerance of 1e-8; when both are supplied
-    they must agree.
+    Gradients are stored as rows. The Hessians are one read-only
+    (1 + p1 + p2, n, n) stack `hessians`: hess_f, then hess_h, then hess_g,
+    each checked and mirrored from its upper triangle. The active set is
+    either given directly (0-based indices) or derived from g_values with
+    an absolute activity tolerance of 1e-8; when both are supplied they
+    must agree.
     """
 
-    __slots__ = ("n", "grad_f", "grad_h", "grad_g", "hess_f", "hess_h", "hess_g",
-                 "active", "g_values")
+    __slots__ = ("n", "grad_f", "grad_h", "grad_g", "hessians", "active", "g_values")
 
     def __init__(self, grad_f, hess_f, grad_h=None, hess_h=(), grad_g=None,
                  hess_g=(), active=None, g_values=None) -> None:
@@ -81,14 +81,14 @@ class KKTData:
         n = gf.size
         gh = _vectors(grad_h, n, "grad_h")
         gg = _vectors(grad_g, n, "grad_g")
-        hf = as_sym(hess_f)
-        hh = tuple(as_sym(h) for h in hess_h)
-        hg = tuple(as_sym(h) for h in hess_g)
-        if hf.order != n:
+        hf = _as_symmetric(hess_f)
+        hh = [_as_symmetric(h) for h in hess_h]
+        hg = [_as_symmetric(h) for h in hess_g]
+        if hf.shape[0] != n:
             raise InputError("hess_f order does not match grad_f")
-        if len(hh) != gh.shape[0] or any(h.order != n for h in hh):
+        if len(hh) != gh.shape[0] or any(h.shape[0] != n for h in hh):
             raise InputError("hess_h does not match grad_h")
-        if len(hg) != gg.shape[0] or any(h.order != n for h in hg):
+        if len(hg) != gg.shape[0] or any(h.shape[0] != n for h in hg):
             raise InputError("hess_g does not match grad_g")
         p2 = gg.shape[0]
         gv = None
@@ -108,9 +108,10 @@ class KKTData:
             act = ()
         else:
             raise InputError("either active or g_values is required when p2 > 0")
+        hessians = np.stack([hf, *hh, *hg])
+        hessians.setflags(write=False)
         for name, value in (("n", n), ("grad_f", gf), ("grad_h", gh), ("grad_g", gg),
-                            ("hess_f", hf), ("hess_h", hh), ("hess_g", hg),
-                            ("active", act), ("g_values", gv)):
+                            ("hessians", hessians), ("active", act), ("g_values", gv)):
             object.__setattr__(self, name, value)
         gf.setflags(write=False)
         gh.setflags(write=False)
@@ -146,21 +147,19 @@ class MultiplierPoint:
         object.__setattr__(self, "mu", mu)
 
 
-def lagrangian_hessian(data: KKTData, pt: MultiplierPoint) -> SymMatrix:
-    """hess_f + sum_i lam_i * hess_h_i + sum_i mu_i * hess_g_i."""
+def lagrangian_hessian(data: KKTData, pt: MultiplierPoint) -> np.ndarray:
+    """hess_f + sum_i lam_i * hess_h_i + sum_i mu_i * hess_g_i, exactly symmetric."""
     if pt.lam.size != data.p1 or pt.mu.size != data.p2:
         raise InputError("multiplier dimensions do not match the problem")
-    return SymMatrix(_hessian_stack(data, pt.lam[None], pt.mu[None])[0])
+    return _hessian_stack(data, pt.lam[None], pt.mu[None])[0]
 
 
 def _hessian_stack(data: KKTData, lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """The (V, n, n) Lagrangian Hessians of the V multiplier rows (lam[v], mu[v]),
     summed in constraint order for all rows at once."""
-    total = np.repeat(data.hess_f.entries[None], len(lam), axis=0)
-    for w, h in zip(lam.T, data.hess_h):
-        total += w[:, None, None] * h.entries
-    for w, h in zip(mu.T, data.hess_g):
-        total += w[:, None, None] * h.entries
+    total = np.repeat(data.hessians[:1], len(lam), axis=0)
+    for w, h in zip(np.hstack([lam, mu]).T, data.hessians[1:]):
+        total += w[:, None, None] * h
     return total
 
 
@@ -263,7 +262,7 @@ def critical_cone_lineality(data: KKTData) -> np.ndarray:
     """
     rows = np.vstack([data.grad_h, data.grad_g[list(data.active)], data.grad_f[None, :]])
     gram = rows.T @ rows
-    spec = sym_eigen(SymMatrix(0.5 * (gram + gram.T)))
+    spec = sym_eigen(0.5 * (gram + gram.T))
     thresh = 1e-12 * (1.0 + norm_max(gram))
     mask = spec.eigenvalues <= thresh
     return np.array(spec.basis[:, mask])

@@ -46,38 +46,13 @@ def _mirrored(a: np.ndarray) -> tuple[np.ndarray | None, float]:
     return sym, float(skew.max())
 
 
-class SymMatrix:
-    """Real symmetric matrix of order >= 1.
-
-    The upper triangle is authoritative: the lower triangle is an exact
-    mirror of it, so entries(i, j) == entries(j, i) holds by construction.
-    """
-
-    __slots__ = ("entries",)
-
-    def __init__(self, values) -> None:
-        sym, skew = _mirrored(_as_square(values))
-        if sym is None:
-            raise InputError(f"matrix is not symmetric (asymmetry {skew:.3e})")
-        object.__setattr__(self, "entries", sym)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SymMatrix is immutable")
-
-    @property
-    def order(self) -> int:
-        return self.entries.shape[0]
-
-    def norm_max(self) -> float:
-        return norm_max(self.entries)
-
-    def __repr__(self) -> str:
-        return f"SymMatrix({self.entries.tolist()!r})"
-
-
-def as_sym(values) -> SymMatrix:
-    """Coerce an array-like (or pass through a SymMatrix)."""
-    return values if isinstance(values, SymMatrix) else SymMatrix(values)
+def _as_symmetric(values) -> np.ndarray:
+    """A square, finite matrix that keeps the asymmetry rule, as a read-only array
+    mirrored from its upper triangle; anything else raises InputError."""
+    sym, skew = _mirrored(_as_square(values))
+    if sym is None:
+        raise InputError(f"matrix is not symmetric (asymmetry {skew:.3e})")
+    return sym
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,16 +63,17 @@ class Spectrum:
     basis: np.ndarray
 
 
-def sym_eigen(m: SymMatrix) -> Spectrum:
+def sym_eigen(m: np.ndarray) -> Spectrum:
     """Eigendecomposition by LAPACK's symmetric solver (numpy.linalg.eigh).
 
     Householder tridiagonalization followed by implicit QR, which is as
     accurate as Jacobi rotations on a symmetric matrix (Golub & Van Loan,
     Matrix Computations, sections 8.3 and 8.5) at a fraction of the cost.
     The result is deterministic for a fixed input; a LAPACK convergence
-    failure is raised as NumericalFailureError.
+    failure is raised as NumericalFailureError; an `m` that is not square, finite
+    and symmetric by the asymmetry rule raises InputError.
     """
-    return _spectrum(*_eigh(as_sym(m).entries))
+    return _spectrum(*_eigh(_as_symmetric(m)))
 
 
 def _eigh(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -118,7 +94,7 @@ def _spectrum(vals: np.ndarray, basis: np.ndarray) -> Spectrum:
     return Spectrum(vals, basis)
 
 
-def min_eigenvalue(m: SymMatrix) -> float:
+def min_eigenvalue(m: np.ndarray) -> float:
     """Smallest eigenvalue, equal to sym_eigen(m).eigenvalues[0]."""
     return float(sym_eigen(m).eigenvalues[0])
 
@@ -127,17 +103,16 @@ class MatrixFamily:
     """Ordered family of square matrices sharing one order.
 
     `members` is one read-only (m, n, n) stack, checked once here, and
-    `symmetric` says whether every member keeps the asymmetry rule of
-    SymMatrix; the members of a symmetric family are mirrored from their
-    upper triangles as SymMatrix entries are. Certificate pipelines require
+    `symmetric` says whether every member keeps the asymmetry rule
+    (max|A - A'| <= 1e-12 * (1 + max|A|)); the members of a symmetric family
+    are mirrored from their upper triangles. Certificate pipelines require
     a symmetric family; a non-symmetric one still has a set rank.
     """
 
     __slots__ = ("members", "symmetric")
 
     def __init__(self, members) -> None:
-        mats = [_as_square(raw.entries if isinstance(raw, SymMatrix) else raw, name=f"member {k}")
-                for k, raw in enumerate(members)]
+        mats = [_as_square(raw, name=f"member {k}") for k, raw in enumerate(members)]
         if not mats:
             raise InputError("family must contain at least one matrix")
         if any(mat.shape[0] != mats[0].shape[0] for mat in mats):
@@ -159,10 +134,6 @@ class MatrixFamily:
         return self.members.shape[1]
 
 
-def as_family(members) -> MatrixFamily:
-    return members if isinstance(members, MatrixFamily) else MatrixFamily(members)
-
-
 def flatten_sym(a: np.ndarray) -> np.ndarray:
     """Upper-triangle flattening with sqrt(2)-scaled off-diagonal entries,
     of one matrix or of each matrix in a (..., n, n) stack.
@@ -176,7 +147,11 @@ def flatten_sym(a: np.ndarray) -> np.ndarray:
 
 
 def _normalized_rows(rows: np.ndarray) -> np.ndarray:
-    """Rows scaled to unit Euclidean norm; zero rows stay zero."""
+    """Rows scaled to unit Euclidean norm; zero rows stay zero. Each row is first
+    divided by 2**e, with e the exponent of its largest entry, which is exact, so
+    the squares in its norm neither overflow nor underflow."""
+    _, exponents = np.frexp(np.abs(rows).max(axis=1, initial=0.0))
+    rows = np.ldexp(rows, -exponents[:, None])
     norms = np.linalg.norm(rows, axis=1)
     return np.where(norms[:, None] > 0.0, rows / np.where(norms == 0.0, 1.0, norms)[:, None], 0.0)
 
@@ -254,7 +229,6 @@ def matrix_set_rank(family: MatrixFamily, tol: float = DEFAULT_TOL) -> MatrixSet
     under permuting the family. When the rank is 2 the result carries the
     coordinates of every member in the first two independent members.
     """
-    family = as_family(family)
     members = family.members
     flat = flatten_sym(members) if family.symmetric else members.reshape(len(members), -1)
     unit = _normalized_rows(flat)
@@ -280,7 +254,7 @@ def _pair_coordinates(pair: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 
 def express_in_basis(
-    a: SymMatrix, b1: SymMatrix, b2: SymMatrix, tol: float = DEFAULT_TOL
+    a: np.ndarray, b1: np.ndarray, b2: np.ndarray, tol: float = DEFAULT_TOL
 ) -> tuple[float, float]:
     """Coefficients (alpha, beta) with A = alpha*B1 + beta*B2.
 
@@ -288,15 +262,15 @@ def express_in_basis(
     NotInSpanError when the least-squares residual exceeds
     tol * (1 + largest entry of A).
     """
-    a, b1, b2 = as_sym(a), as_sym(b1), as_sym(b2)
-    if not (a.order == b1.order == b2.order):
+    a, b1, b2 = _as_symmetric(a), _as_symmetric(b1), _as_symmetric(b2)
+    if not (a.shape == b1.shape == b2.shape):
         raise InputError("matrices must share one order")
     if matrix_set_rank(MatrixFamily([b1, b2]), tol).rank < 2:
         raise DegenerateBasisError("basis pair is linearly dependent")
-    pair = np.stack([flatten_sym(b1.entries), flatten_sym(b2.entries)])
-    alpha, beta = _pair_coordinates(pair, flatten_sym(a.entries)[None, :])[0]
-    residual = norm_max(a.entries - alpha * b1.entries - beta * b2.entries)
-    if residual > tol * (1.0 + a.norm_max()):
+    pair = np.stack([flatten_sym(b1), flatten_sym(b2)])
+    alpha, beta = _pair_coordinates(pair, flatten_sym(a)[None, :])[0]
+    residual = norm_max(a - alpha * b1 - beta * b2)
+    if residual > tol * (1.0 + norm_max(a)):
         raise NotInSpanError(residual)
     return float(alpha), float(beta)
 

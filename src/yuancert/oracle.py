@@ -21,7 +21,7 @@ import numpy as np
 
 from .cone import FirstOrderCone, span_basis
 from .errors import InputError
-from .numeric_core import DEFAULT_TOL, MatrixFamily, as_family
+from .numeric_core import DEFAULT_TOL, MatrixFamily
 from .yuan import SimplexWeights, _into_cone, restricted_forms, witness_check
 
 
@@ -52,7 +52,6 @@ def sample_max_nonneg(
     """
     if samples < 1:
         raise InputError("samples must be >= 1")
-    family = as_family(family)
     mats, threshold = restricted_forms(family, cone, tol)
     if not mats.size:
         return NoWitnessFound(0)
@@ -97,7 +96,6 @@ def simplex_grid_search(
     """Exhaustive search over the weight grid with coordinates k/resolution."""
     if resolution < 1:
         raise InputError("resolution must be >= 1")
-    family = as_family(family)
     mats, _ = restricted_forms(family, cone, DEFAULT_TOL)
     grid = _grid_weights(len(family), resolution)
     if not mats.size:

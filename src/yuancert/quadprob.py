@@ -19,11 +19,10 @@ from .cone import FirstOrderCone
 from .errors import InputError, NumericalFailureError
 from .numeric_core import (
     DEFAULT_TOL,
+    MatrixFamily,
     MatrixSetRank,
-    SymMatrix,
+    _as_symmetric,
     _normalized_rows,
-    as_family,
-    as_sym,
     matrix_set_rank,
     norm_max,
     numerical_rank,
@@ -36,7 +35,7 @@ _DEFAULT_SEED = 42
 
 
 class QuadProblem:
-    """Constraint matrices plus the constant Jacobian bottom row.
+    """Constraint matrices, one MatrixFamily, plus the constant Jacobian bottom row.
 
     ray_constant is -1 for the optimization problem itself; other nonzero
     values are allowed for rank experiments with the Jacobian map. The
@@ -47,12 +46,11 @@ class QuadProblem:
 
     __slots__ = ("matrices", "ray_constant")
 
-    def __init__(self, matrices, ray_constant: float = -1.0) -> None:
-        family = as_family(matrices)
+    def __init__(self, matrices: MatrixFamily, ray_constant: float = -1.0) -> None:
         a = float(ray_constant)
         if a == 0.0 or not np.isfinite(a):
             raise InputError("ray constant must be nonzero and finite")
-        object.__setattr__(self, "matrices", family)
+        object.__setattr__(self, "matrices", matrices)
         object.__setattr__(self, "ray_constant", a)
 
     def __setattr__(self, name, value):
@@ -130,7 +128,7 @@ class NotDependent:
 
 
 def extract_dependence(
-    a: SymMatrix, b: SymMatrix, c: SymMatrix, tol: float = DEFAULT_TOL
+    a: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float = DEFAULT_TOL
 ) -> Equal | Delta | NotDependent:
     """Constructive affine-dependence extraction for a matrix triple.
 
@@ -139,11 +137,11 @@ def extract_dependence(
     delta = -v'(A-C)v / lam, and the full matrix identity
     A - C + delta*(B - C) = 0 is verified at relative tolerance.
     """
-    a, b, c = as_sym(a), as_sym(b), as_sym(c)
-    if not (a.order == b.order == c.order):
+    a, b, c = _as_symmetric(a), _as_symmetric(b), _as_symmetric(c)
+    if not (a.shape == b.shape == c.shape):
         raise InputError("matrices must share one order")
-    d = SymMatrix(b.entries - c.entries)
-    return _dependence(a.entries, b.entries, c.entries, d.entries, sym_eigen(d), tol)
+    d = b - c
+    return _dependence(a, b, c, d, sym_eigen(d), tol)
 
 
 def _dependence(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray, spec,
@@ -194,10 +192,10 @@ def jacobian_rank_reduce(
     far = int(np.argmax(gaps))
     spread = gaps[far] > tol * (1.0 + norm_max(mats))
     others = [i for i in range(1, prob.m) if i != far] if spread else []
-    d = SymMatrix(mats[far] - base)
+    d = mats[far] - base
     spec = sym_eigen(d) if others else None
     for i in others:
-        res = _dependence(mats[i], mats[far], base, d.entries, spec, tol)
+        res = _dependence(mats[i], mats[far], base, d, spec, tol)
         if isinstance(res, NotDependent):
             triple = tuple(sorted((0, far, i)))
             witness = _rank3_point(prob, tol)

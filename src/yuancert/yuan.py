@@ -30,10 +30,8 @@ from .numeric_core import (
     DEFAULT_TOL,
     MatrixFamily,
     MatrixSetRank,
-    SymMatrix,
     _eigh,
     _mirrored,
-    as_family,
     flatten_sym,
     matrix_set_rank,
     min_eigenvalue,
@@ -143,7 +141,7 @@ def restricted_forms(family, cone: FirstOrderCone, tol: float) -> tuple[np.ndarr
 def certificate_value(restricted: np.ndarray, weights) -> float:
     """lambda_min of the weighted restriction sum_i w_i*R_i (0 on an empty span)."""
     combined = sum(w * r for w, r in zip(weights, restricted))
-    return min_eigenvalue(SymMatrix(combined)) if restricted.size else 0.0
+    return min_eigenvalue(combined) if restricted.size else 0.0
 
 
 def witness_check(members, cone: FirstOrderCone, x, threshold: float) -> tuple[bool, np.ndarray]:
@@ -259,8 +257,8 @@ def _pencil_decision(members: np.ndarray, cone: FirstOrderCone, restricted: np.n
 
 
 def yuan_two(
-    a: SymMatrix,
-    b: SymMatrix,
+    a: np.ndarray,
+    b: np.ndarray,
     cone: FirstOrderCone,
     tol: float = DEFAULT_TOL,
 ) -> CertificateReport:
@@ -347,7 +345,6 @@ def certify_rank2(
     pencil of that pair decides at the family's threshold. Rank above 2
     is reported as a hypothesis violation.
     """
-    family = as_family(family)
     return _certify_ranked(family, cone, tol, matrix_set_rank(family, tol))
 
 

@@ -5,9 +5,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from yuancert import FirstOrderCone, KKTData, MatrixFamily, QuadProblem, SymMatrix, min_eigenvalue
+from yuancert import FirstOrderCone, KKTData, MatrixFamily, QuadProblem, min_eigenvalue
 from yuancert.instances import SCHEMA_VERSION
-from yuancert.numeric_core import as_sym
+from yuancert.numeric_core import norm_max
 
 # Family one: A3 = 2*A1 - A2; max of the three forms is nonnegative everywhere
 # and (0, 3/5, 2/5) is a PSD combination.
@@ -49,27 +49,26 @@ def full_cone(n: int) -> FirstOrderCone:
     return FirstOrderCone.full(n)
 
 
-def psd(m, tol: float = 1e-9) -> bool:
-    """PSD at the tests' threshold: lambda_min >= -tol * (1 + largest entry).
-    m is a SymMatrix or a symmetric array."""
-    m = as_sym(m)
-    return min_eigenvalue(m) >= -tol * (1.0 + m.norm_max())
+def psd(m: np.ndarray, tol: float = 1e-9) -> bool:
+    """PSD at the tests' threshold: lambda_min >= -tol * (1 + largest entry)
+    for a symmetric array m."""
+    return min_eigenvalue(m) >= -tol * (1.0 + norm_max(m))
 
 
-def pencil_min(a: SymMatrix, b: SymMatrix, t: float) -> float:
+def pencil_min(a: np.ndarray, b: np.ndarray, t: float) -> float:
     """lambda_min(t*A + (1-t)*B), the concave profile `yuan_two` maximizes."""
-    return min_eigenvalue(SymMatrix(t * a.entries + (1.0 - t) * b.entries))
+    return min_eigenvalue(t * a + (1.0 - t) * b)
 
 
-def random_sym(rng: np.random.Generator, n: int, scale: float = 1.0) -> SymMatrix:
+def random_sym(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
     raw = rng.standard_normal((n, n)) * scale
-    return SymMatrix(0.5 * (raw + raw.T))
+    return 0.5 * (raw + raw.T)
 
 
 def random_rank2_family(rng: np.random.Generator, n: int, m: int) -> MatrixFamily:
     """Random members of the span of two random symmetric matrices."""
-    b1 = random_sym(rng, n).entries
-    b2 = random_sym(rng, n).entries
+    b1 = random_sym(rng, n)
+    b2 = random_sym(rng, n)
     members = []
     for _ in range(m):
         a, b = rng.standard_normal(2)
@@ -83,8 +82,8 @@ def random_collinear_family(rng: np.random.Generator, n: int, m: int) -> MatrixF
     Every triple is affinely dependent, so the Jacobian of the induced
     quadratic problem keeps rank <= 2 everywhere.
     """
-    base = random_sym(rng, n).entries
-    direction = random_sym(rng, n).entries
+    base = random_sym(rng, n)
+    direction = random_sym(rng, n)
     members = [base + float(s) * direction for s in rng.standard_normal(m)]
     return MatrixFamily(members)
 
@@ -215,11 +214,11 @@ def serialize_instance(instance: MatrixFamily | KKTData | QuadProblem) -> dict:
         "schema_version": SCHEMA_VERSION,
         "kind": "kkt",
         "grad_f": data.grad_f.tolist(),
-        "hess_f": data.hess_f.entries.tolist(),
+        "hess_f": data.hessians[0].tolist(),
         "grad_h": data.grad_h.tolist(),
-        "hess_h": [h.entries.tolist() for h in data.hess_h],
+        "hess_h": data.hessians[1:1 + data.p1].tolist(),
         "grad_g": data.grad_g.tolist(),
-        "hess_g": [h.entries.tolist() for h in data.hess_g],
+        "hess_g": data.hessians[1 + data.p1:].tolist(),
         "active": list(data.active),
     }
     if data.g_values is not None:

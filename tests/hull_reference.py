@@ -15,7 +15,6 @@ from yuancert.lp import lp_solve
 from yuancert.numeric_core import (
     DEFAULT_TOL,
     MatrixFamily,
-    as_family,
     flatten_sym,
     matrix_set_rank,
     norm_max,
@@ -144,7 +143,6 @@ def hull_psd_search(
     each slice, locates the optimum and an L1-penalty LP recovers simplex
     weights realizing it.
     """
-    family = as_family(family)
     m = len(family)
     sr = matrix_set_rank(family, tol)
     if sr.rank > 2:

@@ -31,7 +31,6 @@ from yuancert import (
     NoWitnessFound,
     QuadProblem,
     Refuted,
-    SymMatrix,
     certify_rank2,
     check_mfcq,
     critical_cone_lineality,
@@ -52,6 +51,7 @@ from yuancert import (
     yuan_two,
 )
 from yuancert.cli import main
+from yuancert.numeric_core import norm_max
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 LAM_REF = (1.4 - math.sqrt(1.8)) / 2.0
@@ -74,7 +74,7 @@ def report_line(number: int, label: str, ok: bool, detail: str) -> None:
 
 def random_sym(rng, n, scale=1.0):
     raw = rng.standard_normal((n, n)) * scale
-    return SymMatrix(0.5 * (raw + raw.T))
+    return 0.5 * (raw + raw.T)
 
 
 def test_criterion_1_example_one(capsys):
@@ -83,7 +83,7 @@ def test_criterion_1_example_one(capsys):
     ok = isinstance(report.outcome, Certified)
     combined = 0.6 * EX1_A2 + 0.4 * EX1_A3
     ok = ok and np.abs(combined - np.array([[0.4, -0.6], [-0.6, 1.0]])).max() <= 1e-12
-    lam = min_eigenvalue(SymMatrix(combined))
+    lam = min_eigenvalue(combined)
     ok = ok and abs(lam - LAM_REF) <= 1e-9
     ok = ok and main(["certify", str(INSTANCES / "example1.json")]) == 0
     ok = ok and clock.elapsed < 0.1
@@ -98,10 +98,10 @@ def test_criterion_2_example_two(capsys):
         ok = isinstance(report.outcome, Certified)
         uniform = (EX2_A1 + EX2_A2 + EX2_A3) / 3.0
         ok = ok and np.abs(uniform).max() <= 1e-15
-        ok = ok and abs(min_eigenvalue(SymMatrix(uniform))) <= 1e-12
+        ok = ok and abs(min_eigenvalue(uniform)) <= 1e-12
         pair_margins = []
         for a, b in ((EX2_A1, EX2_A2), (EX2_A1, EX2_A3), (EX2_A2, EX2_A3)):
-            pair = yuan_two(SymMatrix(a), SymMatrix(b), FirstOrderCone.full(2))
+            pair = yuan_two(a, b, FirstOrderCone.full(2))
             out = pair.outcome
             ok = ok and isinstance(out, Refuted)
             values = [out.witness @ a @ out.witness, out.witness @ b @ out.witness]
@@ -151,11 +151,11 @@ def test_criterion_4_quadratic_pipeline(capsys):
         ok = ok and isinstance(soc.report.outcome, Certified)
         ok = ok and isinstance(direct.outcome, Certified)
         basis = span_basis(soc.cone)
-        hessian = lagrangian_hessian(data, soc.multiplier).entries
+        hessian = lagrangian_hessian(data, soc.multiplier)
         lam_soc = min_eigenvalue(restrict(hessian[None], basis)[0])
         ok = ok and lam_soc >= -1e-9
         combined = sum(w * mem for w, mem in zip(direct.outcome.weights.t, family_one().members))
-        lam_direct = min_eigenvalue(SymMatrix(combined))
+        lam_direct = min_eigenvalue(combined)
         ok = ok and lam_direct >= -1e-9
     ok = ok and clock.elapsed < 1.0
     with capsys.disabled():
@@ -175,7 +175,7 @@ def test_criterion_5_dependence_extraction(capsys):
                 delta = 10.0 ** rng.uniform(-2.0, 3.0)
             else:
                 delta = -(10.0 ** rng.uniform(-2.0, math.log10(0.99)))
-            c = SymMatrix((a.entries + delta * b.entries) / (1.0 + delta))
+            c = (a + delta * b) / (1.0 + delta)
             result = extract_dependence(a, b, c)
             rel = abs(result.delta - delta) / abs(delta)
             worst = max(worst, rel)
@@ -194,7 +194,7 @@ def test_criterion_6_oracle_equivalence(capsys):
             rng = np.random.default_rng(1000 + seed)
             n = int(rng.integers(2, 5))
             m = int(rng.integers(1, 6))
-            b1, b2 = random_sym(rng, n).entries, random_sym(rng, n).entries
+            b1, b2 = random_sym(rng, n), random_sym(rng, n)
             fam = MatrixFamily(
                 [rng.standard_normal() * b1 + rng.standard_normal() * b2 for _ in range(m)]
             )
@@ -227,7 +227,7 @@ def test_criterion_7_pencil_concavity(capsys):
         for _ in range(100):
             n = int(rng.integers(1, 7))
             a, b = random_sym(rng, n), random_sym(rng, n)
-            scale = 1.0 + max(a.norm_max(), b.norm_max())
+            scale = 1.0 + max(norm_max(a), norm_max(b))
             for _ in range(20):
                 t1, t2 = sorted(rng.uniform(0.0, 1.0, size=2))
                 mid = pencil_min(a, b, 0.5 * (t1 + t2))
@@ -251,23 +251,23 @@ def test_criterion_8_span_reduction(capsys):
             )
             basis = span_basis(cone)
             width = basis.shape[1]
-            raw = random_sym(rng, n).entries
+            raw = random_sym(rng, n)
             if rng.random() < 0.5:
                 g = rng.standard_normal((n, n))
-                mat = SymMatrix(g @ g.T)
+                mat = g @ g.T
             else:
                 z = rng.standard_normal(width)
                 u = basis @ (z / np.linalg.norm(z))
                 drop = u @ raw @ u + 1.0 * (1.0 + np.abs(raw).max())
-                mat = SymMatrix(raw - drop * np.outer(u, u))
-            restricted_psd = psd(restrict(mat.entries[None], basis)[0])
+                mat = raw - drop * np.outer(u, u)
+            restricted_psd = psd(restrict(mat[None], basis)[0])
             z = rng.standard_normal((1000, width))
             z /= np.linalg.norm(z, axis=1, keepdims=True)
-            scale = 1.0 + mat.norm_max()
-            sampled_min = min(x @ mat.entries @ x for x in z @ basis.T)
+            scale = 1.0 + norm_max(mat)
+            sampled_min = min(x @ mat @ x for x in z @ basis.T)
             if (sampled_min >= -1e-9 * scale) != restricted_psd:
                 mismatches += 1
-            fam = MatrixFamily([mat, SymMatrix(raw)])
+            fam = MatrixFamily([mat, raw])
             span_cone = FirstOrderCone(n, basis.T)
             on_cone = sample_max_nonneg(fam, cone, samples=1000, seed=trial)
             on_span = sample_max_nonneg(fam, span_cone, samples=1000, seed=trial)
@@ -287,9 +287,9 @@ def test_criterion_9_eigensolver_contract(capsys):
             n = int(rng.integers(1, 13))
             mat = random_sym(rng, n, scale=float(rng.uniform(0.1, 10.0)))
             spec = sym_eigen(mat)
-            scale = 1.0 + mat.norm_max()
+            scale = 1.0 + norm_max(mat)
             recon = np.abs(
-                spec.basis @ np.diag(spec.eigenvalues) @ spec.basis.T - mat.entries
+                spec.basis @ np.diag(spec.eigenvalues) @ spec.basis.T - mat
             ).max()
             orth = np.abs(spec.basis.T @ spec.basis - np.eye(n)).max()
             worst_recon = max(worst_recon, recon / scale)

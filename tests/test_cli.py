@@ -61,17 +61,16 @@ class TestRoundTrip:
         assert np.array_equal(parsed.members[0], again.members[0])
 
     def test_kkt(self):
-        data = to_kkt(QuadProblem([EX1_A1, EX1_A2, EX1_A3]))
+        data = to_kkt(QuadProblem(MatrixFamily([EX1_A1, EX1_A2, EX1_A3])))
         doc = serialize_instance(data)
         parsed = parse_instance(doc)
         again = parse_instance(serialize_instance(parsed))
         assert np.array_equal(parsed.grad_f, again.grad_f)
         assert parsed.active == again.active
-        for a, b in zip(parsed.hess_g, again.hess_g):
-            assert np.array_equal(a.entries, b.entries)
+        assert np.array_equal(parsed.hessians, again.hessians)
 
     def test_quadprob(self):
-        doc = serialize_instance(QuadProblem([EX1_A1, EX1_A2]))
+        doc = serialize_instance(QuadProblem(MatrixFamily([EX1_A1, EX1_A2])))
         parsed = parse_instance(doc)
         again = parse_instance(serialize_instance(parsed))
         assert parsed.ray_constant == again.ray_constant
@@ -129,7 +128,7 @@ class TestParsing:
         quad = parse_instance({"schema_version": "1", "kind": "quadprob", "matrices": [near]})
         kkt = parse_instance({"schema_version": "1", "kind": "kkt", "grad_f": [0.0, 0.0],
                               "hess_f": near, "hess_h": [near], "grad_h": [[1.0, 0.0]]})
-        for entries in (quad.matrices.members[0], kkt.hess_f.entries, kkt.hess_h[0].entries):
+        for entries in (quad.matrices.members[0], *kkt.hessians):
             assert entries.tolist() == [[1.0, 0.5], [0.5, 2.0]]
 
 
@@ -164,7 +163,7 @@ class TestNumberArrays:
 
 
 def kkt_example_doc() -> dict:
-    return serialize_instance(to_kkt(QuadProblem([EX1_A1, EX1_A2, EX1_A3])))
+    return serialize_instance(to_kkt(QuadProblem(MatrixFamily([EX1_A1, EX1_A2, EX1_A3]))))
 
 
 @pytest.mark.parametrize("value", [3, 0, "", {}], ids=["three", "zero", "empty_string", "object"])
@@ -285,7 +284,7 @@ class TestCommands:
         assert main(["certify", fam, "--cone", cone]) == 0
 
     def test_soc_and_vertices(self, tmp_path, capsys):
-        data = to_kkt(QuadProblem([EX1_A1, EX1_A2, EX1_A3]))
+        data = to_kkt(QuadProblem(MatrixFamily([EX1_A1, EX1_A2, EX1_A3])))
         path = write(tmp_path, "kkt.json", serialize_instance(data))
         assert main(["vertices", path, "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
@@ -385,7 +384,7 @@ class TestCommands:
             assert 0.0 <= margin < 1e-12
 
     def test_quad_pipeline(self, tmp_path, capsys):
-        doc = serialize_instance(QuadProblem([EX1_A1, EX1_A2, EX1_A3]))
+        doc = serialize_instance(QuadProblem(MatrixFamily([EX1_A1, EX1_A2, EX1_A3])))
         path = write(tmp_path, "quad.json", doc)
         assert main(["quad", path, "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
@@ -417,6 +416,18 @@ class TestCommands:
 
     def test_missing_file_exit_three(self, capsys):
         assert main(["certify", "/nonexistent/file.json"]) == 3
+
+    @pytest.mark.parametrize("role", ["instance", "cone", "report"])
+    def test_non_utf8_file_exit_three(self, role, example1, tmp_path, capsys):
+        # byte 0xE9 is Latin-1 for e-acute and no UTF-8 sequence
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'{"schema_version": "1", "note": "caf\xe9"}')
+        argv = {"instance": ["certify", str(bad)],
+                "cone": ["certify", example1, "--cone", str(bad)],
+                "report": ["verify-report", str(bad), example1]}[role]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {bad}: ") and "0xe9" in err, err
 
     @pytest.mark.parametrize("argv", [
         ["certify"], ["certify", "example1.json", "--tol", "abc"],
@@ -533,7 +544,7 @@ class TestVerifyReport:
         # planar non-collinear family: set rank 2, Jacobian rank 3 at the witness
         c, d = np.array(EX2_A1), np.array(EX2_A2)
         mats = [c, d, c + d, 0.5 * c + 1.2 * d]
-        path = write(tmp_path, "planar.json", serialize_instance(QuadProblem(mats)))
+        path = write(tmp_path, "planar.json", serialize_instance(QuadProblem(MatrixFamily(mats))))
         assert main(["quad", path, "--json"]) == 2
         report = json.loads(capsys.readouterr().out)
         report_path = tmp_path / "report.json"
@@ -611,7 +622,7 @@ class TestVerifyReport:
         # quad decides on the full space, so a cone may not relax its check:
         # weights (1, 0) are PSD on e1 only
         quad = write(tmp_path, "quad.json", serialize_instance(
-            QuadProblem([np.diag([1.0, -1.0]), np.diag([-1.0, 1.0])])))
+            QuadProblem(MatrixFamily([np.diag([1.0, -1.0]), np.diag([-1.0, 1.0])]))))
         cone = write(tmp_path, "cone.json", serialize_cone(FirstOrderCone(2, [[1.0, 0.0]])))
         report, path = self.run_report(tmp_path, capsys, ["quad", quad], 0)
         assert report["weights"] == [0.5, 0.5]
@@ -623,7 +634,7 @@ class TestVerifyReport:
 
     @staticmethod
     def kkt_of(tmp_path, name, *matrices):
-        data = to_kkt(QuadProblem([np.asarray(m, float) for m in matrices]))
+        data = to_kkt(QuadProblem(MatrixFamily(matrices)))
         return write(tmp_path, name, serialize_instance(data))
 
     def verdict_cases(self, kind, tmp_path):
@@ -637,7 +648,7 @@ class TestVerifyReport:
         if kind == "quad":
             c, d = np.array(EX2_A1), np.array(EX2_A2)
             planar = write(tmp_path, "planar.json", serialize_instance(
-                QuadProblem([c, d, c + d, 0.5 * c + 1.2 * d])))
+                QuadProblem(MatrixFamily([c, d, c + d, 0.5 * c + 1.2 * d]))))
             return [("quad", str(INSTANCES / "quad_example1.json"), 0), ("quad", planar, 2)]
         return [("soc", str(INSTANCES / "kkt_example1.json"), 0),
                 ("soc", self.kkt_of(tmp_path, "refuted.json", EX2_A1, EX2_A2), 1),

@@ -12,6 +12,7 @@ from yuancert import (
     restrict,
     span_basis,
 )
+from yuancert.numeric_core import norm_max
 
 
 def reference_orthonormalize(vectors, ambient_dim: int) -> np.ndarray:
@@ -114,7 +115,7 @@ class TestFirstOrderCone:
 
 class TestRestrict:
     def test_identity_basis(self):
-        m = random_sym(np.random.default_rng(1), 3).entries
+        m = random_sym(np.random.default_rng(1), 3)
         np.testing.assert_allclose(restrict(m[None], np.eye(3)), [m])
 
     def test_block_embedding(self):
@@ -150,7 +151,7 @@ class TestRestrict:
         rng = np.random.default_rng(2)
         for _ in range(20):
             n = int(rng.integers(2, 6))
-            m = random_sym(rng, n).entries[None]
+            m = random_sym(rng, n)[None]
             k = int(rng.integers(1, n + 1))
             cone = random_cone(rng, n, k, with_ray=False)
             basis = span_basis(cone)
@@ -198,12 +199,12 @@ class TestSpanReduction:
             if width == 0:
                 continue
             m = random_sym(rng, n)
-            restricted_psd = psd(restrict(m.entries[None], basis)[0])
+            restricted_psd = psd(restrict(m[None], basis)[0])
             z = rng.standard_normal((1500, width))
             z /= np.linalg.norm(z, axis=1, keepdims=True)
             points = z @ basis.T
-            sampled_min = min(x @ m.entries @ x for x in points)
-            scale = 1.0 + m.norm_max()
+            sampled_min = min(x @ m @ x for x in points)
+            scale = 1.0 + norm_max(m)
             if sampled_min < -1e-7 * scale:
                 assert not restricted_psd
             if restricted_psd:

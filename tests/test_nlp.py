@@ -152,12 +152,12 @@ class TestLagrangianHessian:
             hess = lagrangian_hessian(data, MultiplierPoint(np.zeros(0), mu))
             expected = np.zeros((3, 3))
             expected[:2, :2] = member
-            np.testing.assert_allclose(hess.entries, expected)
+            np.testing.assert_allclose(hess, expected)
 
     def test_zero_multipliers(self):
         data = quad_data()
         hess = lagrangian_hessian(data, MultiplierPoint(np.zeros(0), np.zeros(3)))
-        np.testing.assert_allclose(hess.entries, data.hess_f.entries)
+        np.testing.assert_allclose(hess, data.hessians[0])
 
     def test_linearity(self):
         data = quad_data()
@@ -166,8 +166,8 @@ class TestLagrangianHessian:
         p1 = MultiplierPoint(np.zeros(0), mu1)
         p2 = MultiplierPoint(np.zeros(0), mu2)
         mid = MultiplierPoint(np.zeros(0), 0.5 * (mu1 + mu2))
-        lhs = lagrangian_hessian(data, mid).entries
-        rhs = 0.5 * (lagrangian_hessian(data, p1).entries + lagrangian_hessian(data, p2).entries)
+        lhs = lagrangian_hessian(data, mid)
+        rhs = 0.5 * (lagrangian_hessian(data, p1) + lagrangian_hessian(data, p2))
         scale = 1.0 + np.abs(rhs).max()
         assert np.abs(lhs - rhs).max() <= 1e-12 * scale
 
@@ -371,19 +371,19 @@ class TestVertexEnumerationReference:
     def test_dependent_equalities(self):
         rng = np.random.default_rng(9)
         data = degenerate_kkt_point(rng, 5, 2, [(2, 4)])
-        twin = KKTData(grad_f=data.grad_f, hess_f=data.hess_f,
-                       grad_h=[data.grad_h[0], 2.0 * data.grad_h[0]], hess_h=data.hess_h,
-                       grad_g=data.grad_g, hess_g=data.hess_g, active=data.active)
+        twin = KKTData(grad_f=data.grad_f, hess_f=data.hessians[0],
+                       grad_h=[data.grad_h[0], 2.0 * data.grad_h[0]], hess_h=data.hessians[1:3],
+                       grad_g=data.grad_g, hess_g=data.hessians[3:], active=data.active)
         assert assert_same_vertices(twin) is MfcqFailedError
 
 
 def reference_lagrangian_hessian(data, pt):
     """Reference: the per-vertex sum in constraint order that the stack replaced."""
-    total = np.array(data.hess_f.entries)
-    for w, h in zip(pt.lam, data.hess_h):
-        total += w * h.entries
-    for w, h in zip(pt.mu, data.hess_g):
-        total += w * h.entries
+    total = np.array(data.hessians[0])
+    for w, h in zip(pt.lam, data.hessians[1:1 + data.p1]):
+        total += w * h
+    for w, h in zip(pt.mu, data.hessians[1 + data.p1:]):
+        total += w * h
     return MatrixFamily([total]).members[0]
 
 
@@ -391,7 +391,7 @@ def assert_hessians_match(data, vertices, stack):
     want = np.stack([reference_lagrangian_hessian(data, v) for v in vertices])
     assert stack.tobytes() == want.tobytes()
     for v, hess in zip(vertices, stack):
-        assert lagrangian_hessian(data, v).entries.tobytes() == hess.tobytes()
+        assert lagrangian_hessian(data, v).tobytes() == hess.tobytes()
 
 
 class TestVertexHessians:
@@ -415,10 +415,18 @@ class TestVertexHessians:
         assert_hessians_match(data, vertices, nlp._hessian_stack(data, lam, mu))
 
     def test_vertex_family(self):
-        data = quad_data(family_two())
-        _, vertices, family = nlp.vertex_hessians(data)
-        assert len(vertices) >= 2
-        assert_hessians_match(data, vertices, family.members)
+        # a point with equality constraints, at a seed where MFCQ holds
+        rng = np.random.default_rng(92)
+        point = degenerate_kkt_point(rng, 6, 2, [(1, 3), (2, 4)], sparse=True, inactive=1)
+        equalities = KKTData(grad_f=point.grad_f, hess_f=random_sym(rng, 6),
+                             grad_h=point.grad_h, hess_h=[random_sym(rng, 6) for _ in range(2)],
+                             grad_g=point.grad_g,
+                             hess_g=[random_sym(rng, 6) for _ in range(point.p2)],
+                             g_values=point.g_values)
+        for data in (quad_data(family_two()), equalities):
+            _, vertices, family = nlp.vertex_hessians(data)
+            assert len(vertices) >= 2
+            assert_hessians_match(data, vertices, family.members)
 
 
 class TestCriticalConeLineality:
@@ -456,11 +464,11 @@ class TestSecondOrderCertificate:
         assert stationarity_residual(data, mult) <= 1e-8
         # the certified multiplier's Hessian is PSD on the lineality space
         basis = span_basis(result.cone)
-        lam = min_eigenvalue(restrict(lagrangian_hessian(data, mult).entries[None], basis)[0])
+        lam = min_eigenvalue(restrict(lagrangian_hessian(data, mult)[None], basis)[0])
         assert lam >= -1e-9
         # the reference multiplier (0, 3/5, 2/5) validates too
         ref = MultiplierPoint(np.zeros(0), np.array([0.0, 0.6, 0.4]))
-        lam_ref = min_eigenvalue(restrict(lagrangian_hessian(data, ref).entries[None], basis)[0])
+        lam_ref = min_eigenvalue(restrict(lagrangian_hessian(data, ref)[None], basis)[0])
         assert lam_ref == pytest.approx((1.4 - np.sqrt(1.8)) / 2, abs=1e-9)
 
     def test_example_two_pipeline(self):
@@ -469,7 +477,7 @@ class TestSecondOrderCertificate:
         assert isinstance(result.report.outcome, Certified)
         uniform = MultiplierPoint(np.zeros(0), np.full(3, 1 / 3))
         basis = span_basis(result.cone)
-        lam = min_eigenvalue(restrict(lagrangian_hessian(data, uniform).entries[None], basis)[0])
+        lam = min_eigenvalue(restrict(lagrangian_hessian(data, uniform)[None], basis)[0])
         assert lam == pytest.approx(0.0, abs=1e-12)
 
     def test_licq_unit_weight(self):
@@ -529,6 +537,6 @@ class TestSecondOrderCertificate:
             sum(w * v.lam for w, v in zip(t, vertices)),
             sum(w * v.mu for w, v in zip(t, vertices)),
         )
-        lhs = lagrangian_hessian(data, mixed).entries
-        rhs = sum(w * lagrangian_hessian(data, v).entries for w, v in zip(t, vertices))
+        lhs = lagrangian_hessian(data, mixed)
+        rhs = sum(w * lagrangian_hessian(data, v) for w, v in zip(t, vertices))
         assert np.abs(lhs - rhs).max() <= 1e-12 * (1.0 + np.abs(rhs).max())

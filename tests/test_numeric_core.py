@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,10 +24,10 @@ from conftest import (
 from yuancert import (
     DegenerateBasisError,
     InputError,
+    KKTData,
     MatrixFamily,
     NotInSpanError,
     NumericalFailureError,
-    SymMatrix,
     express_in_basis,
     matrix_set_rank,
     multiplier_vertices,
@@ -35,7 +36,7 @@ from yuancert import (
     sym_eigen,
 )
 from yuancert.instances import load_instance
-from yuancert.numeric_core import _gram_schmidt, _normalized_rows, _pivoted_rank
+from yuancert.numeric_core import _gram_schmidt, _normalized_rows, _pivoted_rank, norm_max
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -47,45 +48,71 @@ M_DERIVED = np.array([[0.4, -0.6], [-0.6, 1.0]])
 
 
 class TestSymMatrix:
+    """A symmetric matrix is a plain array: `sym_eigen` and `KKTData` check and
+    mirror the ones they take, with one error text each."""
+
+    NEAR = [[1.0, 2.0 + 1e-14], [2.0, 3.0]]
+
     def test_mirror_is_exact(self):
-        m = SymMatrix([[1.0, 2.0 + 1e-13], [2.0, 3.0]])
-        assert m.entries[0, 1] == m.entries[1, 0]
+        data = KKTData(grad_f=[0.0, 0.0], hess_f=self.NEAR)
+        assert data.hessians[0].tolist() == [[1.0, 2.0 + 1e-14], [2.0 + 1e-14, 3.0]]
+        # eigh reads the lower triangle, so equal spectra show sym_eigen mirrored it
+        assert sym_eigen(self.NEAR).eigenvalues.tolist() == \
+            sym_eigen(data.hessians[0]).eigenvalues.tolist()
+
+    @staticmethod
+    def takers(n: int):
+        """The two public ways in for one n x n symmetric matrix."""
+        return sym_eigen, lambda m: KKTData(grad_f=np.zeros(n), hess_f=m)
 
     def test_rejects_asymmetric(self):
-        with pytest.raises(InputError):
-            SymMatrix([[1.0, 2.0], [0.5, 3.0]])
+        for take in self.takers(2):
+            with pytest.raises(InputError,
+                               match=r"^matrix is not symmetric \(asymmetry 1\.500e\+00\)$"):
+                take([[1.0, 2.0], [0.5, 3.0]])
 
     def test_rejects_non_finite(self):
-        with pytest.raises(InputError):
-            SymMatrix([[np.nan, 0.0], [0.0, 1.0]])
+        for take in self.takers(2):
+            with pytest.raises(InputError, match="^matrix has non-finite entries$"):
+                take([[np.nan, 0.0], [0.0, 1.0]])
 
     def test_rejects_non_square(self):
-        with pytest.raises(InputError):
-            SymMatrix([[1.0, 2.0, 3.0]])
+        for take in self.takers(1):
+            with pytest.raises(InputError,
+                               match=r"^matrix must be square of order >= 1, got shape \(1, 3\)$"):
+                take([[1.0, 2.0, 3.0]])
 
     def test_entries_read_only(self):
-        m = SymMatrix(np.eye(2))
+        data = degenerate_kkt_point(np.random.default_rng(2), 4, 1, [(2, 3)])
         with pytest.raises(ValueError):
-            m.entries[0, 0] = 5.0
+            data.hessians[0, 0, 0] = 5.0
+
+    def test_kkt_hessians_in_constraint_order(self):
+        rng = np.random.default_rng(6)
+        hf, hh, hg = random_sym(rng, 3), [random_sym(rng, 3)], [random_sym(rng, 3)] * 2
+        data = KKTData(grad_f=np.ones(3), hess_f=hf, grad_h=np.ones((1, 3)), hess_h=hh,
+                       grad_g=np.eye(3)[:2], hess_g=hg, active=[0])
+        assert data.hessians.shape == (4, 3, 3)
+        assert data.hessians.tobytes() == np.stack([hf, *hh, *hg]).tobytes()
 
 
 class TestSymEigen:
     def test_identity(self):
-        spec = sym_eigen(SymMatrix(np.eye(2)))
+        spec = sym_eigen(np.eye(2))
         np.testing.assert_allclose(spec.eigenvalues, [1.0, 1.0])
         np.testing.assert_allclose(spec.basis.T @ spec.basis, np.eye(2), atol=1e-12)
 
     def test_already_diagonal(self):
-        spec = sym_eigen(SymMatrix(np.diag([-1.0, 1.0])))
+        spec = sym_eigen(np.diag([-1.0, 1.0]))
         np.testing.assert_allclose(spec.eigenvalues, [-1.0, 1.0])
         np.testing.assert_allclose(np.abs(spec.basis), np.eye(2), atol=1e-12)
 
     def test_derived_two_by_two(self):
-        spec = sym_eigen(SymMatrix(M_DERIVED))
+        spec = sym_eigen(M_DERIVED)
         np.testing.assert_allclose(spec.eigenvalues, [LAM_LO, LAM_HI], atol=1e-12)
 
     def test_deterministic(self):
-        m = SymMatrix(M_DERIVED)
+        m = M_DERIVED
         s1 = sym_eigen(m)
         s2 = sym_eigen(m)
         assert np.array_equal(s1.eigenvalues, s2.eigenvalues)
@@ -97,9 +124,9 @@ class TestSymEigen:
             n = int(rng.integers(1, 9))
             m = random_sym(rng, n, scale=float(rng.uniform(0.1, 10.0)))
             spec = sym_eigen(m)
-            scale = 1.0 + m.norm_max()
+            scale = 1.0 + norm_max(m)
             recon = spec.basis @ np.diag(spec.eigenvalues) @ spec.basis.T
-            assert np.abs(recon - m.entries).max() <= 1e-9 * scale
+            assert np.abs(recon - m).max() <= 1e-9 * scale
             assert np.abs(spec.basis.T @ spec.basis - np.eye(n)).max() <= 1e-10
             assert (np.diff(spec.eigenvalues) >= 0).all()
 
@@ -109,11 +136,11 @@ class TestSymEigen:
             n = int(rng.integers(1, 9))
             m = random_sym(rng, n)
             lam = min_eigenvalue(m)
-            scale = 1.0 + m.norm_max()
+            scale = 1.0 + norm_max(m)
             for _ in range(5):
                 x = rng.standard_normal(n)
                 x /= np.linalg.norm(x)
-                assert x @ m.entries @ x >= lam - 1e-9 * scale
+                assert x @ m @ x >= lam - 1e-9 * scale
 
     @pytest.mark.parametrize(
         "mat",
@@ -123,26 +150,26 @@ class TestSymEigen:
     def test_repeated_bottom_eigenvalue(self, mat):
         rng = np.random.default_rng(4)
         q, _ = np.linalg.qr(rng.standard_normal(mat.shape))
-        m = SymMatrix(q @ mat @ q.T)
+        m = q @ mat @ q.T
         spec = sym_eigen(m)
         n = mat.shape[0]
         np.testing.assert_allclose(spec.eigenvalues, np.sort(np.diag(mat)), atol=1e-12)
         assert np.abs(spec.basis.T @ spec.basis - np.eye(n)).max() <= 1e-12
         bottom = spec.basis[:, np.abs(spec.eigenvalues - spec.eigenvalues[0]) <= 1e-9]
-        np.testing.assert_allclose(m.entries @ bottom, spec.eigenvalues[0] * bottom, atol=1e-12)
+        np.testing.assert_allclose(m @ bottom, spec.eigenvalues[0] * bottom, atol=1e-12)
 
     def test_order_one(self):
-        spec = sym_eigen(SymMatrix([[-3.5]]))
+        spec = sym_eigen([[-3.5]])
         assert spec.eigenvalues.tolist() == [-3.5]
         assert np.abs(spec.basis).tolist() == [[1.0]]
 
     def test_zero_matrix(self):
-        spec = sym_eigen(SymMatrix(np.zeros((4, 4))))
+        spec = sym_eigen(np.zeros((4, 4)))
         assert (spec.eigenvalues == 0.0).all()
         np.testing.assert_allclose(spec.basis.T @ spec.basis, np.eye(4), atol=1e-15)
 
     def test_arrays_read_only_and_contiguous(self):
-        spec = sym_eigen(SymMatrix(M_DERIVED))
+        spec = sym_eigen(M_DERIVED)
         for arr in (spec.eigenvalues, spec.basis):
             assert arr.flags.c_contiguous
             with pytest.raises(ValueError):
@@ -160,18 +187,18 @@ class TestSymEigen:
 
         monkeypatch.setattr(np.linalg, "eigh", fail)
         with pytest.raises(NumericalFailureError):
-            sym_eigen(SymMatrix(M_DERIVED))
+            sym_eigen(M_DERIVED)
 
 
 class TestMinEigenvalue:
     def test_zero_matrix(self):
-        assert min_eigenvalue(SymMatrix(np.zeros((3, 3)))) == 0.0
+        assert min_eigenvalue(np.zeros((3, 3))) == 0.0
 
     def test_negative_identity(self):
-        assert min_eigenvalue(SymMatrix(-np.eye(3))) == pytest.approx(-1.0, abs=1e-12)
+        assert min_eigenvalue(-np.eye(3)) == pytest.approx(-1.0, abs=1e-12)
 
     def test_derived(self):
-        assert min_eigenvalue(SymMatrix(M_DERIVED)) == pytest.approx(LAM_LO, abs=1e-9)
+        assert min_eigenvalue(M_DERIVED) == pytest.approx(LAM_LO, abs=1e-9)
 
 
 class TestQuadForm:
@@ -179,7 +206,7 @@ class TestQuadForm:
 
     def test_identity(self):
         x = np.array([3.0, 4.0])
-        assert x @ SymMatrix(np.eye(2)).entries @ x == pytest.approx(25.0)
+        assert x @ np.eye(2) @ x == pytest.approx(25.0)
 
     def test_example_two_values(self):
         x = np.array([1.0, -0.3])
@@ -189,13 +216,13 @@ class TestQuadForm:
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(-10, 10), min_size=2, max_size=2))
     def test_even_in_sign(self, x):
-        m, x = SymMatrix(M_DERIVED).entries, np.array(x)
+        m, x = M_DERIVED, np.array(x)
         assert x @ m @ x == (-x) @ m @ (-x)
 
 
 class TestMatrixFamily:
     def test_members_are_one_read_only_stack(self):
-        fam = MatrixFamily([EX1_A1, SymMatrix(EX1_A2), EX1_A3.tolist()])
+        fam = MatrixFamily([EX1_A1, EX1_A2, EX1_A3.tolist()])
         assert isinstance(fam.members, np.ndarray)
         assert fam.members.shape == (3, 2, 2)
         assert not fam.members.flags.writeable
@@ -204,13 +231,13 @@ class TestMatrixFamily:
 
     def test_symmetric_members_equal_their_transposes(self):
         rng = np.random.default_rng(7)
-        raw = [random_sym(rng, 4).entries + 1e-14 * rng.standard_normal((4, 4))
+        raw = [random_sym(rng, 4) + 1e-14 * rng.standard_normal((4, 4))
                for _ in range(3)]
         fam = MatrixFamily(raw)
         assert fam.symmetric
         assert np.array_equal(fam.members, np.swapaxes(fam.members, 1, 2))
         for mem, mat in zip(fam.members, raw):
-            assert np.array_equal(mem, SymMatrix(mat).entries)
+            assert np.array_equal(mem, np.triu(mat) + np.triu(mat, 1).T)
 
     def test_counterexample_file_is_not_symmetric(self):
         fam = load_instance(INSTANCES / "counterexample.json")
@@ -247,6 +274,59 @@ class TestMatrixSetRank:
     def test_mixed_orders_rejected(self):
         with pytest.raises(InputError):
             MatrixFamily([np.eye(2), np.eye(3)])
+
+
+def g300_families() -> list[list[np.ndarray]]:
+    """G300: 300 seeded families of 2 to 5 members in the span of two random
+    symmetric matrices P and Q, of order 2 to 5."""
+    rng = np.random.default_rng(7)
+    families = []
+    for _ in range(300):
+        n, m = int(rng.integers(2, 6)), int(rng.integers(2, 6))
+        s = rng.standard_normal((n, n))
+        p = (s + s.T) / 2.0
+        s = rng.standard_normal((n, n))
+        q = (s + s.T) / 2.0
+        families.append([rng.standard_normal() * p + rng.standard_normal() * q
+                         for _ in range(m)])
+    return families
+
+
+class TestSetRankAcrossTheFloatRange:
+    """Each row is scaled by a power of two before its norm, so no square in it
+    overflows or underflows and one member may sit anywhere in the float range."""
+
+    def test_normalized_rows_equal_the_plain_formula(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            rows = rng.standard_normal((int(rng.integers(1, 9)), int(rng.integers(1, 12))))
+            rows *= rng.uniform(0.01, 100.0, (len(rows), 1))
+            rows[rng.random(len(rows)) < 0.1] = 0.0
+            norms = np.linalg.norm(rows, axis=1)
+            plain = np.where(norms[:, None] > 0.0,
+                             rows / np.where(norms == 0.0, 1.0, norms)[:, None], 0.0)
+            assert _normalized_rows(rows).tobytes() == plain.tobytes()
+
+    def test_one_member_scaled_by_powers_of_two(self):
+        families = g300_families()
+        ranks = [matrix_set_rank(MatrixFamily(f)).rank for f in families]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in (-1010, -700, -550, 550, 700, 1015):
+                moved = [i for i, (f, r) in enumerate(zip(families, ranks))
+                         if matrix_set_rank(MatrixFamily([np.ldexp(f[0], k), *f[1:]])).rank != r]
+                assert moved == [], (k, moved)
+
+    @pytest.mark.parametrize("members, rank", [
+        ([np.diag([1.0, -1.0]), 1e-170 * np.eye(2)], 2),
+        ([np.diag([1.0, -1.0]), 1e160 * np.eye(2)], 2),
+        ([np.diag([1e308, -1e308])], 1),
+        ([np.diag([1e308, -1e308]), np.diag([-1e308, 1e308])], 1),
+    ], ids=["tiny", "huge", "near_max", "near_max_pair"])
+    def test_extreme_members(self, members, rank):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert matrix_set_rank(MatrixFamily(members)).rank == rank
 
 
 def reference_greedy_basis(rows: np.ndarray, tol: float, size: int) -> list[int]:
@@ -286,30 +366,30 @@ class TestGramSchmidt:
 
 class TestExpressInBasis:
     def test_example_one(self):
-        alpha, beta = express_in_basis(SymMatrix(EX1_A3), SymMatrix(EX1_A1), SymMatrix(EX1_A2))
+        alpha, beta = express_in_basis(EX1_A3, EX1_A1, EX1_A2)
         assert alpha == pytest.approx(2.0, abs=1e-9)
         assert beta == pytest.approx(-1.0, abs=1e-9)
 
     def test_example_two(self):
-        alpha, beta = express_in_basis(SymMatrix(EX2_A3), SymMatrix(EX2_A1), SymMatrix(EX2_A2))
+        alpha, beta = express_in_basis(EX2_A3, EX2_A1, EX2_A2)
         assert alpha == pytest.approx(-1.0, abs=1e-9)
         assert beta == pytest.approx(-1.0, abs=1e-9)
 
     def test_basis_member_itself(self):
-        alpha, beta = express_in_basis(SymMatrix(EX1_A1), SymMatrix(EX1_A1), SymMatrix(EX1_A2))
+        alpha, beta = express_in_basis(EX1_A1, EX1_A1, EX1_A2)
         assert alpha == pytest.approx(1.0, abs=1e-12)
         assert beta == pytest.approx(0.0, abs=1e-12)
 
     def test_degenerate_basis(self):
         with pytest.raises(DegenerateBasisError):
-            express_in_basis(SymMatrix(EX1_A1), SymMatrix(EX1_A2), SymMatrix(2.0 * EX1_A2))
+            express_in_basis(EX1_A1, EX1_A2, 2.0 * EX1_A2)
 
     def test_not_in_span(self):
         with pytest.raises(NotInSpanError):
             express_in_basis(
-                SymMatrix(np.diag([1.0, 0.0, 0.0])),
-                SymMatrix(np.diag([0.0, 1.0, 0.0])),
-                SymMatrix(np.diag([0.0, 0.0, 1.0])),
+                np.diag([1.0, 0.0, 0.0]),
+                np.diag([0.0, 1.0, 0.0]),
+                np.diag([0.0, 0.0, 1.0]),
             )
 
     def test_roundtrip_random(self):
@@ -319,10 +399,10 @@ class TestExpressInBasis:
             b1 = random_sym(rng, n)
             b2 = random_sym(rng, n)
             alpha, beta = rng.standard_normal(2) * 3.0
-            target = SymMatrix(alpha * b1.entries + beta * b2.entries)
+            target = alpha * b1 + beta * b2
             got_a, got_b = express_in_basis(target, b1, b2)
-            recon = got_a * b1.entries + got_b * b2.entries
-            assert np.abs(recon - target.entries).max() <= 1e-9 * (1.0 + target.norm_max())
+            recon = got_a * b1 + got_b * b2
+            assert np.abs(recon - target).max() <= 1e-9 * (1.0 + norm_max(target))
 
 
 class TestNumericalRank:

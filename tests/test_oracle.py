@@ -8,7 +8,6 @@ from yuancert import (
     InputError,
     MatrixFamily,
     NoWitnessFound,
-    SymMatrix,
     Witness,
     cone_contains,
     min_eigenvalue,
@@ -65,7 +64,7 @@ class TestSimplexGridSearch:
         weights, best = simplex_grid_search(family_one(), FULL2, 10)
         assert best >= (1.4 - np.sqrt(1.8)) / 2 - 1e-12  # grid holds (0, 0.6, 0.4)
         combined = sum(w * m for w, m in zip(weights.t, family_one().members))
-        assert min_eigenvalue(SymMatrix(combined)) == pytest.approx(best, abs=1e-9)
+        assert min_eigenvalue(combined) == pytest.approx(best, abs=1e-9)
 
     def test_grid_is_exhaustive(self):
         weights, _ = simplex_grid_search(family_one(), FULL2, 4)
@@ -87,7 +86,7 @@ class TestHullPsdSearch:
         weights, best = hull_psd_search(family_one(), FULL2)
         assert best > 0.0
         combined = sum(w * m for w, m in zip(weights.t, family_one().members))
-        assert min_eigenvalue(SymMatrix(combined)) >= best - 1e-8
+        assert min_eigenvalue(combined) >= best - 1e-8
 
     def test_example_two_zero_point(self):
         _, best = hull_psd_search(family_two(), FULL2)

@@ -25,7 +25,6 @@ from yuancert import (
     NotDependent,
     QuadProblem,
     Refuted,
-    SymMatrix,
     check_mfcq,
     critical_cone_lineality,
     extract_dependence,
@@ -66,7 +65,7 @@ def near_twin_family(rng, n: int, m: int) -> MatrixFamily:
     the premise violated.
     """
     fam = random_collinear_family(rng, n, m - 1)
-    twin = fam.members[0] + 1e-13 * random_sym(rng, n).entries
+    twin = fam.members[0] + 1e-13 * random_sym(rng, n)
     return MatrixFamily(list(fam.members) + [twin])
 
 
@@ -74,13 +73,13 @@ def jittered_family(rng, n: int, m: int) -> MatrixFamily:
     """Collinear family with one member moved 1e-3 off the line."""
     members = list(random_collinear_family(rng, n, m).members)
     j = int(rng.integers(m))
-    members[j] = members[j] + 1e-3 * random_sym(rng, n).entries
+    members[j] = members[j] + 1e-3 * random_sym(rng, n)
     return MatrixFamily(members)
 
 
 def repeated_family(rng, n: int, m: int) -> MatrixFamily:
     """Members drawn with repetition from a pool of one to three matrices."""
-    pool = [random_sym(rng, n).entries for _ in range(int(rng.integers(1, 4)))]
+    pool = [random_sym(rng, n) for _ in range(int(rng.integers(1, 4)))]
     return MatrixFamily([pool[int(rng.integers(len(pool)))] for _ in range(m)])
 
 
@@ -170,7 +169,7 @@ class TestExtractDependence:
     def test_constructed_delta(self):
         rng = np.random.default_rng(0)
         a, b = random_sym(rng, 4), random_sym(rng, 4)
-        c = SymMatrix((a.entries + 2.0 * b.entries) / 3.0)
+        c = (a + 2.0 * b) / 3.0
         result = extract_dependence(a, b, c)
         assert isinstance(result, Delta)
         assert result.delta == pytest.approx(2.0, rel=1e-10)
@@ -182,7 +181,7 @@ class TestExtractDependence:
         assert isinstance(result, Equal)
 
     def test_not_dependent(self):
-        result = extract_dependence(SymMatrix(E11), SymMatrix(E22), SymMatrix(np.zeros((2, 2))))
+        result = extract_dependence(E11, E22, np.zeros((2, 2)))
         assert isinstance(result, NotDependent)
         assert result.residual >= 1.0
 
@@ -195,7 +194,7 @@ class TestExtractDependence:
                 delta = 10.0 ** rng.uniform(-2, 3)
             else:
                 delta = -(10.0 ** rng.uniform(-2, np.log10(0.99)))
-            c = SymMatrix((a.entries + delta * b.entries) / (1.0 + delta))
+            c = (a + delta * b) / (1.0 + delta)
             result = extract_dependence(a, b, c)
             assert isinstance(result, Delta)
             assert abs(result.delta - delta) <= 1e-8 * abs(delta)
@@ -316,10 +315,10 @@ class TestQuadCertificate:
         out = report.outcome
         assert isinstance(out, Certified)
         combined = sum(w * m for w, m in zip(out.weights.t, family_one().members))
-        assert min_eigenvalue(SymMatrix(combined)) >= -1e-9 * (1.0 + np.abs(combined).max())
+        assert min_eigenvalue(combined) >= -1e-9 * (1.0 + np.abs(combined).max())
         # the reference weights certify as well
         ref = 0.6 * family_one().members[1] + 0.4 * family_one().members[2]
-        assert min_eigenvalue(SymMatrix(ref)) > 0.0
+        assert min_eigenvalue(ref) > 0.0
 
     def test_rank3_family_violated(self):
         report = quad_certificate(rank3_problem())
@@ -346,9 +345,9 @@ class TestQuadCertificate:
         n = 8
         z0 = rng.standard_normal(n)
         z0 /= np.linalg.norm(z0)
-        c = random_sym(rng, n).entries
+        c = random_sym(rng, n)
         c = c - (z0 @ c @ z0 + 1.0) * np.outer(z0, z0)
-        d = random_sym(rng, n).entries
+        d = random_sym(rng, n)
         d = d - (z0 @ d @ z0) * np.outer(z0, z0)
         prob = QuadProblem(MatrixFamily([c + s * d for s in np.linspace(-1.0, 1.0, 40)]))
 
@@ -406,7 +405,7 @@ class TestToKkt:
                 scale = 1.0 + max(np.abs(mem).max() for mem in fam.members)
                 for weights in (direct.outcome.weights.t, via_kkt.multiplier.mu):
                     combined = sum(w * mem for w, mem in zip(weights, fam.members))
-                    assert min_eigenvalue(SymMatrix(combined)) >= -1e-9 * scale
+                    assert min_eigenvalue(combined) >= -1e-9 * scale
             agreements += 1
         assert agreements == 15
 

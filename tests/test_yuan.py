@@ -31,7 +31,6 @@ from yuancert import (
     NumericalFailureError,
     Refuted,
     SimplexWeights,
-    SymMatrix,
     certify_rank2,
     cone_contains,
     express_in_basis,
@@ -71,17 +70,17 @@ class TestSimplexWeights:
 class TestLambdaMinProfile:
     def test_opposite_pair_midpoint(self):
         a = random_sym(np.random.default_rng(0), 3)
-        b = SymMatrix(-a.entries)
+        b = -a
         assert pencil_min(a, b, 0.5) == pytest.approx(0.0, abs=1e-12)
 
     def test_scalar_pencil(self):
-        a = SymMatrix(np.eye(2))
-        b = SymMatrix(-np.eye(2))
+        a = np.eye(2)
+        b = -np.eye(2)
         for t in (0.0, 0.25, 0.5, 1.0):
             assert pencil_min(a, b, t) == pytest.approx(2 * t - 1, abs=1e-12)
 
     def test_derived_point(self):
-        val = pencil_min(SymMatrix(EX1_A2), SymMatrix(EX1_A3), 0.6)
+        val = pencil_min(EX1_A2, EX1_A3, 0.6)
         assert val == pytest.approx(LAM_LO, abs=1e-9)
 
     def test_midpoint_concavity_random(self):
@@ -89,7 +88,7 @@ class TestLambdaMinProfile:
         for _ in range(40):
             n = int(rng.integers(1, 7))
             a, b = random_sym(rng, n), random_sym(rng, n)
-            scale = 1.0 + max(a.norm_max(), b.norm_max())
+            scale = 1.0 + max(norm_max(a), norm_max(b))
             t1, t2 = sorted(rng.uniform(0, 1, size=2))
             mid = pencil_min(a, b, 0.5 * (t1 + t2))
             avg = 0.5 * (pencil_min(a, b, t1) + pencil_min(a, b, t2))
@@ -98,8 +97,8 @@ class TestLambdaMinProfile:
 
 class TestYuanTwo:
     def test_opposite_pair(self):
-        a = SymMatrix(np.diag([1.0, -1.0]))
-        b = SymMatrix(np.diag([-1.0, 1.0]))
+        a = np.diag([1.0, -1.0])
+        b = np.diag([-1.0, 1.0])
         report = yuan_two(a, b, FULL2)
         out = report.outcome
         assert isinstance(out, Certified)
@@ -108,42 +107,42 @@ class TestYuanTwo:
 
     def test_identity_always_certifies(self):
         for other in (np.diag([-3.0, -3.0]), np.diag([5.0, 1.0]), EX2_A2):
-            report = yuan_two(SymMatrix(np.eye(2)), SymMatrix(other), FULL2)
+            report = yuan_two(np.eye(2), other, FULL2)
             assert isinstance(report.outcome, Certified)
             t = report.outcome.weights.t
             combined = t[0] * np.eye(2) + t[1] * np.asarray(other, float)
-            assert min_eigenvalue(SymMatrix(combined)) >= -1e-9 * (1.0 + np.abs(combined).max())
+            assert min_eigenvalue(combined) >= -1e-9 * (1.0 + np.abs(combined).max())
 
     @pytest.mark.parametrize("pair", [(EX2_A1, EX2_A2), (EX2_A1, EX2_A3), (EX2_A2, EX2_A3)])
     def test_example_two_pairs_refuted(self, pair):
-        a, b = SymMatrix(pair[0]), SymMatrix(pair[1])
+        a, b = pair[0], pair[1]
         report = yuan_two(a, b, FULL2)
         out = report.outcome
         assert isinstance(out, Refuted)
-        assert out.witness @ a.entries @ out.witness < -1e-6
-        assert out.witness @ b.entries @ out.witness < -1e-6
+        assert out.witness @ a @ out.witness < -1e-6
+        assert out.witness @ b @ out.witness < -1e-6
 
     def test_cone_restricted(self):
         # indefinite on the plane, positive along the kept axis
-        a = SymMatrix(np.diag([-1.0, 1.0]))
-        b = SymMatrix(np.diag([-2.0, 3.0]))
+        a = np.diag([-1.0, 1.0])
+        b = np.diag([-2.0, 3.0])
         cone = FirstOrderCone(2, [[0.0, 1.0]])
         report = yuan_two(a, b, cone)
         assert isinstance(report.outcome, Certified)
 
     def test_zero_cone(self):
         cone = FirstOrderCone(2, ())
-        report = yuan_two(SymMatrix(-np.eye(2)), SymMatrix(-np.eye(2)), cone)
+        report = yuan_two(-np.eye(2), -np.eye(2), cone)
         assert isinstance(report.outcome, Certified)
 
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
-            yuan_two(SymMatrix(np.eye(2)), SymMatrix(np.eye(3)), FULL2)
+            yuan_two(np.eye(2), np.eye(3), FULL2)
 
     def test_triple_bottom_eigenvalue_refuted(self):
         # t = 1/2 gives exactly -I; A - B is diag(2, 1, -2), so the forms agree
         # on (e1 - e3)/sqrt(2) but on no unit vector of span(e1, e2)
-        a, b = SymMatrix(np.diag([0.0, -0.5, -2.0])), SymMatrix(np.diag([-2.0, -1.5, 0.0]))
+        a, b = np.diag([0.0, -0.5, -2.0]), np.diag([-2.0, -1.5, 0.0])
         out = yuan_two(a, b, FirstOrderCone.full(3)).outcome
         assert isinstance(out, Refuted)
         np.testing.assert_allclose(out.form_values, [-1.0, -1.0], atol=1e-12)
@@ -153,7 +152,7 @@ class TestYuanTwo:
         calls = []
         monkeypatch.setattr(yuan_module, "_eigh",
                             lambda stack: calls.append(len(stack)) or numeric_core._eigh(stack))
-        out = yuan_two(SymMatrix(np.diag([1.0, -2.0])), SymMatrix(-np.eye(2)), FULL2).outcome
+        out = yuan_two(np.diag([1.0, -2.0]), -np.eye(2), FULL2).outcome
         assert isinstance(out, Refuted)
         # both endpoints, then [0, 1] halved 52 times to width 2**-52, four
         # halvings per stacked call on a 16-way grid
@@ -177,7 +176,7 @@ def reference_pencil_max(ar, br):
     diff = ar - br
 
     def at(t):
-        spec = sym_eigen(SymMatrix(t * ar + (1.0 - t) * br))
+        spec = sym_eigen(t * ar + (1.0 - t) * br)
         v1 = spec.basis[:, 0]
         return float(spec.eigenvalues[0]), float(v1 @ diff @ v1), spec
 
@@ -218,7 +217,7 @@ def seeded_pencils():
     rng = np.random.default_rng(1990)
     for n in range(1, 9):
         for _ in range(8):
-            a, b = random_sym(rng, n).entries, random_sym(rng, n).entries
+            a, b = random_sym(rng, n), random_sym(rng, n)
             shift = -eigvalsh_pencil_max(a, b) * np.eye(n)
             for sa, sb in ((1.0, 1.0), (2.0**40, 1.0), (1.0, 2.0**-40), (2.0**-40, 2.0**40)):
                 yield sa * (a + shift), sb * (b + shift)
@@ -255,11 +254,11 @@ class TestCertifyRank2:
         assert isinstance(out, Certified)
         # the solver's own weights validate
         combined = sum(w * m for w, m in zip(out.weights.t, family_one().members))
-        assert min_eigenvalue(SymMatrix(combined)) >= -1e-9 * (1.0 + np.abs(combined).max())
+        assert min_eigenvalue(combined) >= -1e-9 * (1.0 + np.abs(combined).max())
         # so do the reference weights (0, 3/5, 2/5)
         ref = 0.6 * EX1_A2 + 0.4 * EX1_A3
         np.testing.assert_allclose(ref, [[0.4, -0.6], [-0.6, 1.0]], atol=1e-12)
-        assert min_eigenvalue(SymMatrix(ref)) == pytest.approx(LAM_LO, abs=1e-9)
+        assert min_eigenvalue(ref) == pytest.approx(LAM_LO, abs=1e-9)
 
     def test_example_two_uniform(self):
         report = certify_rank2(family_two(), FULL2)
@@ -318,7 +317,7 @@ class TestCertifyRank2:
             back = np.zeros(3)
             back[perm] = out.weights.t
             combined = sum(w * m for w, m in zip(back, fam.members))
-            assert min_eigenvalue(SymMatrix(combined)) >= -1e-9 * (1.0 + np.abs(combined).max())
+            assert min_eigenvalue(combined) >= -1e-9 * (1.0 + np.abs(combined).max())
 
     def test_certified_soundness_random(self):
         rng = np.random.default_rng(5)
@@ -331,7 +330,7 @@ class TestCertifyRank2:
             scale = 1.0 + max(np.abs(mem).max() for mem in fam.members)
             if isinstance(report.outcome, Certified):
                 combined = sum(w * mem for w, mem in zip(report.outcome.weights.t, fam.members))
-                assert min_eigenvalue(SymMatrix(combined)) >= -1e-9 * scale
+                assert min_eigenvalue(combined) >= -1e-9 * scale
             else:
                 assert isinstance(report.outcome, Refuted)
                 witness = report.outcome.witness
@@ -356,7 +355,7 @@ class TestCertifyRank2:
         for trial in range(150):
             n = int(rng.integers(1, 5))
             m = int(rng.integers(1, 6))
-            base = random_sym(rng, n).entries
+            base = random_sym(rng, n)
             kind = trial % 4
             if kind == 0:
                 base = base @ base.T + 1e-3 * np.eye(n)
@@ -371,7 +370,7 @@ class TestCertifyRank2:
             scale = 1.0 + max(np.abs(mem).max() for mem in fam.members)
             if isinstance(report.outcome, Certified):
                 combined = sum(w * mem for w, mem in zip(report.outcome.weights.t, fam.members))
-                assert min_eigenvalue(SymMatrix(combined)) >= -1e-9 * scale
+                assert min_eigenvalue(combined) >= -1e-9 * scale
             else:
                 assert isinstance(report.outcome, Refuted)
                 for mem in fam.members:
@@ -415,7 +414,7 @@ class TestCertifyRank2:
         out = report.outcome
         assert isinstance(out, Certified)
         combined = sum(w * m for w, m in zip(out.weights.t, fam.members))
-        assert min_eigenvalue(SymMatrix(combined)) >= -1e-9 * (1.0 + np.abs(combined).max())
+        assert min_eigenvalue(combined) >= -1e-9 * (1.0 + np.abs(combined).max())
 
     @pytest.mark.parametrize("zero_at", [0, 1, 2])
     @pytest.mark.parametrize("zero", [np.zeros((2, 2)), 1e-12 * np.diag([-1.0, -2.0])],
@@ -462,7 +461,7 @@ class TestCertifyRank2:
         out = report.outcome
         assert isinstance(out, Certified)
         combined = sum(w * m for w, m in zip(out.weights.t, members))
-        assert min_eigenvalue(SymMatrix(combined)) >= -1e-9 * (1.0 + np.abs(combined).max())
+        assert min_eigenvalue(combined) >= -1e-9 * (1.0 + np.abs(combined).max())
 
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["certified", "refuted"])
     def test_pointed_family_restricts_each_member_once(self, sign, monkeypatch):
@@ -521,7 +520,7 @@ def reference_certify_rank2(family, cone, tol=1e-9):
         ref_pos = max(range(len(idxs)), key=lambda p: float(flats[p] @ flats[p]))
         fref = flats[ref_pos]
         coeffs = np.array([float(f @ fref) / float(fref @ fref) for f in flats])
-        spec = sym_eigen(SymMatrix(restricted[idxs[ref_pos]]))
+        spec = sym_eigen(restricted[idxs[ref_pos]])
         lam_lo, lam_hi = float(spec.eigenvalues[0]), float(spec.eigenvalues[-1])
         tau = tol * scale
         spread = max(abs(lam_lo), abs(lam_hi))
@@ -600,7 +599,7 @@ def reference_certify_rank2(family, cone, tol=1e-9):
     out = solve(list(range(m)))
     if isinstance(out, Certified):
         combined = sum(w * r for w, r in zip(out.weights.t, restricted))
-        if min_eigenvalue(SymMatrix(0.5 * (combined + combined.T))) < threshold:
+        if min_eigenvalue(0.5 * (combined + combined.T)) < threshold:
             raise NumericalFailureError("certificate failed verification")
     elif isinstance(out, Refuted):
         values = np.array([out.witness @ s @ out.witness for s in syms])
@@ -614,7 +613,7 @@ REFERENCE_KINDS = ("generic", "pointed", "repeated", "opposite", "near_parallel"
 
 def reference_family(rng, kind, n, m):
     """Seeded family of one coefficient pattern, with no zero member."""
-    p, q = random_sym(rng, n).entries, random_sym(rng, n).entries
+    p, q = random_sym(rng, n), random_sym(rng, n)
     if kind == "rank1":
         base = (p, p @ p.T + 1e-3 * np.eye(n), -(p @ p.T) - 1e-3 * np.eye(n))[rng.integers(3)]
         cs = rng.standard_normal(m) * 10.0 ** rng.integers(-2, 3)
@@ -690,7 +689,7 @@ def pair_scale(a: np.ndarray, b: np.ndarray) -> float:
 def boundary_pencil(rng, c: float, tol: float = 1e-9):
     """A random pencil (n = 2..5) shifted so its maximum sits c*tol*scale below zero."""
     n = int(rng.integers(2, 6))
-    a, b = random_sym(rng, n).entries, random_sym(rng, n).entries
+    a, b = random_sym(rng, n), random_sym(rng, n)
     top, eye = eigvalsh_pencil_max(a, b), np.eye(n)
     shift = -top
     for _ in range(3):  # the scale depends on the shift; three rounds settle it
@@ -701,7 +700,7 @@ def boundary_pencil(rng, c: float, tol: float = 1e-9):
 def near_opposite_pair(rng):
     """{s0*A, -s1*A + eps*B}: both forms are negative only near x'Ax = 0."""
     n = int(rng.integers(2, 5))
-    a, b = random_sym(rng, n).entries, random_sym(rng, n).entries
+    a, b = random_sym(rng, n), random_sym(rng, n)
     s0, s1 = rng.uniform(0.2, 3.0, 2)
     eps = 10.0 ** rng.uniform(-8.4, -4.6)
     return s0 * a, -s1 * a + eps * b
