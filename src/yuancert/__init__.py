@@ -24,8 +24,6 @@ from .errors import (
 from .lp import lp_solve
 from .nlp import (
     KKTData,
-    MultiplierPoint,
-    SecondOrderResult,
     check_mfcq,
     critical_cone_lineality,
     lagrangian_hessian,
@@ -35,24 +33,14 @@ from .nlp import (
 from .numeric_core import (
     MatrixFamily,
     MatrixSetRank,
-    Spectrum,
     express_in_basis,
     matrix_set_rank,
     min_eigenvalue,
     numerical_rank,
     sym_eigen,
 )
-from .oracle import (
-    NoWitnessFound,
-    Witness,
-    sample_max_nonneg,
-    simplex_grid_search,
-)
+from .oracle import sample_max_nonneg, simplex_grid_search
 from .quadprob import (
-    Delta,
-    Equal,
-    JacobianRankViolation,
-    NotDependent,
     QuadProblem,
     RankIncreaseCheck,
     extract_dependence,
@@ -61,49 +49,26 @@ from .quadprob import (
     rank_increase_check,
     quad_certificate,
 )
-from .yuan import (
-    CertificateReport,
-    Certified,
-    HypothesisViolated,
-    Refuted,
-    SimplexWeights,
-    certify_rank2,
-    make_weights,
-    yuan_two,
-)
+from .yuan import certify_rank2, yuan_two
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CertificateReport",
-    "Certified",
     "ConeNotCriticalError",
     "DegenerateBasisError",
-    "Delta",
     "EmptyMultiplierSetError",
-    "Equal",
     "FirstOrderCone",
-    "HypothesisViolated",
     "InfeasibleError",
     "InputError",
     "KKTData",
-    "JacobianRankViolation",
     "MatrixFamily",
     "MatrixSetRank",
     "MfcqFailedError",
-    "MultiplierPoint",
-    "NoWitnessFound",
-    "NotDependent",
     "NotInSpanError",
     "NumericalFailureError",
     "QuadProblem",
     "RankIncreaseCheck",
-    "Refuted",
-    "SecondOrderResult",
-    "SimplexWeights",
-    "Spectrum",
     "UnboundedError",
-    "Witness",
     "certify_rank2",
     "check_mfcq",
     "cone_contains",
@@ -114,7 +79,6 @@ __all__ = [
     "lagrangian_hessian",
     "jacobian_rank_reduce",
     "lp_solve",
-    "make_weights",
     "matrix_set_rank",
     "min_eigenvalue",
     "multiplier_vertices",

@@ -38,17 +38,9 @@ from .nlp import (
     vertex_hessians,
 )
 from .numeric_core import DEFAULT_TOL, MatrixFamily, matrix_set_rank, norm_max, numerical_rank
-from .oracle import NoWitnessFound, sample_max_nonneg, simplex_grid_search
+from .oracle import sample_max_nonneg, simplex_grid_search
 from .quadprob import QuadProblem, jacobian_at, quad_certificate
-from .yuan import (
-    Certified,
-    Refuted,
-    certificate_value,
-    certify_rank2,
-    restricted_forms,
-    witness_check,
-    yuan_two,
-)
+from .yuan import certificate_value, certify_rank2, restricted_forms, witness_check, yuan_two
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -57,43 +49,27 @@ EXIT_INPUT = 3
 EXIT_NUMERICAL = 4
 
 
-def _apply_outcome(report: dict, cert_report) -> int:
-    report["residuals"] = {k: float(v) for k, v in cert_report.residuals.items()}
-    outcome = cert_report.outcome
-    if isinstance(outcome, Certified):
-        report["verdict"] = "certified"
-        report["weights"] = outcome.weights.t.tolist()
-        report["lambda_min"] = outcome.lambda_min
-        return EXIT_OK
-    if isinstance(outcome, Refuted):
-        report["verdict"] = "refuted"
-        report["witness"] = outcome.witness.tolist()
-        report["form_values"] = outcome.form_values.tolist()
-        return EXIT_REFUTED
-    report["verdict"] = "hypothesis_violated"
-    report["reason"] = outcome.reason
-    if outcome.rank is not None:
-        report["rank"] = outcome.rank
-    if outcome.witness is not None:
-        report["witness"] = outcome.witness.tolist()
-    return EXIT_HYPOTHESIS
+# the exit code of each verdict a solver record carries
+_EXITS = {"certified": EXIT_OK, "refuted": EXIT_REFUTED, "hypothesis_violated": EXIT_HYPOTHESIS}
 
 
 def _cmd_yuan2(args, family, cone, report) -> int:
     if len(family) != 2:
         raise InputError(f"{args.input}: expected exactly 2 matrices, got {len(family)}")
-    return _apply_outcome(report, yuan_two(*family.members, cone, tol=args.tol))
+    report.update(yuan_two(*family.members, cone, tol=args.tol))
+    return _EXITS[report["verdict"]]
 
 
 def _cmd_certify(args, family, cone, report) -> int:
-    return _apply_outcome(report, certify_rank2(family, cone, tol=args.tol))
+    report.update(certify_rank2(family, cone, tol=args.tol))
+    return _EXITS[report["verdict"]]
 
 
 def _cmd_rank(args, family, cone, report) -> int:
     result = matrix_set_rank(family, args.tol)
     report.update(verdict="certified", rank=result.rank, basis=list(result.basis))
     if result.coefficients is not None:
-        report["coefficients"] = result.coefficients.tolist()
+        report["coefficients"] = result.coefficients
     return EXIT_OK
 
 
@@ -101,40 +77,31 @@ def _cmd_vertices(args, data, cone, report) -> int:
     # without MFCQ the multiplier set is unbounded and no vertex list describes it
     if not check_mfcq(data, args.tol):
         raise MfcqFailedError("Mangasarian-Fromovitz constraint qualification fails")
-    vertices = multiplier_vertices(data, args.tol)
+    rows = multiplier_vertices(data, args.tol)
     report["verdict"] = "certified"
     report["mfcq"] = True
-    report["vertices"] = [{"lambda": v.lam.tolist(), "mu": v.mu.tolist()} for v in vertices]
-    report["lineality_basis"] = critical_cone_lineality(data).T.tolist()
+    report["vertices"] = [{"lambda": row[: data.p1], "mu": row[data.p1:]} for row in rows]
+    report["lineality_basis"] = critical_cone_lineality(data).T
     return EXIT_OK
 
 
 def _cmd_soc(args, data, cone, report) -> int:
-    result = second_order_certificate(data, cone, tol=args.tol)
-    code = _apply_outcome(report, result.report)
-    if (mult := result.multiplier) is not None:
-        report["multiplier"] = {"lambda": mult.lam.tolist(), "mu": mult.mu.tolist()}
-    report["vertex_count"] = len(result.vertices)
-    return code
+    report.update(second_order_certificate(data, cone, tol=args.tol))
+    return _EXITS[report["verdict"]]
 
 
 def _cmd_quad(args, prob, cone, report) -> int:
-    return _apply_outcome(report, quad_certificate(prob, tol=args.tol))
+    report.update(quad_certificate(prob, tol=args.tol))
+    return _EXITS[report["verdict"]]
 
 
 def _cmd_oracle(args, family, cone, report) -> int:
-    verdict = sample_max_nonneg(family, cone, samples=args.samples, seed=args.seed, tol=args.tol)
-    if isinstance(verdict, NoWitnessFound):
-        report.update(verdict="certified", samples=verdict.samples)
-        code = EXIT_OK
-    else:
-        report.update(verdict="refuted", witness=verdict.x.tolist(),
-                      form_values=verdict.form_values.tolist())
-        code = EXIT_REFUTED
+    report.update(sample_max_nonneg(family, cone, samples=args.samples, seed=args.seed,
+                                    tol=args.tol))
     if args.resolution is not None:
         weights, best = simplex_grid_search(family, cone, args.resolution)
-        report.update(grid_best_weights=weights.t.tolist(), grid_best_lambda_min=best)
-    return code
+        report.update(grid_best_weights=weights, grid_best_lambda_min=best)
+    return _EXITS[report["verdict"]]
 
 
 def _cmd_verify_report(args, instance, cone, out) -> int:
@@ -148,9 +115,9 @@ def _cmd_verify_report(args, instance, cone, out) -> int:
         return EXIT_NUMERICAL
     # the forms the report is checked against; for a kkt instance, the Lagrangian
     # Hessians at the multiplier vertices, on the cone soc uses
-    vertices = None
+    rows = None
     if isinstance(instance, KKTData):
-        cone, vertices, forms = vertex_hessians(instance, cone, args.tol)
+        cone, rows, forms = vertex_hessians(instance, cone, args.tol)
     elif isinstance(instance, QuadProblem):
         if args.cone is not None:
             raise InputError("quad decides on the full space and takes no --cone")
@@ -166,18 +133,19 @@ def _cmd_verify_report(args, instance, cone, out) -> int:
         ok = on_simplex and lam >= threshold
         if "lambda_min" in stored:
             ok = ok and _matches(lam, _report_field(stored, "lambda_min", ()))
-        if vertices is not None:
+        if rows is not None:
             # the certified multiplier is the weighted combination of the vertices
-            mult, want = stored.get("multiplier"), recombine(vertices, weights)
+            mult, want = stored.get("multiplier"), recombine(rows, weights, instance.p1)
             if not isinstance(mult, dict):
                 raise InputError("report field 'multiplier' must hold 'lambda' and 'mu'")
-            ok = ok and _matches(want.lam, _report_field(mult, "lambda", want.lam.shape))
-            ok = ok and _matches(want.mu, _report_field(mult, "mu", want.mu.shape))
+            lam, mu = want[: instance.p1], want[instance.p1:]
+            ok = ok and _matches(lam, _report_field(mult, "lambda", lam.shape))
+            ok = ok and _matches(mu, _report_field(mult, "mu", mu.shape))
     elif verdict == "refuted" and "witness" in stored:
         x = _report_field(stored, "witness", (forms.order,))
         _, threshold = restricted_forms(forms, cone, args.tol)
         ok, values = witness_check(forms.members, cone, x, threshold)
-        out["form_values"] = values.tolist()
+        out["form_values"] = values
         out["margin"] = threshold - float(values.max())
         if "form_values" in stored:
             ok = ok and _matches(values, _report_field(stored, "form_values", values.shape))

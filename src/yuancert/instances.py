@@ -198,7 +198,8 @@ def load_json(path):
 
 
 def dump_json(document: dict) -> str:
-    return json.dumps(document, indent=2, sort_keys=False)
+    """The document as indented JSON, with numpy arrays written as lists."""
+    return json.dumps(document, indent=2, sort_keys=False, default=np.ndarray.tolist)
 
 
 def input_digest(path) -> str:

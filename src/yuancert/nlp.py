@@ -11,7 +11,6 @@ critical cone.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,8 +34,7 @@ from .numeric_core import (
     numerical_rank,
     sym_eigen,
 )
-from .yuan import (CertificateReport, HypothesisViolated, _certify_ranked, certificate_value,
-                   restricted_forms)
+from .yuan import _certify_ranked, certificate_value, restricted_forms
 
 ACTIVITY_TOL = 1e-8
 _FEAS_TOL = 1e-9
@@ -129,36 +127,20 @@ class KKTData:
         return self.grad_g.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class MultiplierPoint:
-    """Equality multipliers (free sign) and inequality multipliers (>= 0)."""
-
-    lam: np.ndarray
-    mu: np.ndarray
-
-    def __post_init__(self) -> None:
-        lam = np.array(self.lam, dtype=float)
-        mu = np.array(self.mu, dtype=float)
-        if (mu < 0.0).any():
-            raise InputError("inequality multipliers must be nonnegative")
-        lam.setflags(write=False)
-        mu.setflags(write=False)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "mu", mu)
-
-
-def lagrangian_hessian(data: KKTData, pt: MultiplierPoint) -> np.ndarray:
-    """hess_f + sum_i lam_i * hess_h_i + sum_i mu_i * hess_g_i, exactly symmetric."""
-    if pt.lam.size != data.p1 or pt.mu.size != data.p2:
+def lagrangian_hessian(data: KKTData, multiplier) -> np.ndarray:
+    """hess_f + sum_i lam_i * hess_h_i + sum_i mu_i * hess_g_i, exactly symmetric, for
+    the multiplier row (lam, mu) of length p1 + p2."""
+    row = np.asarray(multiplier, dtype=float)
+    if row.shape != (data.p1 + data.p2,):
         raise InputError("multiplier dimensions do not match the problem")
-    return _hessian_stack(data, pt.lam[None], pt.mu[None])[0]
+    return _hessian_stack(data, row[None])[0]
 
 
-def _hessian_stack(data: KKTData, lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """The (V, n, n) Lagrangian Hessians of the V multiplier rows (lam[v], mu[v]),
+def _hessian_stack(data: KKTData, rows: np.ndarray) -> np.ndarray:
+    """The (V, n, n) Lagrangian Hessians of the V multiplier rows (lam, mu),
     summed in constraint order for all rows at once."""
-    total = np.repeat(data.hessians[:1], len(lam), axis=0)
-    for w, h in zip(np.hstack([lam, mu]).T, data.hessians[1:]):
+    total = np.repeat(data.hessians[:1], len(rows), axis=0)
+    for w, h in zip(rows.T, data.hessians[1:]):
         total += w[:, None, None] * h
     return total
 
@@ -192,8 +174,9 @@ def check_mfcq(data: KKTData, tol: float = DEFAULT_TOL) -> bool:
     return optimum <= 1e-6
 
 
-def multiplier_vertices(data: KKTData, tol: float = DEFAULT_TOL) -> list[MultiplierPoint]:
-    """All vertices of the multiplier polytope at the candidate point.
+def multiplier_vertices(data: KKTData, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """All vertices of the multiplier polytope at the candidate point, as the
+    rows (lam, mu) of one (V, p1 + p2) array, mu zero off the active set.
 
     Enumerates basic solutions of the stationarity system over column
     subsets of size equal to its rank. Every subset must contain all
@@ -211,7 +194,7 @@ def multiplier_vertices(data: KKTData, tol: float = DEFAULT_TOL) -> list[Multipl
     scale = 1.0 + norm_max(rhs)
     if not cols:
         if norm_max(rhs) <= 1e-8 * scale:
-            return [MultiplierPoint(np.zeros(0), np.zeros(data.p2))]
+            return np.zeros((1, data.p2))
         raise EmptyMultiplierSetError("no multipliers: gradient of f does not vanish")
     mat = np.column_stack(cols)
     rank = numerical_rank(mat, tol)
@@ -245,13 +228,10 @@ def multiplier_vertices(data: KKTData, tol: float = DEFAULT_TOL) -> list[Multipl
         if np.all(np.abs(unique[:kept] - v).max(axis=1) > _DEDUP_TOL):
             unique[kept] = v
             kept += 1
-    unique = unique[:kept]
-    points = []
-    for v in unique:
-        mu = np.zeros(data.p2)
-        mu[act] = v[data.p1:]
-        points.append(MultiplierPoint(v[: data.p1], mu))
-    return points
+    rows = np.zeros((kept, data.p1 + data.p2))
+    rows[:, : data.p1] = unique[:kept, : data.p1]
+    rows[:, data.p1 + np.array(act, dtype=int)] = unique[:kept, data.p1:]
+    return rows
 
 
 def critical_cone_lineality(data: KKTData) -> np.ndarray:
@@ -262,35 +242,25 @@ def critical_cone_lineality(data: KKTData) -> np.ndarray:
     """
     rows = np.vstack([data.grad_h, data.grad_g[list(data.active)], data.grad_f[None, :]])
     gram = rows.T @ rows
-    spec = sym_eigen(0.5 * (gram + gram.T))
+    vals, basis = sym_eigen(0.5 * (gram + gram.T))
     thresh = 1e-12 * (1.0 + norm_max(gram))
-    mask = spec.eigenvalues <= thresh
-    return np.array(spec.basis[:, mask])
+    return np.array(basis[:, vals <= thresh])
 
 
-@dataclass(frozen=True, eq=False)
-class SecondOrderResult:
-    """Certificate report plus the recombined multiplier when certified."""
-
-    report: CertificateReport
-    multiplier: MultiplierPoint | None
-    cone: FirstOrderCone
-    vertices: tuple[MultiplierPoint, ...]
-
-
-def recombine(vertices, weights) -> MultiplierPoint:
-    """The multiplier sum_i w_i*v_i of weighted vertices, mu clamped at 0."""
-    lam = sum(w * v.lam for w, v in zip(weights, vertices))
-    mu = sum(w * v.mu for w, v in zip(weights, vertices))
-    return MultiplierPoint(np.asarray(lam), np.maximum(np.asarray(mu), 0.0))
+def recombine(rows: np.ndarray, weights, p1: int) -> np.ndarray:
+    """The multiplier sum_i w_i*rows[i] of weighted vertex rows, mu (the entries
+    from p1 on) clamped at 0."""
+    mult = np.asarray(sum(w * row for w, row in zip(weights, rows)))
+    mult[p1:] = np.maximum(mult[p1:], 0.0)
+    return mult
 
 
 def vertex_hessians(
     data: KKTData,
     cone: FirstOrderCone | None = None,
     tol: float = DEFAULT_TOL,
-) -> tuple[FirstOrderCone, tuple[MultiplierPoint, ...], MatrixFamily]:
-    """Cone, multiplier vertices and vertex Lagrangian Hessians of a second-order check.
+) -> tuple[FirstOrderCone, np.ndarray, MatrixFamily]:
+    """Cone, multiplier vertex rows and vertex Lagrangian Hessians of a second-order check.
 
     Raises MfcqFailedError where MFCQ fails. The default cone is the critical
     cone's lineality space; a given cone must lie in the critical cone."""
@@ -313,45 +283,41 @@ def vertex_hessians(
             raise ConeNotCriticalError("cone ray leaves the critical cone")
         if cone.ray is not None and rows_ineq.size and (rows_ineq @ cone.ray > ctol).any():
             raise ConeNotCriticalError("cone ray violates an active inequality")
-    vertices = tuple(multiplier_vertices(data, tol))
-    lam = np.array([v.lam for v in vertices])
-    mu = np.array([v.mu for v in vertices])
-    return cone, vertices, MatrixFamily(_hessian_stack(data, lam, mu))
+    rows = multiplier_vertices(data, tol)
+    return cone, rows, MatrixFamily(_hessian_stack(data, rows))
 
 
 def second_order_certificate(
     data: KKTData,
     cone: FirstOrderCone | None = None,
     tol: float = DEFAULT_TOL,
-) -> SecondOrderResult:
+) -> dict:
     """Single-multiplier second-order certificate over a first-order subcone.
 
     Hands the Lagrangian Hessians at the multiplier vertices
     (`vertex_hessians`) to certify_rank2, with the set rank computed here,
-    when that rank is at most 2.
-    On success, the vertex weights recombine into one multiplier whose
-    Hessian is re-verified PSD on the cone by `certificate_value`.
+    when that rank is at most 2. The verdict record gains `vertex_count`
+    and, when certified, `multiplier`: the vertex weights recombine into one
+    multiplier, its `lambda` and `mu`, whose Hessian is re-verified PSD on
+    the cone by `certificate_value`.
     """
-    cone, vertices, hessians = vertex_hessians(data, cone, tol)
+    cone, rows, hessians = vertex_hessians(data, cone, tol)
     sr = matrix_set_rank(hessians, tol)
     if sr.rank > 2:
-        report = CertificateReport(
-            HypothesisViolated(
-                f"Hessian family at the {len(vertices)} vertices has rank {sr.rank}",
-                rank=sr.rank,
-            ),
-            {},
-        )
-        return SecondOrderResult(report, None, cone, vertices)
-    report = _certify_ranked(hessians, cone, tol, sr)
-    multiplier = None
-    if report.certified:
-        multiplier = recombine(vertices, report.outcome.weights.t)
+        record = {"verdict": "hypothesis_violated", "residuals": {},
+                  "reason": f"Hessian family at the {len(rows)} vertices has rank {sr.rank}",
+                  "rank": sr.rank}
+    else:
+        record = _certify_ranked(hessians, cone, tol, sr)
+    if record["verdict"] == "certified":
+        mult = recombine(rows, record["weights"], data.p1)
         restricted, threshold = restricted_forms(
-            MatrixFamily([lagrangian_hessian(data, multiplier)]), cone, tol)
+            MatrixFamily([lagrangian_hessian(data, mult)]), cone, tol)
         value = certificate_value(restricted, [1.0])
         if value < threshold:
             raise NumericalFailureError(
                 f"recombined multiplier failed the PSD re-check ({value:.3e})"
             )
-    return SecondOrderResult(report, multiplier, cone, vertices)
+        record["multiplier"] = {"lambda": mult[: data.p1], "mu": mult[data.p1:]}
+    record["vertex_count"] = len(rows)
+    return record

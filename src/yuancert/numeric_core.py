@@ -55,16 +55,9 @@ def _as_symmetric(values) -> np.ndarray:
     return sym
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Eigenvalues in ascending order with an orthonormal eigenvector basis."""
-
-    eigenvalues: np.ndarray
-    basis: np.ndarray
-
-
-def sym_eigen(m: np.ndarray) -> Spectrum:
-    """Eigendecomposition by LAPACK's symmetric solver (numpy.linalg.eigh).
+def sym_eigen(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues in ascending order and an orthonormal eigenvector basis, as
+    read-only, contiguous arrays, by LAPACK's symmetric solver (numpy.linalg.eigh).
 
     Householder tridiagonalization followed by implicit QR, which is as
     accurate as Jacobi rotations on a symmetric matrix (Golub & Van Loan,
@@ -73,7 +66,12 @@ def sym_eigen(m: np.ndarray) -> Spectrum:
     failure is raised as NumericalFailureError; an `m` that is not square, finite
     and symmetric by the asymmetry rule raises InputError.
     """
-    return _spectrum(*_eigh(_as_symmetric(m)))
+    vals, basis = _eigh(_as_symmetric(m))
+    vals = np.ascontiguousarray(vals)
+    basis = np.ascontiguousarray(basis)
+    vals.setflags(write=False)
+    basis.setflags(write=False)
+    return vals, basis
 
 
 def _eigh(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -86,17 +84,10 @@ def _eigh(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NumericalFailureError(f"symmetric eigensolver failed: {exc}") from exc
 
 
-def _spectrum(vals: np.ndarray, basis: np.ndarray) -> Spectrum:
-    vals = np.ascontiguousarray(vals)
-    basis = np.ascontiguousarray(basis)
-    vals.setflags(write=False)
-    basis.setflags(write=False)
-    return Spectrum(vals, basis)
-
-
 def min_eigenvalue(m: np.ndarray) -> float:
-    """Smallest eigenvalue, equal to sym_eigen(m).eigenvalues[0]."""
-    return float(sym_eigen(m).eigenvalues[0])
+    """Smallest eigenvalue, equal to sym_eigen(m)[0][0]."""
+    vals, _ = sym_eigen(m)
+    return float(vals[0])
 
 
 class MatrixFamily:
@@ -146,12 +137,17 @@ def flatten_sym(a: np.ndarray) -> np.ndarray:
     return a[..., ii, jj] * w
 
 
-def _normalized_rows(rows: np.ndarray) -> np.ndarray:
-    """Rows scaled to unit Euclidean norm; zero rows stay zero. Each row is first
-    divided by 2**e, with e the exponent of its largest entry, which is exact, so
-    the squares in its norm neither overflow nor underflow."""
+def _prescaled(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row divided by 2**e, with e the exponent of its largest entry, and the
+    exponents e. The division is exact, so the squares of a scaled row's entries
+    neither overflow nor underflow, and its products scale back exactly."""
     _, exponents = np.frexp(np.abs(rows).max(axis=1, initial=0.0))
-    rows = np.ldexp(rows, -exponents[:, None])
+    return np.ldexp(rows, -exponents[:, None]), exponents
+
+
+def _normalized_rows(rows: np.ndarray) -> np.ndarray:
+    """Rows scaled to unit Euclidean norm, through `_prescaled`; zero rows stay zero."""
+    rows, _ = _prescaled(rows)
     norms = np.linalg.norm(rows, axis=1)
     return np.where(norms[:, None] > 0.0, rows / np.where(norms == 0.0, 1.0, norms)[:, None], 0.0)
 

@@ -15,25 +15,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .cone import FirstOrderCone, span_basis
 from .errors import InputError
 from .numeric_core import DEFAULT_TOL, MatrixFamily
-from .yuan import SimplexWeights, _into_cone, restricted_forms, witness_check
-
-
-@dataclass(frozen=True, eq=False)
-class Witness:
-    x: np.ndarray
-    form_values: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class NoWitnessFound:
-    samples: int
+from .yuan import _into_cone, restricted_forms, witness_check
 
 
 def sample_max_nonneg(
@@ -42,19 +30,21 @@ def sample_max_nonneg(
     samples: int = 10_000,
     seed: int = 0,
     tol: float = DEFAULT_TOL,
-) -> Witness | NoWitnessFound:
+) -> dict:
     """Search the cone for a direction where every form is strictly negative.
 
     Unit vectors are drawn uniformly on the sphere of the span
     coordinates (deterministic per seed); evenness of quadratic forms
     means each draw also covers its negation, so only one of the pair is
-    evaluated. A hit is re-verified by direct evaluation before return.
+    evaluated. A hit is re-verified by direct evaluation and returned as a
+    refuted verdict record with its `witness` and `form_values`; no hit is
+    a certified one carrying the number of `samples` drawn.
     """
     if samples < 1:
         raise InputError("samples must be >= 1")
     mats, threshold = restricted_forms(family, cone, tol)
     if not mats.size:
-        return NoWitnessFound(0)
+        return {"verdict": "certified", "samples": 0}
     basis = span_basis(cone)
     k = basis.shape[1]
     rng = np.random.default_rng(seed)
@@ -71,9 +61,9 @@ def sample_max_nonneg(
             x = _into_cone(basis @ z[int(hits[0])], cone)
             ok, forms = witness_check(family.members, cone, x, threshold)
             if ok:
-                return Witness(x, forms)
+                return {"verdict": "refuted", "witness": x, "form_values": forms}
         done += count
-    return NoWitnessFound(samples)
+    return {"verdict": "certified", "samples": samples}
 
 
 def _lam_min_batch(mats: np.ndarray) -> np.ndarray:
@@ -92,14 +82,15 @@ def simplex_grid_search(
     family: MatrixFamily,
     cone: FirstOrderCone,
     resolution: int,
-) -> tuple[SimplexWeights, float]:
-    """Exhaustive search over the weight grid with coordinates k/resolution."""
+) -> tuple[np.ndarray, float]:
+    """Exhaustive search over the weight grid with coordinates k/resolution: the
+    best weights found and their lambda_min."""
     if resolution < 1:
         raise InputError("resolution must be >= 1")
     mats, _ = restricted_forms(family, cone, DEFAULT_TOL)
     grid = _grid_weights(len(family), resolution)
     if not mats.size:
-        return SimplexWeights(grid[0]), 0.0
+        return grid[0], 0.0
     best_val = -math.inf
     best_t = grid[0]
     for start in range(0, grid.shape[0], 65536):
@@ -110,7 +101,7 @@ def simplex_grid_search(
         if vals[j] > best_val:
             best_val = float(vals[j])
             best_t = chunk[j]
-    return SimplexWeights(best_t), best_val
+    return best_t, best_val
 
 
 def _grid_weights(m: int, resolution: int) -> np.ndarray:

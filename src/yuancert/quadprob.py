@@ -11,6 +11,7 @@ machinery on the full space.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,10 +29,11 @@ from .numeric_core import (
     numerical_rank,
     sym_eigen,
 )
-from .yuan import CertificateReport, HypothesisViolated, _certify_ranked
+from .yuan import _certify_ranked
 
 _DEFAULT_SAMPLES = 1000
 _DEFAULT_SEED = 42
+_DRAW_BLOCKS = (1, 7, 64, 928, 4000)  # the 5,000 rank-3 candidates, drawn as reached
 
 
 class QuadProblem:
@@ -108,34 +110,16 @@ def rank_increase_check(
     return RankIncreaseCheck(rank0, max_rank, max_rank <= rank0 + 1, worst)
 
 
-@dataclass(frozen=True, eq=False)
-class Equal:
-    """B equals C; the triple is trivially dependent."""
-
-
-@dataclass(frozen=True, eq=False)
-class Delta:
-    """Coefficient with A - C + delta * (B - C) = 0."""
-
-    delta: float
-
-
-@dataclass(frozen=True, eq=False)
-class NotDependent:
-    """No affine dependence; carries the best-effort residual."""
-
-    residual: float
-
-
 def extract_dependence(
     a: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float = DEFAULT_TOL
-) -> Equal | Delta | NotDependent:
+) -> tuple[float | None, float | None]:
     """Constructive affine-dependence extraction for a matrix triple.
 
     Eigendecomposes B - C; when it vanishes the triple is dependent with
-    B = C. Otherwise the top eigenvector v with eigenvalue lam pins
-    delta = -v'(A-C)v / lam, and the full matrix identity
-    A - C + delta*(B - C) = 0 is verified at relative tolerance.
+    B = C, and (None, None) is returned. Otherwise the top eigenvector v with
+    eigenvalue lam pins delta = -v'(A-C)v / lam, and the full matrix identity
+    A - C + delta*(B - C) = 0 is verified at relative tolerance: (delta, None)
+    when it holds, and (None, residual) with its residual when it does not.
     """
     a, b, c = _as_symmetric(a), _as_symmetric(b), _as_symmetric(c)
     if not (a.shape == b.shape == c.shape):
@@ -145,34 +129,26 @@ def extract_dependence(
 
 
 def _dependence(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray, spec,
-                tol: float) -> Equal | Delta | NotDependent:
-    """`extract_dependence` on symmetric arrays, given d = B - C and its spectrum."""
+                tol: float) -> tuple[float | None, float | None]:
+    """`extract_dependence` on symmetric arrays, given d = B - C and its
+    `sym_eigen` pair."""
+    vals, basis = spec
     scale = max(norm_max(a), norm_max(b), norm_max(c))
-    if norm_max(spec.eigenvalues) <= tol * (1.0 + scale):
-        return Equal()
-    top = int(np.argmax(np.abs(spec.eigenvalues)))
-    lam = float(spec.eigenvalues[top])
-    v = spec.basis[:, top]
+    if norm_max(vals) <= tol * (1.0 + scale):
+        return None, None
+    top = int(np.argmax(np.abs(vals)))
+    lam = float(vals[top])
+    v = basis[:, top]
     delta = -float(v @ (a - c) @ v) / lam
     residual = norm_max(a - c + delta * d)
     if residual > tol * (1.0 + scale):
-        return NotDependent(residual)
-    return Delta(delta)
-
-
-@dataclass(frozen=True, eq=False)
-class JacobianRankViolation:
-    """Some triple fails; carries an x where the Jacobian has rank 3."""
-
-    triple: tuple[int, int, int]
-    residual: float
-    witness_x: np.ndarray
-    jacobian_rank: int
+        return None, residual
+    return delta, None
 
 
 def jacobian_rank_reduce(
     prob: QuadProblem, tol: float = DEFAULT_TOL
-) -> MatrixSetRank | JacobianRankViolation:
+) -> MatrixSetRank | dict:
     """Exact decision of 'Jacobian rank <= 2 everywhere' in one linear scan.
 
     Every triple is dependent exactly when all members lie on the line
@@ -180,9 +156,11 @@ def jacobian_rank_reduce(
     i is tested once, as the triple (i, far, 0): at most m - 2 extractions,
     all sharing one eigendecomposition of A_far - A_0. When every triple
     is dependent, the family's `matrix_set_rank` (at most 2) is returned.
-    The first failing triple (sorted) is returned together with a sampled
-    point where the Jacobian rank reaches 3 (one must exist, so a
-    fruitless search raises NumericalFailureError rather than guessing).
+    Otherwise the hypothesis_violated verdict record is returned: its reason
+    names the first failing triple (sorted), `triple_residual` is that
+    triple's residual, and the witness is a sampled point where the Jacobian
+    rank reaches 3, its `rank` (one must exist, so a fruitless search raises
+    NumericalFailureError rather than guessing).
     """
     if not prob.matrices.symmetric:
         raise InputError("the triple reduction requires symmetric matrices")
@@ -195,17 +173,20 @@ def jacobian_rank_reduce(
     d = mats[far] - base
     spec = sym_eigen(d) if others else None
     for i in others:
-        res = _dependence(mats[i], mats[far], base, d, spec, tol)
-        if isinstance(res, NotDependent):
+        _, residual = _dependence(mats[i], mats[far], base, d, spec, tol)
+        if residual is not None:
             triple = tuple(sorted((0, far, i)))
             witness = _rank3_point(prob, tol)
             if witness is None:
                 raise NumericalFailureError(
-                    f"triple {triple} not dependent (residual {res.residual:.3e}) "
+                    f"triple {triple} not dependent (residual {residual:.3e}) "
                     "but no rank-3 Jacobian point found in the sample budget"
                 )
             x, rank = witness
-            return JacobianRankViolation(triple, res.residual, x, rank)
+            return {"verdict": "hypothesis_violated", "residuals": {"triple_residual": residual},
+                    "reason": "Jacobian rank reaches 3 away from the candidate point "
+                              f"(triple {triple})",
+                    "rank": rank, "witness": x}
     sr = matrix_set_rank(prob.matrices, tol)
     if sr.rank > 2:
         raise NumericalFailureError(
@@ -215,35 +196,33 @@ def jacobian_rank_reduce(
 
 
 def _rank3_point(prob: QuadProblem, tol: float) -> tuple[np.ndarray, int] | None:
+    """The first of 1 + 5,000 unit candidates where the Jacobian rank reaches 3,
+    with that rank: the normalized all-ones vector, then Gaussian rows drawn and
+    normalized in blocks only as the search reaches them. The generator fills
+    rows in order, so the blocks equal one (5000, n) draw."""
     rng = np.random.default_rng(_DEFAULT_SEED)
-    candidates = [np.ones(prob.n) / np.sqrt(prob.n)]
-    candidates.extend(_normalized_rows(rng.standard_normal((5000, prob.n))))
-    for x in candidates:
+    blocks = itertools.chain([np.ones((1, prob.n)) / np.sqrt(prob.n)],
+                             (_normalized_rows(rng.standard_normal((size, prob.n)))
+                              for size in _DRAW_BLOCKS))
+    for x in itertools.chain.from_iterable(blocks):
         rank = numerical_rank(jacobian_at(prob, x), tol)
         if rank >= 3:
             return x, rank
     return None
 
 
-def quad_certificate(prob: QuadProblem, tol: float = DEFAULT_TOL) -> CertificateReport:
+def quad_certificate(prob: QuadProblem, tol: float = DEFAULT_TOL) -> dict:
     """Full-space PSD-combination certificate under the Jacobian rank premise.
 
-    Decides the premise exactly with `jacobian_rank_reduce`; a violation
-    is reported with its failing triple and a rank-3 Jacobian point.
-    Otherwise hands the family and that set rank to certify_rank2 over the
-    full space (the critical cone restriction is exactly the original family).
+    Decides the premise exactly with `jacobian_rank_reduce`, whose verdict
+    record reports a violation with its failing triple and a rank-3
+    Jacobian point. Otherwise hands the family and that set rank to
+    certify_rank2 over the full space (the critical cone restriction is
+    exactly the original family).
     """
     if prob.ray_constant != -1.0:
         raise InputError("the optimization pipeline requires ray constant -1")
     reduced = jacobian_rank_reduce(prob, tol)
-    if isinstance(reduced, JacobianRankViolation):
-        return CertificateReport(
-            HypothesisViolated(
-                "Jacobian rank reaches 3 away from the candidate point "
-                f"(triple {reduced.triple})",
-                rank=reduced.jacobian_rank,
-                witness=reduced.witness_x,
-            ),
-            {"triple_residual": reduced.residual},
-        )
+    if isinstance(reduced, dict):
+        return reduced
     return _certify_ranked(prob.matrices, FirstOrderCone.full(prob.n), tol, reduced)

@@ -11,16 +11,19 @@ rank at most 2 by one pass over the members' coordinates in a two-member
 basis: a zero combination when 0 lies in their conic hull, otherwise the
 same pencil decision on its two extreme rays, at the family's threshold.
 
-Every verdict, here, in `nlp`, `oracle` and `verify-report`, meets one
-rule: the threshold of `restricted_forms`, which turns a non-symmetric
-family away, cleared by `certificate_value` for a certificate and by
-every form value in `witness_check` for a refutation.
+A verdict is one record from the solver to the report: a dict holding the
+report's own fields, `verdict` ("certified", "refuted" or
+"hypothesis_violated") and `residuals`, then `weights` and `lambda_min`,
+or `witness` and `form_values`, or `reason` and `rank`. Every verdict,
+here, in `nlp`, `oracle` and `verify-report`, meets one rule: the
+threshold of `restricted_forms`, which turns a non-symmetric family away,
+cleared by `certificate_value` for a certificate and by every form value
+in `witness_check` for a refutation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,6 +35,7 @@ from .numeric_core import (
     MatrixSetRank,
     _eigh,
     _mirrored,
+    _prescaled,
     flatten_sym,
     matrix_set_rank,
     min_eigenvalue,
@@ -46,81 +50,21 @@ from .numeric_core import (
 _OPPOSITE_ANGLE = 1e-12
 
 
-class SimplexWeights:
-    """Point of the standard simplex: nonnegative weights summing to one."""
-
-    __slots__ = ("t",)
-
-    def __init__(self, t) -> None:
-        arr = np.asarray(t, dtype=float).copy()
-        if arr.ndim != 1 or arr.size < 1:
-            raise InputError("weights must form a nonempty vector")
-        if not np.isfinite(arr).all():
-            raise InputError("weights have non-finite entries")
-        if (arr < 0.0).any():
-            raise InputError("weights must be nonnegative")
-        if abs(float(arr.sum()) - 1.0) > 1e-12:
-            raise InputError("weights must sum to 1")
-        arr.setflags(write=False)
-        object.__setattr__(self, "t", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SimplexWeights is immutable")
-
-    def __len__(self) -> int:
-        return self.t.size
-
-    def __repr__(self) -> str:
-        return f"SimplexWeights({self.t.tolist()!r})"
-
-
-def make_weights(raw) -> SimplexWeights:
-    """Clamp tiny negative round-off and renormalize, then validate."""
+def _simplex_weights(raw) -> np.ndarray:
+    """Raw weights as a point of the standard simplex: negative round-off clamped
+    to 0, then divided by the total, which must be positive. What results must be
+    finite and sum to 1 to 1e-12."""
     arr = np.asarray(raw, dtype=float).copy()
     arr[arr < 0.0] = 0.0
     total = float(arr.sum())
     if total <= 0.0:
         raise InputError("weights must have positive total")
-    return SimplexWeights(arr / total)
-
-
-@dataclass(frozen=True, eq=False)
-class Certified:
-    weights: SimplexWeights
-    lambda_min: float
-
-
-@dataclass(frozen=True, eq=False)
-class Refuted:
-    witness: np.ndarray
-    form_values: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class HypothesisViolated:
-    reason: str
-    rank: int | None = None
-    witness: np.ndarray | None = None
-
-
-@dataclass(frozen=True, eq=False)
-class CertificateReport:
-    """Outcome of a certificate search plus diagnostic residuals."""
-
-    outcome: Certified | Refuted | HypothesisViolated
-    residuals: dict
-
-    @property
-    def certified(self) -> bool:
-        return isinstance(self.outcome, Certified)
-
-    @property
-    def refuted(self) -> bool:
-        return isinstance(self.outcome, Refuted)
-
-    @property
-    def hypothesis_violated(self) -> bool:
-        return isinstance(self.outcome, HypothesisViolated)
+    arr = arr / total
+    if not np.isfinite(arr).all():
+        raise InputError("weights have non-finite entries")
+    if abs(float(arr.sum()) - 1.0) > 1e-12:
+        raise InputError("weights must sum to 1")
+    return arr
 
 
 def restricted_forms(family, cone: FirstOrderCone, tol: float) -> tuple[np.ndarray, float]:
@@ -159,22 +103,21 @@ def _into_cone(x: np.ndarray, cone: FirstOrderCone) -> np.ndarray:
 
 
 def _pencil_max(ar: np.ndarray, br: np.ndarray) -> tuple[float, float, np.ndarray]:
-    """t*, lambda(t*) and a witness direction for lambda(t) = lambda_min(t*A + (1-t)*B).
+    """t*, lambda(t*) and the eigenvectors at t* that `_pencil_witness` draws a
+    witness from, for lambda(t) = lambda_min(t*A + (1-t)*B).
 
     lambda is concave and g(t) = v1'(A-B)v1, for a bottom eigenvector v1,
     is a supergradient, so the sign of g tells on which side of t the
-    maximum lies. g(0) <= 0 puts it at 0 and g(1) >= 0 at 1, with that
-    endpoint's v1 as the witness. Otherwise [0, 1] is halved on the sign
-    of g until it is no wider than ulp(1), the float resolution of t there,
-    and the best midpoint evaluated is kept. The next four midpoints of a
-    bracket [lo, hi] all lie among lo + j*(hi - lo)/16, j = 1..15, and every
-    such point is a multiple of 2**-52 in [0, 1], so exact: each point of the
-    16-way grid is decomposed in one stacked call, and the halvings replay on
-    it as one point at a time would, with the same t*. That is at most 2 + 13
-    stacked eigendecompositions for the 52 halvings. The witness is the unit
-    x with x'(A-B)x = 0 nearest v1 in span(v1, vj) for the first later
-    eigenvector vj that admits one, or v1 when none does: there x'Ax =
-    x'Bx = x'(tA + (1-t)B)x, close to lambda(t).
+    maximum lies. g(0) <= 0 puts it at 0 and g(1) >= 0 at 1, and that
+    endpoint's v1 alone is returned, so it is the witness. Otherwise [0, 1]
+    is halved on the sign of g until it is no wider than ulp(1), the float
+    resolution of t there, and the best midpoint evaluated is kept with its
+    whole eigenvector basis. The next four midpoints of a bracket [lo, hi]
+    all lie among lo + j*(hi - lo)/16, j = 1..15, and every such point is a
+    multiple of 2**-52 in [0, 1], so exact: each point of the 16-way grid is
+    decomposed in one stacked call, and the halvings replay on it as one
+    point at a time would, with the same t*. That is at most 2 + 13 stacked
+    eigendecompositions for the 52 halvings.
     """
     diff = ar - br
 
@@ -195,10 +138,10 @@ def _pencil_max(ar: np.ndarray, br: np.ndarray) -> tuple[float, float, np.ndarra
 
     lam0, g, basis0 = judged(*at(np.zeros(1))[0.0])
     if g <= 0.0:
-        return 0.0, lam0, basis0[:, 0]
+        return 0.0, lam0, basis0[:, :1]
     lam1, g, basis1 = judged(*at(np.ones(1))[1.0])
     if g >= 0.0:
-        return 1.0, lam1, basis1[:, 0]
+        return 1.0, lam1, basis1[:, :1]
     # g = a - b is constant at order 1, so from here on the order is >= 2
     best_lam, best_t, basis = max((lam0, 0.0, basis0), (lam1, 1.0, basis1), key=lambda e: e[0])
     lo, hi, grid = 0.0, 1.0, {}
@@ -212,39 +155,53 @@ def _pencil_max(ar: np.ndarray, br: np.ndarray) -> tuple[float, float, np.ndarra
         if g == 0.0:
             break
         lo, hi = (mid, hi) if g > 0.0 else (lo, mid)
+    return best_t, best_lam, basis
+
+
+def _pencil_witness(diff: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """The unit x with x'(A-B)x = 0, for diff = A - B, nearest v1 = basis[:, 0]
+    in span(v1, vj) for the first later column vj that admits one, or v1 when
+    none does. At a pencil point t with bottom eigenvector v1, x'Ax = x'Bx =
+    x'(tA + (1-t)B)x there, close to lambda(t)."""
     # x = v1 + tau*vj with p + 2q*tau + r*tau^2 = 0; the small root
     # tau = -p / (q + sign(q)*sqrt(q^2 - p*r)) loses no digits to cancellation,
-    # and q^2 - p*r >= 0 holds for any vj with r of the sign opposite to p
+    # and q^2 - p*r >= 0 holds for any vj with r of the sign opposite to p.
+    # x is the same for the forms divided by one power of two, exactly, which
+    # keeps q^2 and p*r inside the float range
     forms = basis.T @ diff @ basis
+    forms = np.ldexp(forms, -np.frexp(norm_max(forms))[1])
     p, q, r = float(forms[0, 0]), forms[0, 1:], np.diag(forms)[1:]
     disc = q * q - p * r
     real = np.flatnonzero(disc >= 0.0)
     v1 = basis[:, 0]
     if p == 0.0 or real.size == 0:
-        return best_t, best_lam, v1
+        return v1
     j = int(real[0])
     den = float(q[j]) + math.copysign(math.sqrt(float(disc[j])), float(q[j]))
-    return best_t, best_lam, (den * v1 - p * basis[:, j + 1]) / math.hypot(den, p)
+    return (den * v1 - p * basis[:, j + 1]) / math.hypot(den, p)
 
 
 def _pencil_decision(members: np.ndarray, cone: FirstOrderCone, restricted: np.ndarray,
-                     threshold: float, i: int, j: int) -> CertificateReport:
+                     threshold: float, i: int, j: int) -> dict:
     """Weights on members i and j, or a witness against every member, from
     `_pencil_max` on restricted[i] and restricted[j] judged at the caller's
     threshold.
 
-    The witness is mapped into the cone and checked once by `witness_check`
-    on all the members; one that fails raises NumericalFailureError naming the
-    largest form value, the threshold and the margin.
+    Only a refutation builds its witness (`_pencil_witness`), which is mapped
+    into the cone and checked once by `witness_check` on all the members; one
+    that fails raises NumericalFailureError naming the largest form value, the
+    threshold and the margin.
     """
-    t_star, lam_star, witness = _pencil_max(restricted[i], restricted[j])
+    t_star, lam_star, basis = _pencil_max(restricted[i], restricted[j])
     residuals = {"pencil_argmax": t_star, "pencil_max": lam_star}
     if lam_star >= threshold:
         w = np.zeros(len(members))
         w[i] += t_star
         w[j] += 1.0 - t_star
-        return CertificateReport(Certified(make_weights(w), lam_star), residuals)
+        return {"verdict": "certified", "residuals": residuals,
+                "weights": _simplex_weights(w), "lambda_min": lam_star}
 
+    witness = _pencil_witness(restricted[i] - restricted[j], basis)
     x = _into_cone(span_basis(cone) @ witness, cone)
     ok, values = witness_check(members, cone, x, threshold)
     if not ok:
@@ -253,7 +210,7 @@ def _pencil_decision(members: np.ndarray, cone: FirstOrderCone, restricted: np.n
             f"pencil witness verification failed: largest form value {worst:.9e}"
             f" against threshold {threshold:.9e} (margin {worst - threshold:.3e})"
         )
-    return CertificateReport(Refuted(x, values), residuals)
+    return {"verdict": "refuted", "residuals": residuals, "witness": x, "form_values": values}
 
 
 def yuan_two(
@@ -261,7 +218,7 @@ def yuan_two(
     b: np.ndarray,
     cone: FirstOrderCone,
     tol: float = DEFAULT_TOL,
-) -> CertificateReport:
+) -> dict:
     """Two-matrix certificate: a PSD pencil point or a double-negative witness.
 
     The pair restricted to the cone span, with its `restricted_forms`
@@ -270,9 +227,8 @@ def yuan_two(
     pair = MatrixFamily([a, b])
     restricted, threshold = restricted_forms(pair, cone, tol)
     if not restricted.size:
-        return CertificateReport(
-            Certified(SimplexWeights([0.5, 0.5]), 0.0), {"span_dim": 0.0}
-        )
+        return {"verdict": "certified", "residuals": {"span_dim": 0.0},
+                "weights": np.array([0.5, 0.5]), "lambda_min": 0.0}
     return _pencil_decision(pair.members, cone, restricted, threshold, 0, 1)
 
 
@@ -280,15 +236,19 @@ def _cross(u: np.ndarray, v: np.ndarray) -> float:
     return float(u[0] * v[1] - u[1] * v[0])
 
 
-def _plane_pass(top, members, restricted, cone, threshold: float) -> CertificateReport:
+def _plane_pass(top, members, restricted, cone, threshold: float) -> dict:
     """Weights or a witness for a rank <= 2 family from its basis coordinates.
 
     Zero combinations carry lambda_min 0; the caller re-verifies every
-    certificate. A witness is already checked on the whole family.
+    certificate. A witness is already checked on the whole family. Member
+    sizes and rank-1 coordinates are taken on rows prescaled by powers of
+    two (`_prescaled`) and scaled back, so entries near the float range do
+    not overflow their squares.
     """
     m = len(members)
     w = np.zeros(m)
-    sizes = [float(np.linalg.norm(r)) for r in restricted]
+    rows, exps = _prescaled(restricted.reshape(m, -1))
+    sizes = [math.ldexp(float(np.linalg.norm(row)), int(e)) for row, e in zip(rows, exps)]
     zero = int(np.argmin(sizes))
     if top.rank == 0:
         w[:] = 1.0
@@ -298,9 +258,10 @@ def _plane_pass(top, members, restricted, cone, threshold: float) -> Certificate
         if top.rank == 2:
             pts = top.coefficients
         else:
-            flats = flatten_sym(members)
+            flats, flat_exps = _prescaled(flatten_sym(members))
             ref = flats[top.basis[0]]
-            pts = np.column_stack([flats @ ref / float(ref @ ref), np.zeros(m)])
+            along = np.ldexp(flats @ ref / float(ref @ ref), flat_exps - flat_exps[top.basis[0]])
+            pts = np.column_stack([along, np.zeros(m)])
         theta = np.arctan2(pts[:, 1], pts[:, 0])
         order = np.argsort(theta, kind="stable")
         ts = theta[order]
@@ -325,14 +286,15 @@ def _plane_pass(top, members, restricted, cone, threshold: float) -> Certificate
             q = int(order[k - 1])
             w[p], w[q], w[r] = (_cross(pts[q], pts[r]), _cross(pts[r], pts[p]),
                                 _cross(pts[p], pts[q]))
-    return CertificateReport(Certified(make_weights(w), 0.0), {})
+    return {"verdict": "certified", "residuals": {}, "weights": _simplex_weights(w),
+            "lambda_min": 0.0}
 
 
 def certify_rank2(
     family: MatrixFamily,
     cone: FirstOrderCone,
     tol: float = DEFAULT_TOL,
-) -> CertificateReport:
+) -> dict:
     """Certificate for a symmetric family of matrix-set rank at most 2.
 
     Every member is alpha_i*P + beta_i*Q for the basis pair of one
@@ -349,20 +311,17 @@ def certify_rank2(
 
 
 def _certify_ranked(family: MatrixFamily, cone: FirstOrderCone, tol: float,
-                    top: MatrixSetRank) -> CertificateReport:
+                    top: MatrixSetRank) -> dict:
     """`certify_rank2` given the family's `matrix_set_rank` result."""
     members = family.members
     m = len(members)
     restricted, threshold = restricted_forms(family, cone, tol)
     if not restricted.size:
-        return CertificateReport(
-            Certified(SimplexWeights(np.full(m, 1.0 / m)), 0.0), {"span_dim": 0.0}
-        )
+        return {"verdict": "certified", "residuals": {"span_dim": 0.0},
+                "weights": np.full(m, 1.0 / m), "lambda_min": 0.0}
     if top.rank > 2:
-        return CertificateReport(
-            HypothesisViolated(f"matrix set rank {top.rank} exceeds 2", rank=top.rank),
-            {},
-        )
+        return {"verdict": "hypothesis_violated", "residuals": {},
+                "reason": f"matrix set rank {top.rank} exceeds 2", "rank": top.rank}
     diagnostics = {}
     if top.rank == 2 and top.coefficients is not None:
         worst = 0.0
@@ -371,18 +330,20 @@ def _certify_ranked(family: MatrixFamily, cone: FirstOrderCone, tol: float,
             worst = max(worst, norm_max(mem - recon) / (1.0 + norm_max(mem)))
         diagnostics["basis_fit_residual"] = worst
 
-    report = _plane_pass(top, members, restricted, cone, threshold)
-    residuals = dict(report.residuals, **diagnostics)
-    if report.refuted:
-        residuals["worst_form_value"] = float(report.outcome.form_values.max())
-        return CertificateReport(report.outcome, residuals)
+    record = _plane_pass(top, members, restricted, cone, threshold)
+    residuals = record["residuals"]
+    residuals.update(diagnostics)
+    if record["verdict"] == "refuted":
+        residuals["worst_form_value"] = float(record["form_values"].max())
+        return record
 
-    weights = report.outcome.weights
-    lam = certificate_value(restricted, weights.t)
+    weights = record["weights"]
+    lam = certificate_value(restricted, weights)
     if lam < threshold:
         raise NumericalFailureError(
             f"certificate failed verification (lambda_min {lam:.3e})"
         )
     residuals["combined_lambda_min"] = lam
-    residuals["weight_sum_error"] = abs(float(weights.t.sum()) - 1.0)
-    return CertificateReport(Certified(weights, lam), residuals)
+    residuals["weight_sum_error"] = abs(float(weights.sum()) - 1.0)
+    record["lambda_min"] = lam
+    return record

@@ -20,7 +20,7 @@ from yuancert.numeric_core import (
     norm_max,
 )
 from yuancert.oracle import _lam_min_batch
-from yuancert.yuan import SimplexWeights, make_weights, restricted_forms
+from yuancert.yuan import _simplex_weights, restricted_forms
 
 
 class HypothesisViolatedError(RuntimeError):
@@ -133,7 +133,7 @@ def hull_psd_search(
     family: MatrixFamily,
     cone: FirstOrderCone,
     tol: float = DEFAULT_TOL,
-) -> tuple[SimplexWeights, float]:
+) -> tuple[np.ndarray, float]:
     """Concave maximization over the planar hull of basis coordinates.
 
     Members of a rank-<=2 family have coordinates (alpha_i, beta_i) in a
@@ -148,7 +148,7 @@ def hull_psd_search(
     if sr.rank > 2:
         raise HypothesisViolatedError(f"matrix set rank {sr.rank} exceeds 2", rank=sr.rank)
     mats, _ = restricted_forms(family, cone, tol)
-    uniform = SimplexWeights(np.full(m, 1.0 / m))
+    uniform = np.full(m, 1.0 / m)
     if not mats.size or sr.rank == 0:
         return uniform, 0.0
 
@@ -217,7 +217,7 @@ def hull_psd_search(
     return weights, best
 
 
-def _recover_weights(coords: np.ndarray, target: np.ndarray) -> SimplexWeights:
+def _recover_weights(coords: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Simplex weights reproducing a hull point, via an L1-penalty LP."""
     m, d = coords.shape
     slack = np.zeros((d, 2 * d))
@@ -235,4 +235,4 @@ def _recover_weights(coords: np.ndarray, target: np.ndarray) -> SimplexWeights:
         raise NumericalFailureError(
             f"weight recovery missed the hull point by {error:.3e}"
         )
-    return make_weights(solution[:m])
+    return _simplex_weights(solution[:m])

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -316,9 +317,10 @@ class TestCommands:
         return tuple(map(float, found.groups()))
 
     def test_yuan2_witness_failure_names_stage_and_margin(self, tmp_path, capsys, monkeypatch):
-        # refuted by -1 everywhere; the witness e1 is forced and fails on A
+        # refuted by -1 everywhere; the eigenvector e1 alone is forced, so it is
+        # the witness, and it fails on A
         monkeypatch.setattr(yuan_module, "_pencil_max",
-                            lambda ar, br: (0.0, -1.0, np.array([1.0, 0.0])))
+                            lambda ar, br: (0.0, -1.0, np.array([[1.0], [0.0]])))
         path = write(tmp_path, "forced.json", family_doc(np.diag([1.0, -1.0]), -np.eye(2)))
         assert main(["yuan2", path, "--json"]) == 4
         worst, threshold, margin = self.witness_failure(capsys.readouterr().err)
@@ -327,9 +329,10 @@ class TestCommands:
 
     def test_certify_witness_failure_names_stage_and_margin(self, tmp_path, capsys,
                                                               monkeypatch):
-        # pointed family; the forced witness e1 fails on its first member
+        # pointed family; the forced eigenvector e1 is the witness, and it fails
+        # on its first member
         monkeypatch.setattr(yuan_module, "_pencil_max",
-                            lambda ar, br: (0.0, -1.0, np.array([1.0, 0.0])))
+                            lambda ar, br: (0.0, -1.0, np.array([[1.0], [0.0]])))
         path = write(tmp_path, "forced.json",
                      family_doc(np.diag([1.0, -1.0]), -np.eye(2), -2.0 * np.eye(2)))
         assert main(["certify", path, "--json"]) == 4
@@ -681,3 +684,93 @@ class TestVerifyReport:
             else:
                 report["weights"] = report["weights"][::-1]
         assert self.verify(capsys, report, report_path, path)[0] == 4
+
+
+HEAD = ["verdict", "tool_version", "input_digest"]
+PENCIL = ["pencil_argmax", "pencil_max"]
+CERTIFIED = ["combined_lambda_min", "weight_sum_error"]
+RANK3 = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), [[0.0, 1.0], [1.0, 0.0]]]
+
+
+class TestReportShape:
+    """Each verdict kind prints its fields in one order: the head, `residuals`
+    (in their own order), the verdict's fields, then the command's."""
+
+    CASES = {
+        "certify-certified": (["certify", "example1.json"], 0,
+                              ["residuals", "weights", "lambda_min"],
+                              PENCIL + ["basis_fit_residual"] + CERTIFIED),
+        "certify-refuted": (["certify", "example2_pair12.json"], 1,
+                            ["residuals", "witness", "form_values"],
+                            PENCIL + ["basis_fit_residual", "worst_form_value"]),
+        "certify-hypothesis": (["certify", "rank3"], 2, ["residuals", "reason", "rank"], []),
+        "yuan2-certified": (["yuan2", "opposite"], 0, ["residuals", "weights", "lambda_min"],
+                            PENCIL),
+        "yuan2-refuted": (["yuan2", "example2_pair12.json"], 1,
+                          ["residuals", "witness", "form_values"], PENCIL),
+        "soc-certified": (["soc", "kkt_example1.json"], 0,
+                          ["residuals", "weights", "lambda_min", "multiplier", "vertex_count"],
+                          PENCIL + ["basis_fit_residual"] + CERTIFIED),
+        "quad-hypothesis": (["quad", "quad2"], 2, ["residuals", "reason", "rank", "witness"],
+                            ["triple_residual"]),
+        "oracle-certified": (["oracle", "example2.json"], 0, ["samples"], None),
+        "oracle-refuted": (["oracle", "example2_pair12.json"], 1, ["witness", "form_values"], None),
+        "oracle-certified-grid": (["oracle", "example2.json", "--resolution", "3"], 0,
+                                  ["samples", "grid_best_weights", "grid_best_lambda_min"], None),
+        "oracle-refuted-grid": (["oracle", "example2_pair12.json", "--resolution", "3"], 1,
+                                ["witness", "form_values", "grid_best_weights",
+                                 "grid_best_lambda_min"], None),
+    }
+    VERIFIED = {"certified": ["lambda_min", "margin"], "refuted": ["form_values", "margin"],
+                "hypothesis_violated": ["rank"]}
+
+    @staticmethod
+    def instance(tmp_path, name):
+        if name == "rank3":
+            return write(tmp_path, "rank3.json", family_doc(*RANK3))
+        if name == "opposite":
+            return write(tmp_path, "opposite.json",
+                         family_doc(np.diag([1.0, -1.0]), np.diag([-1.0, 1.0])))
+        if name == "quad2":
+            return write(tmp_path, "quad2.json",
+                         serialize_instance(QuadProblem(MatrixFamily([EX2_A1, EX2_A2, EX2_A3]))))
+        return str(INSTANCES / name)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_key_order(self, case, tmp_path, capsys):
+        (command, name, *options), code, fields, residuals = self.CASES[case]
+        path = self.instance(tmp_path, name)
+        assert main([command, path, "--json", *options]) == code
+        report = json.loads(capsys.readouterr().out)
+        assert list(report) == HEAD + fields
+        if residuals is not None:
+            assert list(report["residuals"]) == residuals
+        if "multiplier" in report:
+            assert list(report["multiplier"]) == ["lambda", "mu"]
+        if command == "oracle":
+            return
+        report_path = write(tmp_path, "report.json", report)
+        assert main(["verify-report", report_path, path, "--json"]) == 0
+        checked = json.loads(capsys.readouterr().out)
+        assert list(checked) == HEAD + ["checked_verdict"] + self.VERIFIED[report["verdict"]]
+
+
+class TestFiniteOverflowFamily:
+    """{diag(9e153, -9e153), diag(-1e160, 1e160)} has set rank 1 and finite entries
+    whose squares overflow; both solvers decide it without a warning."""
+
+    FAMILY = [np.diag([9e153, -9e153]), np.diag([-1e160, 1e160])]
+
+    @pytest.mark.parametrize("command", ["certify", "yuan2"])
+    def test_certified_and_verified(self, command, tmp_path, capsys):
+        path = write(tmp_path, "wide.json", family_doc(*self.FAMILY))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, path, "--json"]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            report = json.loads(captured.out)
+            assert report["verdict"] == "certified"
+            report_path = write(tmp_path, "wide.report.json", report)
+            assert main(["verify-report", report_path, path]) == 0
+        assert capsys.readouterr().err == ""

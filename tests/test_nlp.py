@@ -7,17 +7,14 @@ from conftest import degenerate_kkt_point, family_one, family_two, random_sym, t
 from yuancert import nlp
 from yuancert.numeric_core import norm_max
 from yuancert import (
-    Certified,
     ConeNotCriticalError,
     EmptyMultiplierSetError,
     FirstOrderCone,
-    HypothesisViolated,
     InfeasibleError,
     InputError,
     KKTData,
     MatrixFamily,
     MfcqFailedError,
-    MultiplierPoint,
     QuadProblem,
     check_mfcq,
     critical_cone_lineality,
@@ -37,7 +34,8 @@ def quad_data(family=None):
 
 
 def reference_multiplier_vertices(data, tol=1e-9):
-    """Reference: the per-subset loop, one numerical_rank call per column subset."""
+    """Reference: the per-subset loop, one numerical_rank call per column subset;
+    the vertices as rows (lam, mu)."""
     act = list(data.active)
     na = len(act)
     cols = [data.grad_h[i] for i in range(data.p1)] + [data.grad_g[i] for i in act]
@@ -45,7 +43,7 @@ def reference_multiplier_vertices(data, tol=1e-9):
     scale = 1.0 + norm_max(rhs)
     if not cols:
         if norm_max(rhs) <= 1e-8 * scale:
-            return [MultiplierPoint(np.zeros(0), np.zeros(data.p2))]
+            return np.zeros((1, data.p2))
         raise EmptyMultiplierSetError("no multipliers: gradient of f does not vanish")
     mat = np.column_stack(cols)
     rank = numerical_rank(mat, tol)
@@ -74,12 +72,12 @@ def reference_multiplier_vertices(data, tol=1e-9):
     for v in found:
         if all(norm_max(v - u) > 1e-8 for u in unique):
             unique.append(v)
-    points = []
+    rows = []
     for v in unique:
         mu = np.zeros(data.p2)
         mu[act] = v[data.p1:]
-        points.append(MultiplierPoint(v[: data.p1], mu))
-    return points
+        rows.append(np.concatenate([v[: data.p1], mu]))
+    return np.array(rows)
 
 
 def assert_same_vertices(data):
@@ -92,17 +90,13 @@ def assert_same_vertices(data):
             multiplier_vertices(data)
         return type(exc)
     got = multiplier_vertices(data)
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert np.array_equal(g.lam, w.lam) and np.array_equal(g.mu, w.mu)
+    assert got.shape == want.shape and np.array_equal(got, want)
     return len(got)
 
 
-def stationarity_residual(data, pt):
+def stationarity_residual(data, row):
     grad = data.grad_f.copy()
-    for w, g in zip(pt.lam, data.grad_h):
-        grad += w * g
-    for w, g in zip(pt.mu, data.grad_g):
+    for w, g in zip(row, np.vstack([data.grad_h, data.grad_g])):
         grad += w * g
     return np.abs(grad).max()
 
@@ -138,10 +132,6 @@ class TestKKTData:
                 hess_g=[np.zeros((1, 1))],
             )
 
-    def test_negative_mu_rejected(self):
-        with pytest.raises(InputError):
-            MultiplierPoint(np.zeros(0), np.array([-0.5]))
-
 
 class TestLagrangianHessian:
     def test_vertex_gives_block_matrix(self):
@@ -149,25 +139,26 @@ class TestLagrangianHessian:
         for i, member in enumerate(family_one().members):
             mu = np.zeros(3)
             mu[i] = 1.0
-            hess = lagrangian_hessian(data, MultiplierPoint(np.zeros(0), mu))
+            hess = lagrangian_hessian(data, mu)
             expected = np.zeros((3, 3))
             expected[:2, :2] = member
             np.testing.assert_allclose(hess, expected)
 
     def test_zero_multipliers(self):
         data = quad_data()
-        hess = lagrangian_hessian(data, MultiplierPoint(np.zeros(0), np.zeros(3)))
+        hess = lagrangian_hessian(data, np.zeros(3))
         np.testing.assert_allclose(hess, data.hessians[0])
+
+    def test_multiplier_of_another_length_rejected(self):
+        with pytest.raises(InputError, match="multiplier dimensions"):
+            lagrangian_hessian(quad_data(), np.zeros(2))
 
     def test_linearity(self):
         data = quad_data()
         rng = np.random.default_rng(0)
         mu1, mu2 = rng.random(3), rng.random(3)
-        p1 = MultiplierPoint(np.zeros(0), mu1)
-        p2 = MultiplierPoint(np.zeros(0), mu2)
-        mid = MultiplierPoint(np.zeros(0), 0.5 * (mu1 + mu2))
-        lhs = lagrangian_hessian(data, mid)
-        rhs = 0.5 * (lagrangian_hessian(data, p1) + lagrangian_hessian(data, p2))
+        lhs = lagrangian_hessian(data, 0.5 * (mu1 + mu2))
+        rhs = 0.5 * (lagrangian_hessian(data, mu1) + lagrangian_hessian(data, mu2))
         scale = 1.0 + np.abs(rhs).max()
         assert np.abs(lhs - rhs).max() <= 1e-12 * scale
 
@@ -208,10 +199,8 @@ class TestCheckMfcq:
         assert check_mfcq(data)
         vertices = multiplier_vertices(data)
         assert len(vertices) == 1
-        np.testing.assert_allclose(vertices[0].lam, [-1.0], atol=1e-9)
-        np.testing.assert_allclose(vertices[0].mu, [1.0], atol=1e-9)
-        result = second_order_certificate(data)
-        assert isinstance(result.report.outcome, Certified)
+        np.testing.assert_allclose(vertices[0], [-1.0, 1.0], atol=1e-9)  # lam, then mu
+        assert second_order_certificate(data)["verdict"] == "certified"
 
     def test_mixed_opposing_gradients_fail(self):
         data = KKTData(
@@ -230,7 +219,7 @@ class TestMultiplierVertices:
     def test_quad_problem_simplex_vertices(self):
         data = quad_data()
         vertices = multiplier_vertices(data)
-        got = sorted(tuple(np.round(v.mu, 9)) for v in vertices)
+        got = sorted(tuple(np.round(row, 9)) for row in vertices)  # p1 = 0: the rows are mu
         assert got == [(0.0, 0.0, 1.0), (0.0, 1.0, 0.0), (1.0, 0.0, 0.0)]
         for v in vertices:
             assert stationarity_residual(data, v) <= 1e-8
@@ -245,7 +234,7 @@ class TestMultiplierVertices:
         )
         vertices = multiplier_vertices(data)
         assert len(vertices) == 1
-        np.testing.assert_allclose(vertices[0].lam, [-1.0, -2.0], atol=1e-9)
+        np.testing.assert_allclose(vertices[0], [-1.0, -2.0], atol=1e-9)
 
     def test_segment_endpoints(self):
         data = KKTData(
@@ -256,7 +245,7 @@ class TestMultiplierVertices:
             active=[0, 1],
         )
         vertices = multiplier_vertices(data)
-        got = sorted(tuple(v.mu) for v in vertices)
+        got = sorted(tuple(row) for row in vertices)
         assert got == [(0.0, 1.0), (1.0, 0.0)]
 
     def test_not_kkt_point(self):
@@ -274,9 +263,8 @@ class TestMultiplierVertices:
         # no vertex is a convex combination of the others (LP separation)
         data = quad_data(family_two())
         vertices = multiplier_vertices(data)
-        stacked = [np.concatenate([v.lam, v.mu]) for v in vertices]
-        for j, v in enumerate(stacked):
-            others = [u for i, u in enumerate(stacked) if i != j]
+        for j, v in enumerate(vertices):
+            others = [u for i, u in enumerate(vertices) if i != j]
             a_eq = np.vstack([np.stack(others, axis=1), np.ones((1, len(others)))])
             b_eq = np.concatenate([v, [1.0]])
             with pytest.raises(InfeasibleError):
@@ -292,7 +280,7 @@ class TestMultiplierVertices:
         )
         vertices = multiplier_vertices(data)
         assert len(vertices) == 1
-        np.testing.assert_allclose(vertices[0].mu, [1.0, 0.0], atol=1e-9)
+        np.testing.assert_allclose(vertices[0], [1.0, 0.0], atol=1e-9)
 
 
 class TestVertexEnumerationReference:
@@ -377,12 +365,10 @@ class TestVertexEnumerationReference:
         assert assert_same_vertices(twin) is MfcqFailedError
 
 
-def reference_lagrangian_hessian(data, pt):
+def reference_lagrangian_hessian(data, row):
     """Reference: the per-vertex sum in constraint order that the stack replaced."""
     total = np.array(data.hessians[0])
-    for w, h in zip(pt.lam, data.hessians[1:1 + data.p1]):
-        total += w * h
-    for w, h in zip(pt.mu, data.hessians[1 + data.p1:]):
+    for w, h in zip(row, data.hessians[1:]):
         total += w * h
     return MatrixFamily([total]).members[0]
 
@@ -410,9 +396,7 @@ class TestVertexHessians:
                        g_values=point.g_values)
         vertices = multiplier_vertices(data)
         assert len(vertices) >= 2
-        lam = np.array([v.lam for v in vertices])
-        mu = np.array([v.mu for v in vertices])
-        assert_hessians_match(data, vertices, nlp._hessian_stack(data, lam, mu))
+        assert_hessians_match(data, vertices, nlp._hessian_stack(data, vertices))
 
     def test_vertex_family(self):
         # a point with equality constraints, at a seed where MFCQ holds
@@ -454,29 +438,38 @@ class TestCriticalConeLineality:
         np.testing.assert_allclose(np.abs(basis[:, 0]), [0.0, 1.0], atol=1e-10)
 
 
+def multiplier_row(record):
+    """The certified multiplier of a soc record as one row (lam, mu)."""
+    return np.concatenate([record["multiplier"]["lambda"], record["multiplier"]["mu"]])
+
+
+def default_cone_basis(data):
+    """Span basis of the cone soc decides on by default: the critical cone's lineality."""
+    return span_basis(FirstOrderCone(data.n, critical_cone_lineality(data).T))
+
+
 class TestSecondOrderCertificate:
     def test_example_one_pipeline(self):
         data = quad_data()
         result = second_order_certificate(data)
-        assert isinstance(result.report.outcome, Certified)
-        mult = result.multiplier
-        assert mult is not None
+        assert result["verdict"] == "certified"
+        mult = multiplier_row(result)
         assert stationarity_residual(data, mult) <= 1e-8
         # the certified multiplier's Hessian is PSD on the lineality space
-        basis = span_basis(result.cone)
+        basis = default_cone_basis(data)
         lam = min_eigenvalue(restrict(lagrangian_hessian(data, mult)[None], basis)[0])
         assert lam >= -1e-9
         # the reference multiplier (0, 3/5, 2/5) validates too
-        ref = MultiplierPoint(np.zeros(0), np.array([0.0, 0.6, 0.4]))
+        ref = np.array([0.0, 0.6, 0.4])
         lam_ref = min_eigenvalue(restrict(lagrangian_hessian(data, ref)[None], basis)[0])
         assert lam_ref == pytest.approx((1.4 - np.sqrt(1.8)) / 2, abs=1e-9)
 
     def test_example_two_pipeline(self):
         data = quad_data(family_two())
         result = second_order_certificate(data)
-        assert isinstance(result.report.outcome, Certified)
-        uniform = MultiplierPoint(np.zeros(0), np.full(3, 1 / 3))
-        basis = span_basis(result.cone)
+        assert result["verdict"] == "certified"
+        uniform = np.full(3, 1 / 3)
+        basis = default_cone_basis(data)
         lam = min_eigenvalue(restrict(lagrangian_hessian(data, uniform)[None], basis)[0])
         assert lam == pytest.approx(0.0, abs=1e-12)
 
@@ -488,9 +481,9 @@ class TestSecondOrderCertificate:
             hess_h=[np.zeros((2, 2))],
         )
         result = second_order_certificate(data)
-        assert isinstance(result.report.outcome, Certified)
-        assert len(result.vertices) == 1
-        np.testing.assert_allclose(result.multiplier.lam, [-1.0], atol=1e-9)
+        assert result["verdict"] == "certified"
+        assert result["vertex_count"] == 1
+        np.testing.assert_allclose(result["multiplier"]["lambda"], [-1.0], atol=1e-9)
 
     def test_mfcq_failure_raised(self):
         data = KKTData(grad_f=[1.0], hess_f=[[0.0]], grad_h=[[0.0]], hess_h=[np.zeros((1, 1))])
@@ -503,8 +496,8 @@ class TestSecondOrderCertificate:
         e12 = np.array([[0.0, 1.0], [1.0, 0.0]])
         data = quad_data(MatrixFamily([e11, e22, e12]))
         result = second_order_certificate(data)
-        assert isinstance(result.report.outcome, HypothesisViolated)
-        assert result.multiplier is None
+        assert result["verdict"] == "hypothesis_violated"
+        assert "multiplier" not in result
 
     def test_supplied_cone_validated(self):
         data = quad_data()
@@ -516,16 +509,30 @@ class TestSecondOrderCertificate:
         data = quad_data()
         sub = FirstOrderCone(3, [[1.0, 0.0, 0.0]], ray=[0.0, 1.0, 0.0])
         result = second_order_certificate(data, sub)
-        assert isinstance(result.report.outcome, Certified)
+        assert result["verdict"] == "certified"
 
     def test_multiplier_in_vertex_hull(self):
         data = quad_data(family_two())
         result = second_order_certificate(data)
-        t = result.report.outcome.weights.t
+        t = result["weights"]
         assert t.min() >= 0.0
         assert t.sum() == pytest.approx(1.0, abs=1e-12)
-        recombined = sum(w * v.mu for w, v in zip(t, result.vertices))
-        np.testing.assert_allclose(recombined, result.multiplier.mu, atol=1e-12)
+        recombined = sum(w * row for w, row in zip(t, multiplier_vertices(data)))
+        np.testing.assert_allclose(recombined, result["multiplier"]["mu"], atol=1e-12)
+
+    @pytest.mark.parametrize("p1", [0, 1, 2])
+    def test_recombine_sums_in_vertex_order(self, p1):
+        # the weighted sum over the vertices, in their order, of lam and mu apart,
+        # with mu clamped at 0, bit for bit
+        rng = np.random.default_rng(60 + p1)
+        data = degenerate_kkt_point(rng, p1 + 5, p1, [(2, 4), (1, 3)], inactive=1)
+        rows = multiplier_vertices(data)
+        weights = rng.random(len(rows))
+        weights /= weights.sum()
+        lam = sum(w * row[:p1] for w, row in zip(weights, rows))
+        mu = np.maximum(sum(w * row[p1:] for w, row in zip(weights, rows)), 0.0)
+        got = nlp.recombine(rows, weights, p1)
+        assert got.tobytes() == np.concatenate([lam, mu]).tobytes()
 
     def test_recombination_linearity(self):
         data = quad_data()
@@ -533,10 +540,6 @@ class TestSecondOrderCertificate:
         rng = np.random.default_rng(1)
         t = rng.random(len(vertices))
         t /= t.sum()
-        mixed = MultiplierPoint(
-            sum(w * v.lam for w, v in zip(t, vertices)),
-            sum(w * v.mu for w, v in zip(t, vertices)),
-        )
-        lhs = lagrangian_hessian(data, mixed)
+        lhs = lagrangian_hessian(data, nlp.recombine(vertices, t, data.p1))
         rhs = sum(w * lagrangian_hessian(data, v) for w, v in zip(t, vertices))
         assert np.abs(lhs - rhs).max() <= 1e-12 * (1.0 + np.abs(rhs).max())

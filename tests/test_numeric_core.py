@@ -57,8 +57,7 @@ class TestSymMatrix:
         data = KKTData(grad_f=[0.0, 0.0], hess_f=self.NEAR)
         assert data.hessians[0].tolist() == [[1.0, 2.0 + 1e-14], [2.0 + 1e-14, 3.0]]
         # eigh reads the lower triangle, so equal spectra show sym_eigen mirrored it
-        assert sym_eigen(self.NEAR).eigenvalues.tolist() == \
-            sym_eigen(data.hessians[0]).eigenvalues.tolist()
+        assert sym_eigen(self.NEAR)[0].tolist() == sym_eigen(data.hessians[0])[0].tolist()
 
     @staticmethod
     def takers(n: int):
@@ -98,37 +97,37 @@ class TestSymMatrix:
 
 class TestSymEigen:
     def test_identity(self):
-        spec = sym_eigen(np.eye(2))
-        np.testing.assert_allclose(spec.eigenvalues, [1.0, 1.0])
-        np.testing.assert_allclose(spec.basis.T @ spec.basis, np.eye(2), atol=1e-12)
+        vals, basis = sym_eigen(np.eye(2))
+        np.testing.assert_allclose(vals, [1.0, 1.0])
+        np.testing.assert_allclose(basis.T @ basis, np.eye(2), atol=1e-12)
 
     def test_already_diagonal(self):
-        spec = sym_eigen(np.diag([-1.0, 1.0]))
-        np.testing.assert_allclose(spec.eigenvalues, [-1.0, 1.0])
-        np.testing.assert_allclose(np.abs(spec.basis), np.eye(2), atol=1e-12)
+        vals, basis = sym_eigen(np.diag([-1.0, 1.0]))
+        np.testing.assert_allclose(vals, [-1.0, 1.0])
+        np.testing.assert_allclose(np.abs(basis), np.eye(2), atol=1e-12)
 
     def test_derived_two_by_two(self):
-        spec = sym_eigen(M_DERIVED)
-        np.testing.assert_allclose(spec.eigenvalues, [LAM_LO, LAM_HI], atol=1e-12)
+        vals, basis = sym_eigen(M_DERIVED)
+        np.testing.assert_allclose(vals, [LAM_LO, LAM_HI], atol=1e-12)
 
     def test_deterministic(self):
         m = M_DERIVED
-        s1 = sym_eigen(m)
-        s2 = sym_eigen(m)
-        assert np.array_equal(s1.eigenvalues, s2.eigenvalues)
-        assert np.array_equal(s1.basis, s2.basis)
+        vals1, basis1 = sym_eigen(m)
+        vals2, basis2 = sym_eigen(m)
+        assert np.array_equal(vals1, vals2)
+        assert np.array_equal(basis1, basis2)
 
     def test_reconstruction_random(self):
         rng = np.random.default_rng(0)
         for _ in range(60):
             n = int(rng.integers(1, 9))
             m = random_sym(rng, n, scale=float(rng.uniform(0.1, 10.0)))
-            spec = sym_eigen(m)
+            vals, basis = sym_eigen(m)
             scale = 1.0 + norm_max(m)
-            recon = spec.basis @ np.diag(spec.eigenvalues) @ spec.basis.T
+            recon = basis @ np.diag(vals) @ basis.T
             assert np.abs(recon - m).max() <= 1e-9 * scale
-            assert np.abs(spec.basis.T @ spec.basis - np.eye(n)).max() <= 1e-10
-            assert (np.diff(spec.eigenvalues) >= 0).all()
+            assert np.abs(basis.T @ basis - np.eye(n)).max() <= 1e-10
+            assert (np.diff(vals) >= 0).all()
 
     def test_rayleigh_bound(self):
         rng = np.random.default_rng(1)
@@ -151,26 +150,25 @@ class TestSymEigen:
         rng = np.random.default_rng(4)
         q, _ = np.linalg.qr(rng.standard_normal(mat.shape))
         m = q @ mat @ q.T
-        spec = sym_eigen(m)
+        vals, basis = sym_eigen(m)
         n = mat.shape[0]
-        np.testing.assert_allclose(spec.eigenvalues, np.sort(np.diag(mat)), atol=1e-12)
-        assert np.abs(spec.basis.T @ spec.basis - np.eye(n)).max() <= 1e-12
-        bottom = spec.basis[:, np.abs(spec.eigenvalues - spec.eigenvalues[0]) <= 1e-9]
-        np.testing.assert_allclose(m @ bottom, spec.eigenvalues[0] * bottom, atol=1e-12)
+        np.testing.assert_allclose(vals, np.sort(np.diag(mat)), atol=1e-12)
+        assert np.abs(basis.T @ basis - np.eye(n)).max() <= 1e-12
+        bottom = basis[:, np.abs(vals - vals[0]) <= 1e-9]
+        np.testing.assert_allclose(m @ bottom, vals[0] * bottom, atol=1e-12)
 
     def test_order_one(self):
-        spec = sym_eigen([[-3.5]])
-        assert spec.eigenvalues.tolist() == [-3.5]
-        assert np.abs(spec.basis).tolist() == [[1.0]]
+        vals, basis = sym_eigen([[-3.5]])
+        assert vals.tolist() == [-3.5]
+        assert np.abs(basis).tolist() == [[1.0]]
 
     def test_zero_matrix(self):
-        spec = sym_eigen(np.zeros((4, 4)))
-        assert (spec.eigenvalues == 0.0).all()
-        np.testing.assert_allclose(spec.basis.T @ spec.basis, np.eye(4), atol=1e-15)
+        vals, basis = sym_eigen(np.zeros((4, 4)))
+        assert (vals == 0.0).all()
+        np.testing.assert_allclose(basis.T @ basis, np.eye(4), atol=1e-15)
 
     def test_arrays_read_only_and_contiguous(self):
-        spec = sym_eigen(M_DERIVED)
-        for arr in (spec.eigenvalues, spec.basis):
+        for arr in sym_eigen(M_DERIVED):
             assert arr.flags.c_contiguous
             with pytest.raises(ValueError):
                 arr[0] = 1.0
@@ -179,7 +177,7 @@ class TestSymEigen:
         rng = np.random.default_rng(5)
         for n in (1, 2, 5, 12):
             m = random_sym(rng, n)
-            assert min_eigenvalue(m) == sym_eigen(m).eigenvalues[0]
+            assert min_eigenvalue(m) == sym_eigen(m)[0][0]
 
     def test_lapack_failure_is_numerical_failure(self, monkeypatch):
         def fail(_):

@@ -7,8 +7,6 @@ from yuancert import (
     FirstOrderCone,
     InputError,
     MatrixFamily,
-    NoWitnessFound,
-    Witness,
     cone_contains,
     min_eigenvalue,
     sample_max_nonneg,
@@ -21,54 +19,55 @@ FULL2 = FirstOrderCone.full(2)
 class TestSampleMaxNonneg:
     def test_example_two_no_witness(self):
         verdict = sample_max_nonneg(family_two(), FULL2, samples=10_000, seed=0)
-        assert isinstance(verdict, NoWitnessFound)
+        assert verdict == {"verdict": "certified", "samples": 10_000}
 
     def test_negative_identity_witness(self):
         verdict = sample_max_nonneg(MatrixFamily([-np.eye(2)]), FULL2, samples=100, seed=0)
-        assert isinstance(verdict, Witness)
-        assert verdict.form_values[0] == pytest.approx(-1.0, abs=1e-9)
+        assert verdict["verdict"] == "refuted"
+        assert verdict["form_values"][0] == pytest.approx(-1.0, abs=1e-9)
 
     def test_example_two_pair_witness(self):
         fam = MatrixFamily(family_two().members[:2])
         verdict = sample_max_nonneg(fam, FULL2, samples=10_000, seed=0)
-        assert isinstance(verdict, Witness)
-        assert (verdict.form_values < 0).all()
-        for mat, value in zip(fam.members, verdict.form_values):
-            assert verdict.x @ mat @ verdict.x == pytest.approx(value)
+        assert verdict["verdict"] == "refuted"
+        assert (verdict["form_values"] < 0).all()
+        x = verdict["witness"]
+        for mat, value in zip(fam.members, verdict["form_values"]):
+            assert x @ mat @ x == pytest.approx(value)
 
     def test_witness_lies_in_cone(self):
         cone = FirstOrderCone(2, [[1.0, 0.0]], ray=[0.0, 1.0])
         verdict = sample_max_nonneg(MatrixFamily([-np.eye(2)]), cone, samples=100, seed=3)
-        assert isinstance(verdict, Witness)
-        assert cone_contains(cone, verdict.x, 1e-8)
+        assert verdict["verdict"] == "refuted"
+        assert cone_contains(cone, verdict["witness"], 1e-8)
 
     def test_deterministic(self):
         fam = MatrixFamily(family_two().members[:2])
         v1 = sample_max_nonneg(fam, FULL2, samples=5000, seed=11)
         v2 = sample_max_nonneg(fam, FULL2, samples=5000, seed=11)
-        np.testing.assert_array_equal(v1.x, v2.x)
+        np.testing.assert_array_equal(v1["witness"], v2["witness"])
 
 
 class TestSimplexGridSearch:
     def test_example_two_resolution_three(self):
         weights, best = simplex_grid_search(family_two(), FULL2, 3)
-        np.testing.assert_allclose(weights.t, [1 / 3, 1 / 3, 1 / 3], atol=1e-12)
+        np.testing.assert_allclose(weights, [1 / 3, 1 / 3, 1 / 3], atol=1e-12)
         assert best == pytest.approx(0.0, abs=1e-12)
 
     def test_identity_single(self):
         weights, best = simplex_grid_search(MatrixFamily([np.eye(2)]), FULL2, 5)
-        np.testing.assert_allclose(weights.t, [1.0])
+        np.testing.assert_allclose(weights, [1.0])
         assert best == pytest.approx(1.0)
 
     def test_example_one_resolution_ten(self):
         weights, best = simplex_grid_search(family_one(), FULL2, 10)
         assert best >= (1.4 - np.sqrt(1.8)) / 2 - 1e-12  # grid holds (0, 0.6, 0.4)
-        combined = sum(w * m for w, m in zip(weights.t, family_one().members))
+        combined = sum(w * m for w, m in zip(weights, family_one().members))
         assert min_eigenvalue(combined) == pytest.approx(best, abs=1e-9)
 
     def test_grid_is_exhaustive(self):
         weights, _ = simplex_grid_search(family_one(), FULL2, 4)
-        np.testing.assert_allclose(weights.t * 4, np.round(weights.t * 4), atol=1e-12)
+        np.testing.assert_allclose(weights * 4, np.round(weights * 4), atol=1e-12)
 
 
 @pytest.mark.parametrize("cone", [FirstOrderCone.full(3), FirstOrderCone(3, ())],
@@ -85,7 +84,7 @@ class TestHullPsdSearch:
     def test_example_one(self):
         weights, best = hull_psd_search(family_one(), FULL2)
         assert best > 0.0
-        combined = sum(w * m for w, m in zip(weights.t, family_one().members))
+        combined = sum(w * m for w, m in zip(weights, family_one().members))
         assert min_eigenvalue(combined) >= best - 1e-8
 
     def test_example_two_zero_point(self):
@@ -96,7 +95,7 @@ class TestHullPsdSearch:
         a = np.diag([1.0, -1.0])
         weights, best = hull_psd_search(MatrixFamily([a, -a]), FULL2)
         assert best == pytest.approx(0.0, abs=1e-9)
-        combined = sum(w * m for w, m in zip(weights.t, (a, -a)))
+        combined = sum(w * m for w, m in zip(weights, (a, -a)))
         assert np.abs(combined).max() <= 1e-8
 
     def test_rank_three_rejected(self):

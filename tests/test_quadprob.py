@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -14,17 +15,10 @@ from conftest import (
 )
 from yuancert import quadprob
 from yuancert import (
-    Certified,
-    Delta,
-    Equal,
-    HypothesisViolated,
     InputError,
-    JacobianRankViolation,
     MatrixFamily,
     MatrixSetRank,
-    NotDependent,
     QuadProblem,
-    Refuted,
     check_mfcq,
     critical_cone_lineality,
     extract_dependence,
@@ -53,8 +47,14 @@ def failing_triples(prob: QuadProblem) -> list[tuple[int, int, int]]:
     syms = prob.matrices.members
     return [
         t for t in itertools.combinations(range(prob.m), 3)
-        if isinstance(extract_dependence(syms[t[0]], syms[t[1]], syms[t[2]]), NotDependent)
+        if extract_dependence(syms[t[0]], syms[t[1]], syms[t[2]])[1] is not None
     ]
+
+
+def violated_triple(result) -> tuple[int, ...]:
+    """The failing triple that a hypothesis_violated record names in its reason."""
+    assert result["verdict"] == "hypothesis_violated"
+    return tuple(int(i) for i in re.findall(r"\d+", result["reason"].rsplit("triple", 1)[1]))
 
 
 def near_twin_family(rng, n: int, m: int) -> MatrixFamily:
@@ -170,20 +170,19 @@ class TestExtractDependence:
         rng = np.random.default_rng(0)
         a, b = random_sym(rng, 4), random_sym(rng, 4)
         c = (a + 2.0 * b) / 3.0
-        result = extract_dependence(a, b, c)
-        assert isinstance(result, Delta)
-        assert result.delta == pytest.approx(2.0, rel=1e-10)
+        delta, residual = extract_dependence(a, b, c)
+        assert residual is None
+        assert delta == pytest.approx(2.0, rel=1e-10)
 
     def test_equal_branch(self):
         rng = np.random.default_rng(1)
         a, b = random_sym(rng, 3), random_sym(rng, 3)
-        result = extract_dependence(a, b, b)
-        assert isinstance(result, Equal)
+        assert extract_dependence(a, b, b) == (None, None)
 
     def test_not_dependent(self):
-        result = extract_dependence(E11, E22, np.zeros((2, 2)))
-        assert isinstance(result, NotDependent)
-        assert result.residual >= 1.0
+        delta, residual = extract_dependence(E11, E22, np.zeros((2, 2)))
+        assert delta is None
+        assert residual >= 1.0
 
     def test_delta_recovery_sweep(self):
         rng = np.random.default_rng(2)
@@ -195,9 +194,9 @@ class TestExtractDependence:
             else:
                 delta = -(10.0 ** rng.uniform(-2, np.log10(0.99)))
             c = (a + delta * b) / (1.0 + delta)
-            result = extract_dependence(a, b, c)
-            assert isinstance(result, Delta)
-            assert abs(result.delta - delta) <= 1e-8 * abs(delta)
+            got, residual = extract_dependence(a, b, c)
+            assert residual is None
+            assert abs(got - delta) <= 1e-8 * abs(delta)
 
 
 class TestJacobianRankReduce:
@@ -216,9 +215,9 @@ class TestJacobianRankReduce:
 
     def test_rank3_family_violated(self):
         result = jacobian_rank_reduce(rank3_problem())
-        assert isinstance(result, JacobianRankViolation)
+        assert result["verdict"] == "hypothesis_violated"
         prob = rank3_problem()
-        assert numerical_rank(jacobian_at(prob, result.witness_x)) >= 3
+        assert numerical_rank(jacobian_at(prob, result["witness"])) == result["rank"] >= 3
 
     def test_example_two_violated(self):
         # the triple has no affine dependence (1*A1 + 1*A2 + 1*A3 = 0 has
@@ -226,8 +225,8 @@ class TestJacobianRankReduce:
         # though the matrix set rank is 2
         prob = QuadProblem(family_two())
         result = jacobian_rank_reduce(prob)
-        assert isinstance(result, JacobianRankViolation)
-        assert numerical_rank(jacobian_at(prob, result.witness_x)) == 3
+        assert result["verdict"] == "hypothesis_violated"
+        assert numerical_rank(jacobian_at(prob, result["witness"])) == 3
 
     @pytest.mark.parametrize("kind", sorted(SCAN_FAMILIES))
     def test_scan_agrees_with_triple_loop(self, kind):
@@ -240,15 +239,13 @@ class TestJacobianRankReduce:
                 assert isinstance(result, MatrixSetRank), (kind, m)
                 assert result.rank <= 2
                 continue
-            assert isinstance(result, JacobianRankViolation), (kind, m)
-            assert result.triple in failing
-            assert numerical_rank(jacobian_at(prob, result.witness_x)) >= 3
+            assert violated_triple(result) in failing, (kind, m)
+            assert numerical_rank(jacobian_at(prob, result["witness"])) >= 3
 
     def test_scan_anchor_is_not_a_repeat_of_member_zero(self):
         prob = QuadProblem(MatrixFamily([E11, E11, E22, E12]))
         result = jacobian_rank_reduce(prob)
-        assert isinstance(result, JacobianRankViolation)
-        assert result.triple in failing_triples(prob)
+        assert violated_triple(result) in failing_triples(prob)
 
     def test_scan_work_bound(self, monkeypatch):
         prob = QuadProblem(random_collinear_family(np.random.default_rng(8), 8, 40))
@@ -288,15 +285,18 @@ class TestJacobianRankReduce:
             far = int(np.argmax(gaps))
             want = None
             for i in range(1, m):
-                res = extract_dependence(syms[i], syms[far], syms[0]) if i != far else None
-                if isinstance(res, NotDependent):
-                    want = (tuple(sorted((0, far, i))), res.residual)
+                if i == far:
+                    continue
+                _, residual = extract_dependence(syms[i], syms[far], syms[0])
+                if residual is not None:
+                    want = (tuple(sorted((0, far, i))), residual)
                     break
             result = jacobian_rank_reduce(prob)
             if want is None:
                 assert isinstance(result, MatrixSetRank), (kind, m)
             else:
-                assert (result.triple, result.residual) == want, (kind, m)
+                got = (violated_triple(result), result["residuals"]["triple_residual"])
+                assert got == want, (kind, m)
 
     def test_collinear_families_reduce(self):
         rng = np.random.default_rng(5)
@@ -309,12 +309,45 @@ class TestJacobianRankReduce:
             assert result.rank <= 2
 
 
+class TestRank3Point:
+    """The rank-3 search draws its Gaussian candidates in blocks, as it reaches
+    them, and they equal one (5000, n) draw bit for bit."""
+
+    @staticmethod
+    def candidates(monkeypatch, n: int, hit: int | None = None) -> list:
+        """The points `_rank3_point` tests, in order, with the rank reaching 3 only
+        at candidate `hit`; the Jacobian is not formed."""
+        seen = []
+        monkeypatch.setattr(quadprob, "jacobian_at", lambda prob, x: seen.append(x) or x)
+        monkeypatch.setattr(quadprob, "numerical_rank",
+                            lambda jac, tol: 3 if len(seen) - 1 == hit else 0)
+        found = quadprob._rank3_point(QuadProblem(MatrixFamily([np.eye(n)])), 1e-9)
+        assert (found is None) == (hit is None)
+        return seen
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_candidates_equal_one_draw(self, n, monkeypatch):
+        rng = np.random.default_rng(quadprob._DEFAULT_SEED)
+        want = [np.ones(n) / np.sqrt(n), *quadprob._normalized_rows(rng.standard_normal((5000, n)))]
+        got = self.candidates(monkeypatch, n)
+        assert len(got) == len(want) == 5001
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("hit, rows", [(0, 0), (1, 1), (2, 8), (8, 8), (9, 72)])
+    def test_draws_only_the_blocks_reached(self, hit, rows, monkeypatch):
+        drawn = []
+        normalized = quadprob._normalized_rows
+        monkeypatch.setattr(quadprob, "_normalized_rows",
+                            lambda block: drawn.append(len(block)) or normalized(block))
+        assert len(self.candidates(monkeypatch, 4, hit)) == hit + 1
+        assert sum(drawn) == rows
+
+
 class TestQuadCertificate:
     def test_example_one_certified(self):
         report = quad_certificate(QuadProblem(family_one()))
-        out = report.outcome
-        assert isinstance(out, Certified)
-        combined = sum(w * m for w, m in zip(out.weights.t, family_one().members))
+        assert report["verdict"] == "certified"
+        combined = sum(w * m for w, m in zip(report["weights"], family_one().members))
         assert min_eigenvalue(combined) >= -1e-9 * (1.0 + np.abs(combined).max())
         # the reference weights certify as well
         ref = 0.6 * family_one().members[1] + 0.4 * family_one().members[2]
@@ -322,22 +355,22 @@ class TestQuadCertificate:
 
     def test_rank3_family_violated(self):
         report = quad_certificate(rank3_problem())
-        assert isinstance(report.outcome, HypothesisViolated)
+        assert report["verdict"] == "hypothesis_violated"
 
     def test_example_two_premise_fails_but_certificate_exists(self):
         # the Jacobian rank-increase premise fails for this family, so the
         # pipeline reports a hypothesis violation; the PSD combination still
         # exists and the set-rank route finds it
         report = quad_certificate(QuadProblem(family_two()))
-        assert isinstance(report.outcome, HypothesisViolated)
+        assert report["verdict"] == "hypothesis_violated"
         soc = second_order_certificate(to_kkt(QuadProblem(family_two())))
-        assert isinstance(soc.report.outcome, Certified)
+        assert soc["verdict"] == "certified"
 
     def test_near_twin_family_refuted(self):
         # the normalized differences have set rank 2, yet every triple is
         # dependent at tol, so the family reaches certify_rank2 and is refuted
         prob = QuadProblem(near_twin_family(np.random.default_rng(0), 6, 6))
-        assert isinstance(quad_certificate(prob).outcome, Refuted)
+        assert quad_certificate(prob)["verdict"] == "refuted"
 
     def test_sampled_check_off_the_pipeline(self, monkeypatch):
         # planted refutation: every member of C + s*D takes -1 at z0
@@ -355,9 +388,10 @@ class TestQuadCertificate:
             raise AssertionError("quad_certificate called rank_increase_check")
 
         monkeypatch.setattr(quadprob, "rank_increase_check", forbidden)
-        out = quad_certificate(prob).outcome
-        assert isinstance(out, Refuted)
-        assert max(out.witness @ m @ out.witness for m in prob.matrices.members) < 0.0
+        out = quad_certificate(prob)
+        assert out["verdict"] == "refuted"
+        x = out["witness"]
+        assert max(x @ m @ x for m in prob.matrices.members) < 0.0
 
     def test_requires_optimization_ray_constant(self):
         with pytest.raises(InputError):
@@ -372,7 +406,7 @@ class TestToKkt:
         np.testing.assert_allclose(data.grad_f, [0.0, 0.0, 1.0])
         np.testing.assert_allclose(data.grad_g, [[0.0, 0.0, -1.0]] * 3)
         vertices = multiplier_vertices(data)
-        got = sorted(tuple(np.round(v.mu, 9)) for v in vertices)
+        got = sorted(tuple(np.round(row, 9)) for row in vertices)  # p1 = 0: the rows are mu
         assert got == [(0.0, 0.0, 1.0), (0.0, 1.0, 0.0), (1.0, 0.0, 0.0)]
         assert check_mfcq(data)
         basis = critical_cone_lineality(data)
@@ -382,9 +416,8 @@ class TestToKkt:
         data = to_kkt(QuadProblem(MatrixFamily([np.eye(2)])))
         vertices = multiplier_vertices(data)
         assert len(vertices) == 1
-        np.testing.assert_allclose(vertices[0].mu, [1.0])
-        result = second_order_certificate(data)
-        assert isinstance(result.report.outcome, Certified)
+        np.testing.assert_allclose(vertices[0], [1.0])
+        assert second_order_certificate(data)["verdict"] == "certified"
 
     def test_route_equivalence_on_collinear_families(self):
         rng = np.random.default_rng(6)
@@ -396,14 +429,14 @@ class TestToKkt:
             prob = QuadProblem(fam)
             direct = quad_certificate(prob)
             via_kkt = second_order_certificate(to_kkt(prob))
-            assert direct.outcome.__class__ is via_kkt.report.outcome.__class__
-            if isinstance(direct.outcome, Certified):
+            assert direct["verdict"] == via_kkt["verdict"]
+            if direct["verdict"] == "certified":
                 # each route's member weights certify the family: the direct
                 # route's simplex weights, and the multipliers mu of the soc
                 # route (its vertex weights follow the vertices' order, not
                 # the members')
                 scale = 1.0 + max(np.abs(mem).max() for mem in fam.members)
-                for weights in (direct.outcome.weights.t, via_kkt.multiplier.mu):
+                for weights in (direct["weights"], via_kkt["multiplier"]["mu"]):
                     combined = sum(w * mem for w, mem in zip(weights, fam.members))
                     assert min_eigenvalue(combined) >= -1e-9 * scale
             agreements += 1

@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -23,18 +24,13 @@ from conftest import (
     random_sym,
 )
 from yuancert import (
-    Certified,
     FirstOrderCone,
-    HypothesisViolated,
     InputError,
     MatrixFamily,
     NumericalFailureError,
-    Refuted,
-    SimplexWeights,
     certify_rank2,
     cone_contains,
     express_in_basis,
-    make_weights,
     matrix_set_rank,
     min_eigenvalue,
     restrict,
@@ -44,7 +40,7 @@ from yuancert import (
     yuan_two,
 )
 from yuancert.numeric_core import flatten_sym, norm_max
-from yuancert.yuan import _into_cone
+from yuancert.yuan import _into_cone, _pencil_witness, _simplex_weights
 
 # most exit-4 cases at c = 1 in TestBoundaryCorpus, whose pencil maxima sit on
 # the threshold itself, so rounding decides how many witnesses clear it
@@ -54,17 +50,30 @@ FULL2 = FirstOrderCone.full(2)
 
 
 class TestSimplexWeights:
+    """Solver weights pass `_simplex_weights`: negative round-off is clamped to 0,
+    the rest divided by its total, and what results must be finite and sum to 1."""
+
     def test_valid(self):
-        w = SimplexWeights([0.25, 0.75])
-        assert w.t.sum() == pytest.approx(1.0)
+        assert _simplex_weights([0.25, 0.75]).tolist() == [0.25, 0.75]
+
+    def test_negative_round_off_clamped(self):
+        assert _simplex_weights([-1e-17, 0.5, 0.5]).tolist() == [0.0, 0.5, 0.5]
 
     def test_negative_rejected(self):
-        with pytest.raises(InputError):
-            SimplexWeights([-0.1, 1.1])
+        with pytest.raises(InputError, match="^weights must have positive total$"):
+            _simplex_weights([-0.1, -1.1])
+
+    @pytest.mark.parametrize("raw", [[np.nan, 1.0], [np.inf, 1.0]])
+    def test_non_finite_rejected(self, raw):
+        with pytest.raises(InputError, match="^weights have non-finite entries$"), \
+                np.errstate(invalid="ignore"):
+            _simplex_weights(raw)
 
     def test_sum_off_rejected(self):
-        with pytest.raises(InputError):
-            SimplexWeights([0.25, 0.70])
+        # the total overflows to inf, so the divided weights are (0, 0)
+        with pytest.raises(InputError, match="^weights must sum to 1$"), \
+                np.errstate(over="ignore"):
+            _simplex_weights([1e308, 1e308])
 
 
 class TestLambdaMinProfile:
@@ -99,28 +108,26 @@ class TestYuanTwo:
     def test_opposite_pair(self):
         a = np.diag([1.0, -1.0])
         b = np.diag([-1.0, 1.0])
-        report = yuan_two(a, b, FULL2)
-        out = report.outcome
-        assert isinstance(out, Certified)
-        assert out.weights.t[0] == pytest.approx(0.5, abs=1e-9)
-        assert out.lambda_min == pytest.approx(0.0, abs=1e-9)
+        out = yuan_two(a, b, FULL2)
+        assert out["verdict"] == "certified"
+        assert out["weights"][0] == pytest.approx(0.5, abs=1e-9)
+        assert out["lambda_min"] == pytest.approx(0.0, abs=1e-9)
 
     def test_identity_always_certifies(self):
         for other in (np.diag([-3.0, -3.0]), np.diag([5.0, 1.0]), EX2_A2):
             report = yuan_two(np.eye(2), other, FULL2)
-            assert isinstance(report.outcome, Certified)
-            t = report.outcome.weights.t
+            assert report["verdict"] == "certified"
+            t = report["weights"]
             combined = t[0] * np.eye(2) + t[1] * np.asarray(other, float)
             assert min_eigenvalue(combined) >= -1e-9 * (1.0 + np.abs(combined).max())
 
     @pytest.mark.parametrize("pair", [(EX2_A1, EX2_A2), (EX2_A1, EX2_A3), (EX2_A2, EX2_A3)])
     def test_example_two_pairs_refuted(self, pair):
         a, b = pair[0], pair[1]
-        report = yuan_two(a, b, FULL2)
-        out = report.outcome
-        assert isinstance(out, Refuted)
-        assert out.witness @ a @ out.witness < -1e-6
-        assert out.witness @ b @ out.witness < -1e-6
+        out = yuan_two(a, b, FULL2)
+        assert out["verdict"] == "refuted"
+        assert out["witness"] @ a @ out["witness"] < -1e-6
+        assert out["witness"] @ b @ out["witness"] < -1e-6
 
     def test_cone_restricted(self):
         # indefinite on the plane, positive along the kept axis
@@ -128,12 +135,12 @@ class TestYuanTwo:
         b = np.diag([-2.0, 3.0])
         cone = FirstOrderCone(2, [[0.0, 1.0]])
         report = yuan_two(a, b, cone)
-        assert isinstance(report.outcome, Certified)
+        assert report["verdict"] == "certified"
 
     def test_zero_cone(self):
         cone = FirstOrderCone(2, ())
         report = yuan_two(-np.eye(2), -np.eye(2), cone)
-        assert isinstance(report.outcome, Certified)
+        assert report["verdict"] == "certified"
 
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
@@ -143,17 +150,17 @@ class TestYuanTwo:
         # t = 1/2 gives exactly -I; A - B is diag(2, 1, -2), so the forms agree
         # on (e1 - e3)/sqrt(2) but on no unit vector of span(e1, e2)
         a, b = np.diag([0.0, -0.5, -2.0]), np.diag([-2.0, -1.5, 0.0])
-        out = yuan_two(a, b, FirstOrderCone.full(3)).outcome
-        assert isinstance(out, Refuted)
-        np.testing.assert_allclose(out.form_values, [-1.0, -1.0], atol=1e-12)
+        out = yuan_two(a, b, FirstOrderCone.full(3))
+        assert out["verdict"] == "refuted"
+        np.testing.assert_allclose(out["form_values"], [-1.0, -1.0], atol=1e-12)
 
     def test_bisection_stops_at_float_resolution(self, monkeypatch):
         # g(0) = 2 > 0 but g = -1 at every t > 0, so the bracket shrinks towards 0
         calls = []
         monkeypatch.setattr(yuan_module, "_eigh",
                             lambda stack: calls.append(len(stack)) or numeric_core._eigh(stack))
-        out = yuan_two(np.diag([1.0, -2.0]), -np.eye(2), FULL2).outcome
-        assert isinstance(out, Refuted)
+        out = yuan_two(np.diag([1.0, -2.0]), -np.eye(2), FULL2)
+        assert out["verdict"] == "refuted"
         # both endpoints, then [0, 1] halved 52 times to width 2**-52, four
         # halvings per stacked call on a 16-way grid
         assert calls == [1, 1] + [15] * 13
@@ -165,7 +172,8 @@ class TestYuanTwo:
         monkeypatch.setattr(yuan_module, "_eigh",
                             lambda stack: calls.append(len(stack)) or numeric_core._eigh(stack))
         a, b = np.diag([2.0, -2.0, -1.0]), np.diag([-2.0, 2.0, -1.0])
-        t_star, lam, witness = yuan_module._pencil_max(a, b)
+        t_star, lam, basis = yuan_module._pencil_max(a, b)
+        witness = _pencil_witness(a - b, basis)
         assert (t_star, lam, np.abs(witness).tolist()) == (0.5, -1.0, [0.0, 0.0, 1.0])
         assert calls == [1, 1, 15]
 
@@ -176,36 +184,36 @@ def reference_pencil_max(ar, br):
     diff = ar - br
 
     def at(t):
-        spec = sym_eigen(t * ar + (1.0 - t) * br)
-        v1 = spec.basis[:, 0]
-        return float(spec.eigenvalues[0]), float(v1 @ diff @ v1), spec
+        vals, basis = sym_eigen(t * ar + (1.0 - t) * br)
+        v1 = basis[:, 0]
+        return float(vals[0]), float(v1 @ diff @ v1), basis
 
-    lam0, g, spec0 = at(0.0)
+    lam0, g, basis0 = at(0.0)
     if g <= 0.0:
-        return 0.0, lam0, spec0.basis[:, 0]
-    lam1, g, spec1 = at(1.0)
+        return 0.0, lam0, basis0[:, 0]
+    lam1, g, basis1 = at(1.0)
     if g >= 0.0:
-        return 1.0, lam1, spec1.basis[:, 0]
-    best_lam, best_t, spec = max((lam0, 0.0, spec0), (lam1, 1.0, spec1), key=lambda e: e[0])
+        return 1.0, lam1, basis1[:, 0]
+    best_lam, best_t, basis = max((lam0, 0.0, basis0), (lam1, 1.0, basis1), key=lambda e: e[0])
     lo, hi = 0.0, 1.0
     while hi - lo > math.ulp(1.0):
         mid = 0.5 * (lo + hi)
-        lam, g, mid_spec = at(mid)
+        lam, g, mid_basis = at(mid)
         if lam > best_lam:
-            best_lam, best_t, spec = lam, mid, mid_spec
+            best_lam, best_t, basis = lam, mid, mid_basis
         if g == 0.0:
             break
         lo, hi = (mid, hi) if g > 0.0 else (lo, mid)
-    forms = spec.basis.T @ diff @ spec.basis
+    forms = basis.T @ diff @ basis
     p, q, r = float(forms[0, 0]), forms[0, 1:], np.diag(forms)[1:]
     disc = q * q - p * r
     real = np.flatnonzero(disc >= 0.0)
-    v1 = spec.basis[:, 0]
+    v1 = basis[:, 0]
     if p == 0.0 or real.size == 0:
         return best_t, best_lam, v1
     j = int(real[0])
     den = float(q[j]) + math.copysign(math.sqrt(float(disc[j])), float(q[j]))
-    return best_t, best_lam, (den * v1 - p * spec.basis[:, j + 1]) / math.hypot(den, p)
+    return best_t, best_lam, (den * v1 - p * basis[:, j + 1]) / math.hypot(den, p)
 
 
 def seeded_pencils():
@@ -240,7 +248,9 @@ class TestPencilReplay:
     def test_matches_the_bisection_bitwise(self):
         interior = 0
         for k, (ar, br) in enumerate(seeded_pencils()):
-            want, got = reference_pencil_max(ar, br), yuan_module._pencil_max(ar, br)
+            t_star, lam_star, basis = yuan_module._pencil_max(ar, br)
+            want, got = reference_pencil_max(ar, br), (t_star, lam_star,
+                                                       _pencil_witness(ar - br, basis))
             assert [np.float64(v).tobytes() for v in got] == \
                 [np.float64(v).tobytes() for v in want], k
             interior += 0.0 < want[0] < 1.0
@@ -249,11 +259,10 @@ class TestPencilReplay:
 
 class TestCertifyRank2:
     def test_example_one(self):
-        report = certify_rank2(family_one(), FULL2)
-        out = report.outcome
-        assert isinstance(out, Certified)
+        out = certify_rank2(family_one(), FULL2)
+        assert out["verdict"] == "certified"
         # the solver's own weights validate
-        combined = sum(w * m for w, m in zip(out.weights.t, family_one().members))
+        combined = sum(w * m for w, m in zip(out["weights"], family_one().members))
         assert min_eigenvalue(combined) >= -1e-9 * (1.0 + np.abs(combined).max())
         # so do the reference weights (0, 3/5, 2/5)
         ref = 0.6 * EX1_A2 + 0.4 * EX1_A3
@@ -261,44 +270,39 @@ class TestCertifyRank2:
         assert min_eigenvalue(ref) == pytest.approx(LAM_LO, abs=1e-9)
 
     def test_example_two_uniform(self):
-        report = certify_rank2(family_two(), FULL2)
-        out = report.outcome
-        assert isinstance(out, Certified)
-        np.testing.assert_allclose(out.weights.t, [1 / 3, 1 / 3, 1 / 3], atol=1e-9)
-        assert out.lambda_min == pytest.approx(0.0, abs=1e-12)
+        out = certify_rank2(family_two(), FULL2)
+        assert out["verdict"] == "certified"
+        np.testing.assert_allclose(out["weights"], [1 / 3, 1 / 3, 1 / 3], atol=1e-9)
+        assert out["lambda_min"] == pytest.approx(0.0, abs=1e-12)
 
     def test_scaled_line_family(self):
         a = np.diag([1.0, -1.0])
-        report = certify_rank2(MatrixFamily([a, 2 * a, -a]), FULL2)
-        out = report.outcome
-        assert isinstance(out, Certified)
-        combined = sum(w * m for w, m in zip(out.weights.t, (a, 2 * a, -a)))
+        out = certify_rank2(MatrixFamily([a, 2 * a, -a]), FULL2)
+        assert out["verdict"] == "certified"
+        combined = sum(w * m for w, m in zip(out["weights"], (a, 2 * a, -a)))
         assert np.abs(combined).max() <= 1e-12
 
     def test_rank_three_violation(self):
         e11 = np.diag([1.0, 0.0])
         e22 = np.diag([0.0, 1.0])
         e12 = np.array([[0.0, 1.0], [1.0, 0.0]])
-        report = certify_rank2(MatrixFamily([e11, e22, e12]), FULL2)
-        out = report.outcome
-        assert isinstance(out, HypothesisViolated)
-        assert out.rank == 3
+        out = certify_rank2(MatrixFamily([e11, e22, e12]), FULL2)
+        assert out["verdict"] == "hypothesis_violated"
+        assert out["rank"] == 3
 
     def test_all_zero_family(self):
-        report = certify_rank2(MatrixFamily([np.zeros((2, 2))] * 3), FULL2)
-        out = report.outcome
-        assert isinstance(out, Certified)
-        np.testing.assert_allclose(out.weights.t, [1 / 3] * 3)
+        out = certify_rank2(MatrixFamily([np.zeros((2, 2))] * 3), FULL2)
+        assert out["verdict"] == "certified"
+        np.testing.assert_allclose(out["weights"], [1 / 3] * 3)
 
     def test_single_member_psd(self):
         report = certify_rank2(MatrixFamily([np.eye(2)]), FULL2)
-        assert isinstance(report.outcome, Certified)
+        assert report["verdict"] == "certified"
 
     def test_single_member_refuted(self):
-        report = certify_rank2(MatrixFamily([-np.eye(2)]), FULL2)
-        out = report.outcome
-        assert isinstance(out, Refuted)
-        assert (out.form_values < -0.5).all()
+        out = certify_rank2(MatrixFamily([-np.eye(2)]), FULL2)
+        assert out["verdict"] == "refuted"
+        assert (out["form_values"] < -0.5).all()
 
     def test_asymmetric_member_rejected(self):
         with pytest.raises(InputError):
@@ -310,12 +314,11 @@ class TestCertifyRank2:
         for _ in range(6):
             perm = rng.permutation(3)
             shuffled = MatrixFamily([fam.members[i] for i in perm])
-            report = certify_rank2(shuffled, FULL2)
-            out = report.outcome
-            assert isinstance(out, Certified)
+            out = certify_rank2(shuffled, FULL2)
+            assert out["verdict"] == "certified"
             # weights mapped back to the original order remain a certificate
             back = np.zeros(3)
-            back[perm] = out.weights.t
+            back[perm] = out["weights"]
             combined = sum(w * m for w, m in zip(back, fam.members))
             assert min_eigenvalue(combined) >= -1e-9 * (1.0 + np.abs(combined).max())
 
@@ -328,12 +331,12 @@ class TestCertifyRank2:
             cone = FirstOrderCone.full(n)
             report = certify_rank2(fam, cone)
             scale = 1.0 + max(np.abs(mem).max() for mem in fam.members)
-            if isinstance(report.outcome, Certified):
-                combined = sum(w * mem for w, mem in zip(report.outcome.weights.t, fam.members))
+            if report["verdict"] == "certified":
+                combined = sum(w * mem for w, mem in zip(report["weights"], fam.members))
                 assert min_eigenvalue(combined) >= -1e-9 * scale
             else:
-                assert isinstance(report.outcome, Refuted)
-                witness = report.outcome.witness
+                assert report["verdict"] == "refuted"
+                witness = report["witness"]
                 assert cone_contains(cone, witness, 1e-8)
                 for mem in fam.members:
                     assert witness @ mem @ witness < -1e-9 * scale
@@ -347,8 +350,8 @@ class TestCertifyRank2:
             cone = FirstOrderCone.full(n)
             report = certify_rank2(fam, cone)
             verdict = sample_max_nonneg(fam, cone, samples=4000, seed=7)
-            if isinstance(report.outcome, Certified):
-                assert verdict.__class__.__name__ == "NoWitnessFound"
+            if report["verdict"] == "certified":
+                assert verdict["verdict"] == "certified"
 
     def test_rank1_line_families(self):
         rng = np.random.default_rng(123)
@@ -368,13 +371,13 @@ class TestCertifyRank2:
             cone = FirstOrderCone.full(n)
             report = certify_rank2(fam, cone)
             scale = 1.0 + max(np.abs(mem).max() for mem in fam.members)
-            if isinstance(report.outcome, Certified):
-                combined = sum(w * mem for w, mem in zip(report.outcome.weights.t, fam.members))
+            if report["verdict"] == "certified":
+                combined = sum(w * mem for w, mem in zip(report["weights"], fam.members))
                 assert min_eigenvalue(combined) >= -1e-9 * scale
             else:
-                assert isinstance(report.outcome, Refuted)
+                assert report["verdict"] == "refuted"
                 for mem in fam.members:
-                    assert report.outcome.witness @ mem @ report.outcome.witness < -1e-9 * scale
+                    assert report["witness"] @ mem @ report["witness"] < -1e-9 * scale
 
     def test_ray_cone_witness_membership(self):
         rng = np.random.default_rng(8)
@@ -387,8 +390,8 @@ class TestCertifyRank2:
             )
             fam = random_rank2_family(rng, n, int(rng.integers(1, 5)))
             report = certify_rank2(fam, cone)
-            if isinstance(report.outcome, Refuted):
-                assert cone_contains(cone, report.outcome.witness, 1e-8)
+            if report["verdict"] == "refuted":
+                assert cone_contains(cone, report["witness"], 1e-8)
                 checked += 1
         assert checked >= 5
 
@@ -400,20 +403,18 @@ class TestCertifyRank2:
             block[:2, :2] = mem
             fam3.append(block)
         cone = FirstOrderCone(3, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        report = certify_rank2(MatrixFamily(fam3), cone)
-        out = report.outcome
-        assert isinstance(out, Certified)
-        combined = sum(w * m for w, m in zip(out.weights.t, fam3))
+        out = certify_rank2(MatrixFamily(fam3), cone)
+        assert out["verdict"] == "certified"
+        combined = sum(w * m for w, m in zip(out["weights"], fam3))
         basis = span_basis(cone)
         assert min_eigenvalue(restrict(combined[None], basis)[0]) >= -1e-9
 
     def test_nearly_parallel_basis_pair(self):
         # normal equations on this basis pair lose the third member from the span
         fam = MatrixFamily(NEAR_PARALLEL)
-        report = certify_rank2(fam, FirstOrderCone.full(3))
-        out = report.outcome
-        assert isinstance(out, Certified)
-        combined = sum(w * m for w, m in zip(out.weights.t, fam.members))
+        out = certify_rank2(fam, FirstOrderCone.full(3))
+        assert out["verdict"] == "certified"
+        combined = sum(w * m for w, m in zip(out["weights"], fam.members))
         assert min_eigenvalue(combined) >= -1e-9 * (1.0 + np.abs(combined).max())
 
     @pytest.mark.parametrize("zero_at", [0, 1, 2])
@@ -423,11 +424,11 @@ class TestCertifyRank2:
         # the other two members are jointly negative definite
         members = [np.diag([-1.0, -2.0]), np.diag([-2.0, -1.0])]
         members.insert(zero_at, zero)
-        out = certify_rank2(MatrixFamily(members), FULL2).outcome
-        assert isinstance(out, Certified)
+        out = certify_rank2(MatrixFamily(members), FULL2)
+        assert out["verdict"] == "certified"
         expected = np.zeros(3)
         expected[zero_at] = 1.0
-        np.testing.assert_array_equal(out.weights.t, expected)
+        np.testing.assert_array_equal(out["weights"], expected)
 
     def test_long_pointed_family_without_recursion(self, monkeypatch):
         # one set-rank call decides the family: no per-member re-ranking,
@@ -454,13 +455,12 @@ class TestCertifyRank2:
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(depth + 100)
         try:
-            report = certify_rank2(fam, FirstOrderCone.full(3))
+            out = certify_rank2(fam, FirstOrderCone.full(3))
         finally:
             sys.setrecursionlimit(limit)
         assert calls == Counter(matrix_set_rank=1)
-        out = report.outcome
-        assert isinstance(out, Certified)
-        combined = sum(w * m for w, m in zip(out.weights.t, members))
+        assert out["verdict"] == "certified"
+        combined = sum(w * m for w, m in zip(out["weights"], members))
         assert min_eigenvalue(combined) >= -1e-9 * (1.0 + np.abs(combined).max())
 
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["certified", "refuted"])
@@ -482,8 +482,8 @@ class TestCertifyRank2:
         members = [sign * (a * np.eye(3) + b * NP_D)
                    for a, b in ((1.0, 0.2), (0.5, -0.4), (0.8, 0.0), (0.3, 0.1))]
         cone = FirstOrderCone(3, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], ray=[0.0, 0.0, 1.0])
-        out = certify_rank2(MatrixFamily(members), cone).outcome
-        assert isinstance(out, Certified if sign > 0.0 else Refuted)
+        out = certify_rank2(MatrixFamily(members), cone)
+        assert out["verdict"] == ("certified" if sign > 0.0 else "refuted")
         assert calls == Counter(restricted_forms=1, restrict=1)
 
 
@@ -496,48 +496,52 @@ def reference_certify_rank2(family, cone, tol=1e-9):
     reference the one-pass decision must agree with; residual bookkeeping
     is left out, the final verification and witness transfer are not.
     """
+    def certified(weights, lam):
+        return {"verdict": "certified", "weights": weights, "lambda_min": lam}
+
     syms = family.members
     m = len(syms)
     basis = span_basis(cone)
     if basis.shape[1] == 0:
-        return Certified(SimplexWeights(np.full(m, 1.0 / m)), 0.0)
+        return certified(np.full(m, 1.0 / m), 0.0)
     restricted = list(restrict(syms, basis))
     scale = 1.0 + max(norm_max(r) for r in restricted)
     threshold = -tol * scale
     top = matrix_set_rank(family, tol)
     if top.rank > 2:
-        return HypothesisViolated("rank", rank=top.rank)
+        return {"verdict": "hypothesis_violated", "reason": "rank", "rank": top.rank}
 
     def embed_pair(out, i, j):
-        if not isinstance(out, Certified):
+        if out["verdict"] != "certified":
             return out
         w = np.zeros(m)
-        w[i], w[j] = out.weights.t
-        return Certified(make_weights(w), out.lambda_min)
+        w[i], w[j] = out["weights"]
+        return certified(_simplex_weights(w), out["lambda_min"])
 
     def solve_rank1(idxs):
         flats = [flatten_sym(syms[i]) for i in idxs]
         ref_pos = max(range(len(idxs)), key=lambda p: float(flats[p] @ flats[p]))
         fref = flats[ref_pos]
         coeffs = np.array([float(f @ fref) / float(fref @ fref) for f in flats])
-        spec = sym_eigen(restricted[idxs[ref_pos]])
-        lam_lo, lam_hi = float(spec.eigenvalues[0]), float(spec.eigenvalues[-1])
+        vals, vecs = sym_eigen(restricted[idxs[ref_pos]])
+        lam_lo, lam_hi = float(vals[0]), float(vals[-1])
         tau = tol * scale
         spread = max(abs(lam_lo), abs(lam_hi))
 
         def unit(pos):
             w = np.zeros(m)
             w[idxs[pos]] = 1.0
-            return Certified(SimplexWeights(w), 0.0)
+            return certified(w, 0.0)
 
         def uniform():
             w = np.zeros(m)
             w[idxs] = 1.0 / len(idxs)
-            return Certified(make_weights(w), 0.0)
+            return certified(_simplex_weights(w), 0.0)
 
         def refute(col):
-            x = _into_cone(basis @ spec.basis[:, col], cone)
-            return Refuted(x, np.array([x @ s @ x for s in syms]))
+            x = _into_cone(basis @ vecs[:, col], cone)
+            return {"verdict": "refuted", "witness": x,
+                    "form_values": np.array([x @ s @ x for s in syms])}
 
         if spread <= tau:
             return uniform()
@@ -558,7 +562,7 @@ def reference_certify_rank2(family, cone, tol=1e-9):
             w = np.zeros(m)
             w[idxs[i]] = -cj / (ci - cj)
             w[idxs[j]] = ci / (ci - cj)
-            return Certified(make_weights(w), 0.0)
+            return certified(_simplex_weights(w), 0.0)
         return refute(0 if pos.size else -1)
 
     def solve(idxs):
@@ -567,11 +571,11 @@ def reference_certify_rank2(family, cone, tol=1e-9):
             if sr.rank == 0:
                 w = np.zeros(m)
                 w[idxs] = 1.0 / len(idxs)
-                return Certified(make_weights(w), 0.0)
+                return certified(_simplex_weights(w), 0.0)
             if sr.rank == 1:
                 return solve_rank1(idxs)
             if len(idxs) == 2:
-                out = yuan_two(syms[idxs[0]], syms[idxs[1]], cone, tol=tol).outcome
+                out = yuan_two(syms[idxs[0]], syms[idxs[1]], cone, tol=tol)
                 return embed_pair(out, idxs[0], idxs[1])
             b1, b2 = idxs[sr.basis[0]], idxs[sr.basis[1]]
             last = [i for i in idxs if i != b1 and i != b2][-1]
@@ -582,9 +586,9 @@ def reference_certify_rank2(family, cone, tol=1e-9):
             if sa >= 0 and sb >= 0:
                 idxs.remove(last)
             elif sa < 0 and sb == 0:
-                return embed_pair(yuan_two(syms[b1], syms[last], cone, tol=tol).outcome, b1, last)
+                return embed_pair(yuan_two(syms[b1], syms[last], cone, tol=tol), b1, last)
             elif sa == 0 and sb < 0:
-                return embed_pair(yuan_two(syms[b2], syms[last], cone, tol=tol).outcome, b2, last)
+                return embed_pair(yuan_two(syms[b2], syms[last], cone, tol=tol), b2, last)
             elif sa < 0 and sb > 0:
                 idxs.remove(b2)
             elif sa > 0 and sb < 0:
@@ -594,16 +598,16 @@ def reference_certify_rank2(family, cone, tol=1e-9):
                 denom = 1.0 - alpha - beta
                 w = np.zeros(m)
                 w[b1], w[b2], w[last] = -alpha / denom, -beta / denom, 1.0 / denom
-                return Certified(make_weights(w), 0.0)
+                return certified(_simplex_weights(w), 0.0)
 
     out = solve(list(range(m)))
-    if isinstance(out, Certified):
-        combined = sum(w * r for w, r in zip(out.weights.t, restricted))
+    if out["verdict"] == "certified":
+        combined = sum(w * r for w, r in zip(out["weights"], restricted))
         if min_eigenvalue(0.5 * (combined + combined.T)) < threshold:
             raise NumericalFailureError("certificate failed verification")
-    elif isinstance(out, Refuted):
-        values = np.array([out.witness @ s @ out.witness for s in syms])
-        if not cone_contains(cone, out.witness, 1e-8) or not (values < threshold).all():
+    elif out["verdict"] == "refuted":
+        values = np.array([out["witness"] @ s @ out["witness"] for s in syms])
+        if not cone_contains(cone, out["witness"], 1e-8) or not (values < threshold).all():
             raise NumericalFailureError("witness did not transfer to the full family")
     return out
 
@@ -640,7 +644,29 @@ def verdict_class(solver, family, cone) -> str:
         out = solver(family, cone)
     except NumericalFailureError as exc:
         return type(exc).__name__
-    return type(getattr(out, "outcome", out)).__name__
+    return out["verdict"]
+
+
+class TestWideScale:
+    """Scaling every member by one power of two keeps the verdict. At 2**540 the
+    squares of the pencil witness forms exceed the float range unless the forms
+    are scaled down first."""
+
+    def test_verdicts_hold_at_two_to_the_540(self):
+        rng = np.random.default_rng(540)
+        seen = Counter()
+        for _ in range(60):
+            n, m = int(rng.integers(2, 6)), int(rng.integers(2, 6))
+            fam = random_rank2_family(rng, n, m)
+            wide = MatrixFamily([np.ldexp(mem, 540) for mem in fam.members])
+            cone = FirstOrderCone.full(n)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for solve in (certify_rank2, lambda f, c: yuan_two(*f.members[:2], c)):
+                    want = solve(fam, cone)["verdict"]
+                    assert solve(wide, cone)["verdict"] == want
+                    seen[want] += 1
+        assert seen["refuted"] >= 40 and seen["certified"] >= 20, seen
 
 
 class TestAgainstCaseLoop:
@@ -658,10 +684,10 @@ class TestAgainstCaseLoop:
             want = verdict_class(reference_certify_rank2, fam, cone)
             assert verdict_class(certify_rank2, fam, cone) == want, (trial, kind, n, m)
             seen[want] += 1
-        assert seen["Certified"] >= 100 and seen["Refuted"] >= 20
+        assert seen["certified"] >= 100 and seen["refuted"] >= 20
         fam, cone = MatrixFamily(NEAR_PARALLEL), FirstOrderCone.full(3)
-        assert verdict_class(certify_rank2, fam, cone) == "Certified"
-        assert verdict_class(reference_certify_rank2, fam, cone) == "Certified"
+        assert verdict_class(certify_rank2, fam, cone) == "certified"
+        assert verdict_class(reference_certify_rank2, fam, cone) == "certified"
 
 
 def eigvalsh_pencil_max(a: np.ndarray, b: np.ndarray) -> float:
@@ -726,7 +752,7 @@ class TestBoundaryCorpus:
             verdicts = Counter(pencil_verdict(*boundary_pencil(rng, c)) for _ in range(60))
             failures[c] = verdicts["NumericalFailureError"]
             if c >= 2:
-                assert verdicts["Refuted"] == 60, (c, verdicts)
+                assert verdicts["refuted"] == 60, (c, verdicts)
         assert failures[1] <= C1_FAILURES, failures
         assert {c: failures[c] for c in (2, 5, 20)} == {2: 0, 5: 0, 20: 0}
 
@@ -739,6 +765,6 @@ class TestBoundaryCorpus:
             seen[verdict] += 1
             margin = eigvalsh_pencil_max(a, b) + 1e-9 * pair_scale(a, b)
             if abs(margin) > 1e-9 * pair_scale(a, b):
-                assert verdict == ("Certified" if margin > 0.0 else "Refuted"), trial
+                assert verdict == ("certified" if margin > 0.0 else "refuted"), trial
         assert seen["NumericalFailureError"] == 0, seen
-        assert seen["Refuted"] >= 30, seen
+        assert seen["refuted"] >= 30, seen
