@@ -11,7 +11,6 @@ machinery on the full space.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +32,6 @@ from .yuan import _certify_ranked
 
 _DEFAULT_SAMPLES = 1000
 _DEFAULT_SEED = 42
-_DRAW_BLOCKS = (1, 7, 64, 928, 4000)  # the 5,000 rank-3 candidates, drawn as reached
 
 
 class QuadProblem:
@@ -197,14 +195,14 @@ def jacobian_rank_reduce(
 
 def _rank3_point(prob: QuadProblem, tol: float) -> tuple[np.ndarray, int] | None:
     """The first of 1 + 5,000 unit candidates where the Jacobian rank reaches 3,
-    with that rank: the normalized all-ones vector, then Gaussian rows drawn and
-    normalized in blocks only as the search reaches them. The generator fills
-    rows in order, so the blocks equal one (5000, n) draw."""
-    rng = np.random.default_rng(_DEFAULT_SEED)
-    blocks = itertools.chain([np.ones((1, prob.n)) / np.sqrt(prob.n)],
-                             (_normalized_rows(rng.standard_normal((size, prob.n)))
-                              for size in _DRAW_BLOCKS))
-    for x in itertools.chain.from_iterable(blocks):
+    with that rank: the normalized all-ones vector, then 5,000 normalized
+    Gaussian rows, drawn only if the search gets past the first candidate."""
+    def candidates():
+        yield np.ones(prob.n) / np.sqrt(prob.n)
+        rng = np.random.default_rng(_DEFAULT_SEED)
+        yield from _normalized_rows(rng.standard_normal((5000, prob.n)))
+
+    for x in candidates():
         rank = numerical_rank(jacobian_at(prob, x), tol)
         if rank >= 3:
             return x, rank

@@ -248,7 +248,8 @@ def _plane_pass(top, members, restricted, cone, threshold: float) -> dict:
     m = len(members)
     w = np.zeros(m)
     rows, exps = _prescaled(restricted.reshape(m, -1))
-    sizes = [math.ldexp(float(np.linalg.norm(row)), int(e)) for row, e in zip(rows, exps)]
+    with np.errstate(over="ignore"):  # a size past the float range sorts and compares as inf
+        sizes = np.ldexp([np.linalg.norm(row) for row in rows], exps)
     zero = int(np.argmin(sizes))
     if top.rank == 0:
         w[:] = 1.0

@@ -774,3 +774,18 @@ class TestFiniteOverflowFamily:
             report_path = write(tmp_path, "wide.report.json", report)
             assert main(["verify-report", report_path, path]) == 0
         assert capsys.readouterr().err == ""
+
+    def test_member_size_past_the_float_range(self, tmp_path, capsys):
+        """{8e307 * ones((3, 3))} restricts to finite entries, but its Frobenius
+        norm, 2.4e308, is past the largest float: its size is inf, not an error."""
+        path = write(tmp_path, "huge.json", family_doc(8e307 * np.ones((3, 3))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["certify", path, "--json"]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            report = json.loads(captured.out)
+            assert report["verdict"] == "certified"
+            report_path = write(tmp_path, "huge.report.json", report)
+            assert main(["verify-report", report_path, path]) == 0
+        assert capsys.readouterr().err == ""
