@@ -114,7 +114,7 @@ def restrict(forms: np.ndarray, basis: np.ndarray) -> np.ndarray:
     if norm_max(basis.T @ basis - np.eye(basis.shape[1])) > 1e-8:
         raise InputError("basis columns are not orthonormal")
     raw = basis.T @ forms @ basis
-    return 0.5 * (raw + np.swapaxes(raw, -1, -2))
+    return 0.5 * raw + 0.5 * np.swapaxes(raw, -1, -2)  # halved first, so no sum overflows
 
 
 def cone_contains(cone: FirstOrderCone, x, tol: float = 1e-9) -> bool:

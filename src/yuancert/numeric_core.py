@@ -210,11 +210,31 @@ def _gram_schmidt(
 
 @dataclass(frozen=True, eq=False)
 class MatrixSetRank:
-    """Rank of a matrix set with, at rank 2, per-member basis coordinates."""
+    """Rank of a matrix set with, at rank 1 or 2, per-member basis coordinates."""
 
     rank: int
     basis: tuple[int, ...]
     coefficients: np.ndarray | None
+
+
+def _flat_rows(members: np.ndarray, symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The members divided by 2**e (`_prescaled`) and flattened, and the exponents e;
+    scaled entries are below 1, so the sqrt(2) of `flatten_sym` cannot overflow."""
+    rows, exponents = _prescaled(members.reshape(len(members), -1))
+    return (flatten_sym(rows.reshape(members.shape)) if symmetric else rows), exponents
+
+
+def _basis_coordinates(rows: np.ndarray, exponents: np.ndarray, basis: list[int],
+                       qs: list[np.ndarray]) -> np.ndarray:
+    """(m, 2) coordinates of each member rows[i]*2**exponents[i] in the one or two
+    basis members (second column 0 for one): projections on qs, the basis rows'
+    Gram-Schmidt vectors, solved against the basis rows' own projections."""
+    proj = rows @ np.array(qs).T
+    coef = np.zeros((len(rows), 2))
+    with np.errstate(over="ignore"):  # a multiple past the float range reads as inf
+        coef[:, :len(basis)] = np.ldexp(np.linalg.solve(proj[basis].T, proj.T).T,
+                                        exponents[:, None] - exponents[basis])
+    return coef
 
 
 def matrix_set_rank(family: MatrixFamily, tol: float = DEFAULT_TOL) -> MatrixSetRank:
@@ -222,31 +242,19 @@ def matrix_set_rank(family: MatrixFamily, tol: float = DEFAULT_TOL) -> MatrixSet
 
     Members are normalized before the column-pivoted elimination, so the
     rank is invariant under rescaling any member by a nonzero factor and
-    under permuting the family. When the rank is 2 the result carries the
-    coordinates of every member in the first two independent members.
+    under permuting the family. When the rank is 1 or 2 the result carries
+    the coordinates of every member in the first independent members.
     """
-    members = family.members
-    flat = flatten_sym(members) if family.symmetric else members.reshape(len(members), -1)
-    unit = _normalized_rows(flat)
+    rows, exponents = _flat_rows(family.members, family.symmetric)
+    unit = _normalized_rows(rows)
     ranks, pivots = _pivoted_rank(unit[None], tol)
     rank = int(ranks[0])
-    basis, _ = _gram_schmidt(unit, np.full(len(unit), tol), rank)
+    basis, qs = _gram_schmidt(unit, np.full(len(unit), tol), rank)
     if len(basis) < rank:  # threshold disagreement; fall back to pivot choice
         basis = sorted(pivots[0, :rank].tolist())
-    coefficients = None
-    if rank == 2 and len(family) >= 2:
-        coefficients = _pair_coordinates(flat[basis], flat)
+        _, qs = _gram_schmidt(unit[basis], np.zeros(rank), rank)
+    coefficients = _basis_coordinates(rows, exponents, basis, qs) if rank in (1, 2) else None
     return MatrixSetRank(rank, tuple(basis), coefficients)
-
-
-def _pair_coordinates(pair: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Least-squares coordinates of each target row in the two pair rows.
-
-    One orthogonal (SVD) solve for all targets: unlike the normal
-    equations it does not square the condition number of the pair, so a
-    nearly parallel pair still yields accurate coordinates in its span.
-    """
-    return np.linalg.lstsq(pair.T, targets.T, rcond=None)[0].T
 
 
 def express_in_basis(
@@ -263,8 +271,9 @@ def express_in_basis(
         raise InputError("matrices must share one order")
     if matrix_set_rank(MatrixFamily([b1, b2]), tol).rank < 2:
         raise DegenerateBasisError("basis pair is linearly dependent")
-    pair = np.stack([flatten_sym(b1), flatten_sym(b2)])
-    alpha, beta = _pair_coordinates(pair, flatten_sym(a)[None, :])[0]
+    rows, exponents = _flat_rows(np.stack([b1, b2, a]), True)
+    _, qs = _gram_schmidt(_normalized_rows(rows[:2]), np.zeros(2), 2)
+    alpha, beta = _basis_coordinates(rows, exponents, [0, 1], qs)[2]
     residual = norm_max(a - alpha * b1 - beta * b2)
     if residual > tol * (1.0 + norm_max(a)):
         raise NotInSpanError(residual)

@@ -36,7 +36,6 @@ from .numeric_core import (
     _eigh,
     _mirrored,
     _prescaled,
-    flatten_sym,
     matrix_set_rank,
     min_eigenvalue,
     norm_max,
@@ -119,7 +118,7 @@ def _pencil_max(ar: np.ndarray, br: np.ndarray) -> tuple[float, float, np.ndarra
     point at a time would, with the same t*. That is at most 2 + 13 stacked
     eigendecompositions for the 52 halvings.
     """
-    diff = ar - br
+    diff = 0.5 * ar - 0.5 * br  # half of A - B: its sign is read, and it cannot overflow
 
     def at(ts: np.ndarray) -> dict:
         """t -> (lambda(t), eigenvectors) for each t of ts, from one stacked call;
@@ -159,7 +158,7 @@ def _pencil_max(ar: np.ndarray, br: np.ndarray) -> tuple[float, float, np.ndarra
 
 
 def _pencil_witness(diff: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """The unit x with x'(A-B)x = 0, for diff = A - B, nearest v1 = basis[:, 0]
+    """The unit x with x'(A-B)x = 0, for diff = (A-B)/2, nearest v1 = basis[:, 0]
     in span(v1, vj) for the first later column vj that admits one, or v1 when
     none does. At a pencil point t with bottom eigenvector v1, x'Ax = x'Bx =
     x'(tA + (1-t)B)x there, close to lambda(t)."""
@@ -201,7 +200,7 @@ def _pencil_decision(members: np.ndarray, cone: FirstOrderCone, restricted: np.n
         return {"verdict": "certified", "residuals": residuals,
                 "weights": _simplex_weights(w), "lambda_min": lam_star}
 
-    witness = _pencil_witness(restricted[i] - restricted[j], basis)
+    witness = _pencil_witness(0.5 * restricted[i] - 0.5 * restricted[j], basis)
     x = _into_cone(span_basis(cone) @ witness, cone)
     ok, values = witness_check(members, cone, x, threshold)
     if not ok:
@@ -241,9 +240,9 @@ def _plane_pass(top, members, restricted, cone, threshold: float) -> dict:
 
     Zero combinations carry lambda_min 0; the caller re-verifies every
     certificate. A witness is already checked on the whole family. Member
-    sizes and rank-1 coordinates are taken on rows prescaled by powers of
-    two (`_prescaled`) and scaled back, so entries near the float range do
-    not overflow their squares.
+    sizes are taken on rows prescaled by powers of two (`_prescaled`) and
+    scaled back, so entries near the float range do not overflow their
+    squares.
     """
     m = len(members)
     w = np.zeros(m)
@@ -256,13 +255,7 @@ def _plane_pass(top, members, restricted, cone, threshold: float) -> dict:
     elif sizes[zero] <= -0.5 * threshold:
         w[zero] = 1.0  # its lambda_min is provably inside the threshold
     else:
-        if top.rank == 2:
-            pts = top.coefficients
-        else:
-            flats, flat_exps = _prescaled(flatten_sym(members))
-            ref = flats[top.basis[0]]
-            along = np.ldexp(flats @ ref / float(ref @ ref), flat_exps - flat_exps[top.basis[0]])
-            pts = np.column_stack([along, np.zeros(m)])
+        pts = top.coefficients
         theta = np.arctan2(pts[:, 1], pts[:, 0])
         order = np.argsort(theta, kind="stable")
         ts = theta[order]
@@ -323,17 +316,14 @@ def _certify_ranked(family: MatrixFamily, cone: FirstOrderCone, tol: float,
     if top.rank > 2:
         return {"verdict": "hypothesis_violated", "residuals": {},
                 "reason": f"matrix set rank {top.rank} exceeds 2", "rank": top.rank}
-    diagnostics = {}
-    if top.rank == 2 and top.coefficients is not None:
+    record = _plane_pass(top, members, restricted, cone, threshold)
+    residuals = record["residuals"]
+    if top.rank == 2:
         worst = 0.0
         for mem, (al, be) in zip(members, top.coefficients):
             recon = al * members[top.basis[0]] + be * members[top.basis[1]]
             worst = max(worst, norm_max(mem - recon) / (1.0 + norm_max(mem)))
-        diagnostics["basis_fit_residual"] = worst
-
-    record = _plane_pass(top, members, restricted, cone, threshold)
-    residuals = record["residuals"]
-    residuals.update(diagnostics)
+        residuals["basis_fit_residual"] = worst
     if record["verdict"] == "refuted":
         residuals["worst_form_value"] = float(record["form_values"].max())
         return record

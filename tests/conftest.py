@@ -235,3 +235,19 @@ def serialize_cone(cone: FirstOrderCone) -> dict:
         "subspace": cone.subspace.T.tolist(),
         "ray": None if cone.ray is None else cone.ray.tolist(),
     }
+
+
+def g300_families() -> list[list[np.ndarray]]:
+    """G300: 300 seeded families of 2 to 5 members in the span of two random
+    symmetric matrices P and Q, of order 2 to 5."""
+    rng = np.random.default_rng(7)
+    families = []
+    for _ in range(300):
+        n, m = int(rng.integers(2, 6)), int(rng.integers(2, 6))
+        s = rng.standard_normal((n, n))
+        p = (s + s.T) / 2.0
+        s = rng.standard_normal((n, n))
+        q = (s + s.T) / 2.0
+        families.append([rng.standard_normal() * p + rng.standard_normal() * q
+                         for _ in range(m)])
+    return families

@@ -756,8 +756,9 @@ class TestReportShape:
 
 
 class TestFiniteOverflowFamily:
-    """{diag(9e153, -9e153), diag(-1e160, 1e160)} has set rank 1 and finite entries
-    whose squares overflow; both solvers decide it without a warning."""
+    """Families with finite entries whose squares, sums or differences overflow;
+    FAMILY, {diag(9e153, -9e153), diag(-1e160, 1e160)}, has set rank 1, and both
+    solvers decide each family without a warning."""
 
     FAMILY = [np.diag([9e153, -9e153]), np.diag([-1e160, 1e160])]
 
@@ -772,6 +773,27 @@ class TestFiniteOverflowFamily:
             report = json.loads(captured.out)
             assert report["verdict"] == "certified"
             report_path = write(tmp_path, "wide.report.json", report)
+            assert main(["verify-report", report_path, path]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command, members, code", [
+        ("certify", [np.diag([1e308, -1e308]), np.diag([-1e308, 1e308])], 0),
+        ("yuan2", [np.diag([1e308, -1e308]), np.diag([-1e308, 1e308])], 0),
+        ("certify", [np.array([[0.0, 1.3e308], [1.3e308, 0.0]])], 1),
+    ], ids=["certify_pair", "yuan2_pair", "certify_off_diagonal"])
+    def test_entries_near_the_largest_float(self, command, members, code, tmp_path, capsys):
+        """No restriction, flattening or pencil difference overflows: the opposite
+        pair cancels, and the single indefinite member is its own witness."""
+        path = write(tmp_path, "near_max.json", family_doc(*members))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, path, "--json"]) == code
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            report = json.loads(captured.out)
+            if code == 1:
+                assert report["form_values"] == pytest.approx([-1.3e308], rel=1e-15)
+            report_path = write(tmp_path, "near_max.report.json", report)
             assert main(["verify-report", report_path, path]) == 0
         assert capsys.readouterr().err == ""
 

@@ -20,14 +20,17 @@ from conftest import (
     EX2_A1,
     EX2_A2,
     EX2_A3,
+    g300_families,
 )
 from yuancert import (
     DegenerateBasisError,
+    FirstOrderCone,
     InputError,
     KKTData,
     MatrixFamily,
     NotInSpanError,
     NumericalFailureError,
+    certify_rank2,
     express_in_basis,
     matrix_set_rank,
     multiplier_vertices,
@@ -274,22 +277,6 @@ class TestMatrixSetRank:
             MatrixFamily([np.eye(2), np.eye(3)])
 
 
-def g300_families() -> list[list[np.ndarray]]:
-    """G300: 300 seeded families of 2 to 5 members in the span of two random
-    symmetric matrices P and Q, of order 2 to 5."""
-    rng = np.random.default_rng(7)
-    families = []
-    for _ in range(300):
-        n, m = int(rng.integers(2, 6)), int(rng.integers(2, 6))
-        s = rng.standard_normal((n, n))
-        p = (s + s.T) / 2.0
-        s = rng.standard_normal((n, n))
-        q = (s + s.T) / 2.0
-        families.append([rng.standard_normal() * p + rng.standard_normal() * q
-                         for _ in range(m)])
-    return families
-
-
 class TestSetRankAcrossTheFloatRange:
     """Each row is scaled by a power of two before its norm, so no square in it
     overflows or underflows and one member may sit anywhere in the float range."""
@@ -320,11 +307,67 @@ class TestSetRankAcrossTheFloatRange:
         ([np.diag([1.0, -1.0]), 1e160 * np.eye(2)], 2),
         ([np.diag([1e308, -1e308])], 1),
         ([np.diag([1e308, -1e308]), np.diag([-1e308, 1e308])], 1),
-    ], ids=["tiny", "huge", "near_max", "near_max_pair"])
+        ([np.array([[0.0, 1.3e308], [1.3e308, 0.0]])], 1),
+    ], ids=["tiny", "huge", "near_max", "near_max_pair", "near_max_off_diagonal"])
     def test_extreme_members(self, members, rank):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert matrix_set_rank(MatrixFamily(members)).rank == rank
+
+
+class TestBasisCoordinates:
+    """Every member's coordinates come from one formula at rank 1 and rank 2:
+    projections on the basis members' orthonormal vectors, solved against the
+    basis members' own, with the members' powers of two put back last."""
+
+    def test_member_far_smaller_than_the_others(self):
+        # a least-squares solve with a relative cutoff dropped member 0 here
+        fam = MatrixFamily([np.diag([1.0, -1.0]), 1e20 * np.eye(2), -1e20 * np.eye(2)])
+        result = matrix_set_rank(fam)
+        assert result.rank == 2 and result.basis == (0, 1)
+        np.testing.assert_allclose(result.coefficients, [[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+                                   rtol=0.0, atol=1e-15)
+        record = certify_rank2(fam, FirstOrderCone.full(2))
+        assert record["residuals"]["basis_fit_residual"] <= 1e-15
+
+    @pytest.mark.parametrize("base, multiples", [
+        (EX1_A1, [1.0, -3.0, 0.25, 0.0]),
+        (np.diag([9e153, -9e153]), [1.0, -1e160 / 9e153]),
+        (np.diag([1e308, -1e308]), [1.0, -1.0]),
+        (np.array([[0.0, 1.3e-300], [1.3e-300, 0.0]]), [1.0, 2.0 ** 600, -(2.0 ** 1000)]),
+    ], ids=["small", "wide", "near_max", "tiny_base"])
+    def test_rank_one_coordinates_are_the_multiples(self, base, multiples):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = matrix_set_rank(MatrixFamily([c * base for c in multiples]))
+        assert result.rank == 1 and result.basis == (0,)
+        np.testing.assert_allclose(result.coefficients[:, 0], multiples, rtol=1e-15)
+        assert (result.coefficients[:, 1] == 0.0).all()
+
+    def test_multiple_past_the_float_range_reads_inf(self):
+        members = [np.diag([1e-300, -1e-300]), np.diag([1e300, -1e300])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = matrix_set_rank(MatrixFamily(members))
+        assert result.coefficients.tolist() == [[1.0, 0.0], [math.inf, 0.0]]
+
+    def test_pivot_basis_when_the_thresholds_disagree(self):
+        # at tol 0.3 Gram-Schmidt in index order keeps member 0 alone, while the
+        # pivoted elimination starts at member 1 (its unit row is longer by
+        # rounding) and finds rank 2: the basis falls back to the pivots
+        members = [np.diag([-1.7997163589178715, 0.7795110521284745]),
+                   np.diag([-1.823301602645885, 0.29188032851772094]),
+                   np.diag([-1.3967671938598556, 1.0812130056142137])]
+        result = matrix_set_rank(MatrixFamily(members), 0.3)
+        assert result.rank == 2 and result.basis == (1, 2)
+        recon = [al * members[1] + be * members[2] for al, be in result.coefficients]
+        np.testing.assert_allclose(recon, members, rtol=0.0, atol=1e-14)
+
+    def test_rank_two_basis_members_get_unit_coordinates(self):
+        for members in g300_families()[:100]:
+            result = matrix_set_rank(MatrixFamily(members))
+            np.testing.assert_allclose(result.coefficients[list(result.basis)], np.eye(2),
+                                       rtol=0.0, atol=1e-12)
 
 
 def reference_greedy_basis(rows: np.ndarray, tol: float, size: int) -> list[int]:
