@@ -122,12 +122,13 @@ def parse_instance(document) -> MatrixFamily | KKTData | QuadProblem:
 
 def _parse_kkt(document: dict) -> KKTData:
     grad_f = _vector(_require(document, "grad_f", "instance"), "instance.grad_f")
-    n = grad_f.size
     hess_f = _symmetric(_require(document, "hess_f", "instance"), "instance.hess_f")
-    gh, gg, hh, hg = (
-        [parse(v, f"instance.{key}[{i}]") for i, v in enumerate(_array(document, key, "instance"))]
-        for key, parse in (("grad_h", _vector), ("grad_g", _vector), ("hess_h", _symmetric),
-                           ("hess_g", _symmetric)))
+    # gradient rows stack through `_matrix`, which names a row of the wrong length
+    gh, gg = (_matrix(raw, f"instance.{key}") if (raw := _array(document, key, "instance"))
+              else None for key in ("grad_h", "grad_g"))
+    hh, hg = ([_symmetric(v, f"instance.{key}[{i}]")
+               for i, v in enumerate(_array(document, key, "instance"))]
+              for key in ("hess_h", "hess_g"))
     active = document.get("active")
     if active is not None:
         if not isinstance(active, list) or any(
@@ -141,9 +142,9 @@ def _parse_kkt(document: dict) -> KKTData:
         return KKTData(
             grad_f=grad_f,
             hess_f=hess_f,
-            grad_h=np.stack(gh) if gh else np.zeros((0, n)),
+            grad_h=gh,
             hess_h=hh,
-            grad_g=np.stack(gg) if gg else np.zeros((0, n)),
+            grad_g=gg,
             hess_g=hg,
             active=active,
             g_values=g_values,
@@ -197,9 +198,15 @@ def load_json(path):
         raise InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
 
 
+def _listed(array: np.ndarray) -> list:
+    """A numpy array as nested lists, each non-finite entry as None (JSON null)."""
+    return np.where(np.isfinite(array), array, None).tolist()
+
+
 def dump_json(document: dict) -> str:
-    """The document as indented JSON, with numpy arrays written as lists."""
-    return json.dumps(document, indent=2, sort_keys=False, default=np.ndarray.tolist)
+    """The document as indented JSON, with numpy arrays written as lists and their
+    non-finite entries as null, so strict JSON parsers read every report."""
+    return json.dumps(document, indent=2, sort_keys=False, default=_listed)
 
 
 def input_digest(path) -> str:

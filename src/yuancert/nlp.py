@@ -29,12 +29,11 @@ from .numeric_core import (
     _as_symmetric,
     _normalized_rows,
     _pivoted_rank,
-    matrix_set_rank,
     norm_max,
     numerical_rank,
     sym_eigen,
 )
-from .yuan import _certify_ranked, certificate_value, restricted_forms
+from .yuan import certificate_value, certify_rank2, restricted_forms
 
 ACTIVITY_TOL = 1e-8
 _FEAS_TOL = 1e-9
@@ -295,20 +294,13 @@ def second_order_certificate(
     """Single-multiplier second-order certificate over a first-order subcone.
 
     Hands the Lagrangian Hessians at the multiplier vertices
-    (`vertex_hessians`) to certify_rank2, with the set rank computed here,
-    when that rank is at most 2. The verdict record gains `vertex_count`
-    and, when certified, `multiplier`: the vertex weights recombine into one
-    multiplier, its `lambda` and `mu`, whose Hessian is re-verified PSD on
-    the cone by `certificate_value`.
+    (`vertex_hessians`) to certify_rank2. The verdict record gains
+    `vertex_count` and, when certified, `multiplier`: the vertex weights
+    recombine into one multiplier, its `lambda` and `mu`, whose Hessian is
+    re-verified PSD on the cone by `certificate_value`.
     """
     cone, rows, hessians = vertex_hessians(data, cone, tol)
-    sr = matrix_set_rank(hessians, tol)
-    if sr.rank > 2:
-        record = {"verdict": "hypothesis_violated", "residuals": {},
-                  "reason": f"Hessian family at the {len(rows)} vertices has rank {sr.rank}",
-                  "rank": sr.rank}
-    else:
-        record = _certify_ranked(hessians, cone, tol, sr)
+    record = certify_rank2(hessians, cone, tol)
     if record["verdict"] == "certified":
         mult = recombine(rows, record["weights"], data.p1)
         restricted, threshold = restricted_forms(

@@ -20,15 +20,13 @@ from .errors import InputError, NumericalFailureError
 from .numeric_core import (
     DEFAULT_TOL,
     MatrixFamily,
-    MatrixSetRank,
     _as_symmetric,
     _normalized_rows,
-    matrix_set_rank,
     norm_max,
     numerical_rank,
     sym_eigen,
 )
-from .yuan import _certify_ranked
+from .yuan import certify_rank2
 
 _DEFAULT_SAMPLES = 1000
 _DEFAULT_SEED = 42
@@ -144,21 +142,19 @@ def _dependence(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray, spec
     return delta, None
 
 
-def jacobian_rank_reduce(
-    prob: QuadProblem, tol: float = DEFAULT_TOL
-) -> MatrixSetRank | dict:
+def jacobian_rank_reduce(prob: QuadProblem, tol: float = DEFAULT_TOL) -> dict | None:
     """Exact decision of 'Jacobian rank <= 2 everywhere' in one linear scan.
 
     Every triple is dependent exactly when all members lie on the line
     through member 0 and the member farthest from it, so each other member
     i is tested once, as the triple (i, far, 0): at most m - 2 extractions,
     all sharing one eigendecomposition of A_far - A_0. When every triple
-    is dependent, the family's `matrix_set_rank` (at most 2) is returned.
-    Otherwise the hypothesis_violated verdict record is returned: its reason
-    names the first failing triple (sorted), `triple_residual` is that
-    triple's residual, and the witness is a sampled point where the Jacobian
-    rank reaches 3, its `rank` (one must exist, so a fruitless search raises
-    NumericalFailureError rather than guessing).
+    is dependent, None is returned. Otherwise the hypothesis_violated
+    verdict record is returned: its reason names the first failing triple
+    (sorted), `triple_residual` is that triple's residual, and the witness
+    is a sampled point where the Jacobian rank reaches 3, its `rank` (one
+    must exist, so a fruitless search raises NumericalFailureError rather
+    than guessing).
     """
     if not prob.matrices.symmetric:
         raise InputError("the triple reduction requires symmetric matrices")
@@ -185,12 +181,7 @@ def jacobian_rank_reduce(
                     "reason": "Jacobian rank reaches 3 away from the candidate point "
                               f"(triple {triple})",
                     "rank": rank, "witness": x}
-    sr = matrix_set_rank(prob.matrices, tol)
-    if sr.rank > 2:
-        raise NumericalFailureError(
-            f"all triples dependent yet set rank {sr.rank}; inconsistent tolerances"
-        )
-    return sr
+    return None
 
 
 def _rank3_point(prob: QuadProblem, tol: float) -> tuple[np.ndarray, int] | None:
@@ -214,13 +205,19 @@ def quad_certificate(prob: QuadProblem, tol: float = DEFAULT_TOL) -> dict:
 
     Decides the premise exactly with `jacobian_rank_reduce`, whose verdict
     record reports a violation with its failing triple and a rank-3
-    Jacobian point. Otherwise hands the family and that set rank to
-    certify_rank2 over the full space (the critical cone restriction is
-    exactly the original family).
+    Jacobian point. Otherwise hands the family to certify_rank2 over the
+    full space (the critical cone restriction is exactly the original
+    family); dependent triples bound the set rank by 2, so a rank above 2
+    there means the two tests' tolerances disagree.
     """
     if prob.ray_constant != -1.0:
         raise InputError("the optimization pipeline requires ray constant -1")
-    reduced = jacobian_rank_reduce(prob, tol)
-    if isinstance(reduced, dict):
-        return reduced
-    return _certify_ranked(prob.matrices, FirstOrderCone.full(prob.n), tol, reduced)
+    violated = jacobian_rank_reduce(prob, tol)
+    if violated is not None:
+        return violated
+    record = certify_rank2(prob.matrices, FirstOrderCone.full(prob.n), tol)
+    if record["verdict"] == "hypothesis_violated":
+        raise NumericalFailureError(
+            f"all triples dependent yet set rank {record['rank']}; inconsistent tolerances"
+        )
+    return record

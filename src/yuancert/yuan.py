@@ -32,7 +32,6 @@ from .errors import InputError, NumericalFailureError
 from .numeric_core import (
     DEFAULT_TOL,
     MatrixFamily,
-    MatrixSetRank,
     _eigh,
     _mirrored,
     _prescaled,
@@ -289,30 +288,28 @@ def certify_rank2(
     cone: FirstOrderCone,
     tol: float = DEFAULT_TOL,
 ) -> dict:
-    """Certificate for a symmetric family of matrix-set rank at most 2.
+    """Certificate for a symmetric family of matrix-set rank at most 2: the one
+    rank-<=2 decider of `certify`, `soc` and `quad`.
 
-    Every member is alpha_i*P + beta_i*Q for the basis pair of one
-    `matrix_set_rank` call (on a line at rank 1), so the decision is one
-    pass over the points (alpha_i, beta_i): a member that vanishes on the
-    cone span takes unit weight; when no angular gap between the points
-    exceeds pi, 0 lies in their conic hull and a zero combination of at
-    most three members certifies; otherwise the hull is pointed, every
-    member is a nonnegative combination of its two extreme rays, and the
-    pencil of that pair decides at the family's threshold. Rank above 2
-    is reported as a hypothesis violation.
+    The family passes `restricted_forms` first, so a non-symmetric one raises.
+    An empty cone span certifies with equal weights. Otherwise a set rank
+    above 2 (one `matrix_set_rank` call) is reported as a hypothesis
+    violation, and at most 2 every member is alpha_i*P + beta_i*Q for the
+    basis pair (on a line at rank 1), so the decision is one pass over the
+    points (alpha_i, beta_i): a member that vanishes on the cone span takes
+    unit weight; when no angular gap between the points exceeds pi, 0 lies
+    in their conic hull and a zero combination of at most three members
+    certifies; otherwise the hull is pointed, every member is a nonnegative
+    combination of its two extreme rays, and the pencil of that pair decides
+    at the family's threshold.
     """
-    return _certify_ranked(family, cone, tol, matrix_set_rank(family, tol))
-
-
-def _certify_ranked(family: MatrixFamily, cone: FirstOrderCone, tol: float,
-                    top: MatrixSetRank) -> dict:
-    """`certify_rank2` given the family's `matrix_set_rank` result."""
     members = family.members
     m = len(members)
     restricted, threshold = restricted_forms(family, cone, tol)
     if not restricted.size:
         return {"verdict": "certified", "residuals": {"span_dim": 0.0},
                 "weights": np.full(m, 1.0 / m), "lambda_min": 0.0}
+    top = matrix_set_rank(family, tol)
     if top.rank > 2:
         return {"verdict": "hypothesis_violated", "residuals": {},
                 "reason": f"matrix set rank {top.rank} exceeds 2", "rank": top.rank}

@@ -186,6 +186,18 @@ def test_non_array_field_exit_three(field, value, tmp_path, capsys):
         assert err.startswith(f"input error: {where}: expected "), err
 
 
+@pytest.mark.parametrize("command", ["soc", "vertices"])
+@pytest.mark.parametrize("field", ["grad_h", "grad_g"])
+def test_ragged_gradient_rows_exit_three(field, command, tmp_path, capsys):
+    # rows of unequal length are an input error naming the short row
+    hess = "hess_h" if field == "grad_h" else "hess_g"
+    doc = {"schema_version": "1", "kind": "kkt", "grad_f": [1.0, 0.0],
+           "hess_f": np.zeros((2, 2)).tolist(), field: [[1.0, 0.0], [1.0]],
+           hess: [np.eye(2).tolist(), np.eye(2).tolist()], "active": []}
+    assert main([command, write(tmp_path, "ragged.json", doc)]) == 3
+    assert capsys.readouterr().err == f"input error: instance.{field}[1]: row length 1 != 2\n"
+
+
 @pytest.mark.parametrize("value", [None, []], ids=["null", "empty"])
 def test_empty_array_fields_still_read_as_empty(value, tmp_path, capsys):
     doc = dict(kkt_example_doc(), grad_h=value, hess_h=value)
@@ -364,11 +376,46 @@ class TestCommands:
             calls.append(args)
             return original(*args, **kwargs)
 
-        for module in ("numeric_core", "yuan", "nlp", "quadprob", "cli"):
+        for module in ("numeric_core", "yuan", "cli"):
             monkeypatch.setattr(f"yuancert.{module}.matrix_set_rank", counted)
         assert main([command, str(INSTANCES / name)]) == 0
         capsys.readouterr()
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("command, name", [("certify", "example1.json"),
+                                               ("soc", "kkt_example1.json"),
+                                               ("quad", "quad_example1.json")])
+    def test_one_rank2_decision_per_command(self, command, name, capsys, monkeypatch):
+        # certify, soc and quad all decide through the one certify_rank2
+        calls = []
+        original = yuan_module.certify_rank2
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in ("yuan", "nlp", "quadprob", "cli"):
+            monkeypatch.setattr(f"yuancert.{module}.certify_rank2", counted)
+        assert main([command, str(INSTANCES / name)]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
+
+    def test_soc_empty_span_certifies_at_any_rank(self, tmp_path, capsys):
+        # the gradients span the plane, so the critical cone is {0}, where every
+        # Hessian family is PSD whatever its set rank (here 3: E11, E22, E12 + E21)
+        doc = {"schema_version": "1", "kind": "kkt", "grad_f": [-1.0, -1.0],
+               "hess_f": np.zeros((2, 2)).tolist(),
+               "grad_g": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 2.0]],
+               "hess_g": [np.diag([1.0, 0.0]).tolist(), np.zeros((2, 2)).tolist(),
+                          np.diag([0.0, 1.0]).tolist(), [[0.0, 1.0], [1.0, 0.0]]],
+               "active": [0, 1, 2, 3]}
+        path = write(tmp_path, "span0.json", doc)
+        assert main(["soc", path, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["residuals"] == {"span_dim": 0.0}
+        assert report["vertex_count"] == 3
+        report_path = write(tmp_path, "span0.report.json", report)
+        assert main(["verify-report", report_path, path]) == 0
 
     def test_yuan2_on_threshold_refutes_or_names_margin(self, tmp_path, capsys):
         # pencil maximum shifted onto the threshold -tol*scale (c = 1): rounding
@@ -796,6 +843,24 @@ class TestFiniteOverflowFamily:
             report_path = write(tmp_path, "near_max.report.json", report)
             assert main(["verify-report", report_path, path]) == 0
         assert capsys.readouterr().err == ""
+
+    def test_rank_report_is_strict_json(self, tmp_path, capsys):
+        """{diag(1e-300, -1e-300), diag(1e300, -1e300)}: member 1's coordinate in
+        member 0, 1e600, is past the float range, and the report writes it as null."""
+        path = write(tmp_path, "wide.json", family_doc(np.diag([1e-300, -1e-300]),
+                                                       np.diag([1e300, -1e300])))
+        assert main(["rank", path, "--json"]) == 0
+
+        def reject(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        report = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert report["coefficients"] == [[1.0, 0.0], [None, 0.0]]
+
+    def test_finite_arrays_dump_as_plain_lists(self):
+        document = {"a": np.array([[0.1, -0.0], [1e-300, 2.5e300]]), "b": np.arange(3)}
+        plain = {key: value.tolist() for key, value in document.items()}
+        assert dump_json(document) == json.dumps(plain, indent=2)
 
     def test_member_size_past_the_float_range(self, tmp_path, capsys):
         """{8e307 * ones((3, 3))} restricts to finite entries, but its Frobenius

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from lp_reference import loop_lp_solve
 from yuancert import InfeasibleError, InputError, UnboundedError, lp_solve
 
 
@@ -60,19 +61,24 @@ class TestBasics:
         np.testing.assert_allclose(y, [0.0, 0.0, 1.0], atol=1e-9)
 
 
+def random_program(rng):
+    """(c, a_eq, b_eq, mask) of an LP with some free variables, feasible by
+    construction (b = a @ y0 for a y0 that keeps the sign constraints)."""
+    m = int(rng.integers(1, 5))
+    n = int(rng.integers(m, 8))
+    a = rng.standard_normal((m, n))
+    mask = rng.random(n) < 0.7
+    y0 = rng.random(n)
+    y0[~mask] = rng.standard_normal((~mask).sum())
+    return rng.standard_normal(n), a, a @ y0, mask
+
+
 class TestAgainstScipy:
     def test_random_instances(self):
         rng = np.random.default_rng(0)
         solved = 0
         for _ in range(60):
-            m = int(rng.integers(1, 5))
-            n = int(rng.integers(m, 8))
-            a = rng.standard_normal((m, n))
-            mask = rng.random(n) < 0.7
-            y0 = rng.random(n)
-            y0[~mask] = rng.standard_normal((~mask).sum())
-            b = a @ y0  # feasible by construction
-            c = rng.standard_normal(n)
+            c, a, b, mask = random_program(rng)
             bounds = [(0, None) if keep else (None, None) for keep in mask]
             ref = linprog(-c, A_eq=a, b_eq=b, bounds=bounds, method="highs")
             if ref.status == 3:
@@ -86,3 +92,43 @@ class TestAgainstScipy:
             assert mask.sum() == 0 or y[mask].min() >= -1e-9
             solved += 1
         assert solved >= 20
+
+
+def mfcq_program(rng):
+    """The LP `check_mfcq` solves, for random equality and active gradients; small
+    integer entries and a cancelling pair make degenerate vertices and ties."""
+    n, p1, na = int(rng.integers(2, 6)), int(rng.integers(0, 3)), int(rng.integers(1, 7))
+    grads = rng.integers(-2, 3, (p1 + na, n)).astype(float)
+    if rng.random() < 0.5:
+        grads += 0.1 * rng.standard_normal((p1 + na, n))
+    if na >= 2 and rng.random() < 0.5:
+        grads[-1] = -grads[-2]
+    a = np.vstack([np.hstack([grads.T, np.zeros((n, 1))]),
+                   np.concatenate([np.zeros(p1), np.ones(na + 1)])[None]])
+    b = np.concatenate([np.zeros(n), [1.0]])
+    c = np.concatenate([np.zeros(p1), np.ones(na), [0.0]])
+    return c, a, b, np.concatenate([np.zeros(p1, dtype=bool), np.ones(na + 1, dtype=bool)])
+
+
+class TestAgainstRowByRowReference:
+    """The array pivots do the reference's arithmetic, so the optimum and the
+    solution compare equal (== ignores the sign of a zero), and failures match."""
+
+    @staticmethod
+    def outcome(solve, program):
+        try:
+            return solve(*program)
+        except (InfeasibleError, UnboundedError) as exc:
+            return type(exc)
+
+    @pytest.mark.parametrize("draw", [mfcq_program, random_program])
+    def test_equal_results(self, draw):
+        rng = np.random.default_rng(1)
+        for _ in range(100):
+            program = draw(rng)
+            got, want = self.outcome(lp_solve, program), self.outcome(loop_lp_solve, program)
+            if isinstance(want, type):
+                assert got is want
+                continue
+            assert got[0] == want[0]
+            assert np.array_equal(got[1], want[1])
