@@ -155,8 +155,11 @@ def _cmd_verify_report(args, instance, cone, out) -> int:
         out["rank"] = numerical_rank(jacobian_at(instance, x), args.tol)
         ok = out["rank"] >= 3 and stored.get("rank") == out["rank"]
     elif verdict == "hypothesis_violated":
-        out["rank"] = matrix_set_rank(forms, args.tol).rank
-        ok = out["rank"] > 2 and stored.get("rank") == out["rank"]
+        # only where the rank-<=2 decider finds it: an empty cone span certifies at any rank
+        record = certify_rank2(forms, cone, args.tol)
+        ok = record["verdict"] == "hypothesis_violated" and stored.get("rank") == record["rank"]
+        if "rank" in record:
+            out["rank"] = record["rank"]
     else:
         raise InputError("report carries nothing verifiable for this instance")
     out["verdict"] = verdict if ok else "error"

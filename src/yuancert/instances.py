@@ -203,10 +203,17 @@ def _listed(array: np.ndarray) -> list:
     return np.where(np.isfinite(array), array, None).tolist()
 
 
+def _finite(value):
+    """The document with each non-finite float value of its dicts as None."""
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    return None if isinstance(value, float) and not np.isfinite(value) else value
+
+
 def dump_json(document: dict) -> str:
-    """The document as indented JSON, with numpy arrays written as lists and their
-    non-finite entries as null, so strict JSON parsers read every report."""
-    return json.dumps(document, indent=2, sort_keys=False, default=_listed)
+    """The document as indented JSON, with numpy arrays written as lists and every
+    non-finite number as null, so strict JSON parsers read every report."""
+    return json.dumps(_finite(document), indent=2, sort_keys=False, default=_listed)
 
 
 def input_digest(path) -> str:

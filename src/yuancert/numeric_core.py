@@ -7,7 +7,6 @@ vectors. Everything here is pure and deterministic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,8 +14,6 @@ import numpy as np
 from .errors import DegenerateBasisError, InputError, NotInSpanError, NumericalFailureError
 
 DEFAULT_TOL = 1e-9
-
-_SQRT2 = math.sqrt(2.0)
 
 
 def norm_max(a: np.ndarray) -> float:
@@ -125,18 +122,6 @@ class MatrixFamily:
         return self.members.shape[1]
 
 
-def flatten_sym(a: np.ndarray) -> np.ndarray:
-    """Upper-triangle flattening with sqrt(2)-scaled off-diagonal entries,
-    of one matrix or of each matrix in a (..., n, n) stack.
-
-    Chosen so the Euclidean inner product of two flattened symmetric
-    matrices equals their trace inner product sum_ij A_ij B_ij.
-    """
-    ii, jj = np.triu_indices(a.shape[-1])
-    w = np.where(ii == jj, 1.0, _SQRT2)
-    return a[..., ii, jj] * w
-
-
 def _prescaled(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row divided by 2**e, with e the exponent of its largest entry, and the
     exponents e. The division is exact, so the squares of a scaled row's entries
@@ -217,19 +202,14 @@ class MatrixSetRank:
     coefficients: np.ndarray | None
 
 
-def _flat_rows(members: np.ndarray, symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The members divided by 2**e (`_prescaled`) and flattened, and the exponents e;
-    scaled entries are below 1, so the sqrt(2) of `flatten_sym` cannot overflow."""
-    rows, exponents = _prescaled(members.reshape(len(members), -1))
-    return (flatten_sym(rows.reshape(members.shape)) if symmetric else rows), exponents
-
-
 def _basis_coordinates(rows: np.ndarray, exponents: np.ndarray, basis: list[int],
                        qs: list[np.ndarray]) -> np.ndarray:
     """(m, 2) coordinates of each member rows[i]*2**exponents[i] in the one or two
     basis members (second column 0 for one): projections on qs, the basis rows'
-    Gram-Schmidt vectors, solved against the basis rows' own projections."""
-    proj = rows @ np.array(qs).T
+    Gram-Schmidt vectors, solved against the basis rows' own projections. With the
+    rows flattened matrices (`_prescaled` of members.reshape(m, -1)) the Euclidean
+    product is the trace inner product sum_ij A_ij B_ij of any square matrices."""
+    proj = (rows[:, None, :] * np.asarray(qs)).sum(axis=2)  # each row bit for bit as alone
     coef = np.zeros((len(rows), 2))
     with np.errstate(over="ignore"):  # a multiple past the float range reads as inf
         coef[:, :len(basis)] = np.ldexp(np.linalg.solve(proj[basis].T, proj.T).T,
@@ -245,7 +225,7 @@ def matrix_set_rank(family: MatrixFamily, tol: float = DEFAULT_TOL) -> MatrixSet
     under permuting the family. When the rank is 1 or 2 the result carries
     the coordinates of every member in the first independent members.
     """
-    rows, exponents = _flat_rows(family.members, family.symmetric)
+    rows, exponents = _prescaled(family.members.reshape(len(family), -1))
     unit = _normalized_rows(rows)
     ranks, pivots = _pivoted_rank(unit[None], tol)
     rank = int(ranks[0])
@@ -271,7 +251,7 @@ def express_in_basis(
         raise InputError("matrices must share one order")
     if matrix_set_rank(MatrixFamily([b1, b2]), tol).rank < 2:
         raise DegenerateBasisError("basis pair is linearly dependent")
-    rows, exponents = _flat_rows(np.stack([b1, b2, a]), True)
+    rows, exponents = _prescaled(np.stack([b1, b2, a]).reshape(3, -1))
     _, qs = _gram_schmidt(_normalized_rows(rows[:2]), np.zeros(2), 2)
     alpha, beta = _basis_coordinates(rows, exponents, [0, 1], qs)[2]
     residual = norm_max(a - alpha * b1 - beta * b2)

@@ -21,10 +21,11 @@ from .numeric_core import (
     DEFAULT_TOL,
     MatrixFamily,
     _as_symmetric,
+    _basis_coordinates,
     _normalized_rows,
+    _prescaled,
     norm_max,
     numerical_rank,
-    sym_eigen,
 )
 from .yuan import certify_rank2
 
@@ -111,77 +112,72 @@ def extract_dependence(
 ) -> tuple[float | None, float | None]:
     """Constructive affine-dependence extraction for a matrix triple.
 
-    Eigendecomposes B - C; when it vanishes the triple is dependent with
-    B = C, and (None, None) is returned. Otherwise the top eigenvector v with
-    eigenvalue lam pins delta = -v'(A-C)v / lam, and the full matrix identity
-    A - C + delta*(B - C) = 0 is verified at relative tolerance: (delta, None)
-    when it holds, and (None, residual) with its residual when it does not.
+    When B - C vanishes (its largest entry within tol*(1 + largest entry of
+    the triple)) the triple is dependent with B = C, and (None, None) is
+    returned. Otherwise delta = -c for c the coordinate of A - C in B - C,
+    and A - C + delta*(B - C) = 0 is verified at relative tolerance
+    (`_line_fit`): (delta, None) when it holds, (None, residual) when not.
     """
     a, b, c = _as_symmetric(a), _as_symmetric(b), _as_symmetric(c)
     if not (a.shape == b.shape == c.shape):
         raise InputError("matrices must share one order")
-    d = b - c
-    return _dependence(a, b, c, d, sym_eigen(d), tol)
-
-
-def _dependence(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray, spec,
-                tol: float) -> tuple[float | None, float | None]:
-    """`extract_dependence` on symmetric arrays, given d = B - C and its
-    `sym_eigen` pair."""
-    vals, basis = spec
-    scale = max(norm_max(a), norm_max(b), norm_max(c))
-    if norm_max(vals) <= tol * (1.0 + scale):
+    if norm_max(0.5 * b - 0.5 * c) <= 0.5 * tol * (1.0 + norm_max(np.stack([a, b, c]))):
         return None, None
-    top = int(np.argmax(np.abs(vals)))
-    lam = float(vals[top])
-    v = basis[:, top]
-    delta = -float(v @ (a - c) @ v) / lam
-    residual = norm_max(a - c + delta * d)
-    if residual > tol * (1.0 + scale):
-        return None, residual
-    return delta, None
+    coef, residuals, failed = _line_fit(a[None], b, c, tol)
+    return (None, float(residuals[0])) if failed[0] else (-float(coef[0]), None)
+
+
+def _line_fit(mats: np.ndarray, far: np.ndarray, base: np.ndarray,
+              tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each A_i of the (k, n, n) stack `mats`: c_i, the coordinate of A_i - A_0 in
+    A_far - A_0 (one `_basis_coordinates` call for all), the residual max|A_i - A_0 -
+    c_i*(A_far - A_0)| and whether it exceeds tol*(1 + max(|A_i|, |A_far|, |A_0|)) or
+    is not finite; taken on halves, exactly, so that no difference overflows."""
+    diffs = 0.5 * np.concatenate([far[None], mats]) - 0.5 * base
+    rows, exponents = _prescaled(diffs.reshape(len(diffs), -1))
+    coef = _basis_coordinates(rows, exponents, [0], _normalized_rows(rows[:1]))[1:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge c_i reads as failing
+        half = np.abs(diffs[1:] - coef[:, None, None] * diffs[0]).max(axis=(1, 2))
+        residuals = 2.0 * half
+    scale = np.maximum(np.abs(mats).max(axis=(1, 2)), max(norm_max(far), norm_max(base)))
+    return coef, residuals, ~(half <= 0.5 * tol * (1.0 + scale))
 
 
 def jacobian_rank_reduce(prob: QuadProblem, tol: float = DEFAULT_TOL) -> dict | None:
     """Exact decision of 'Jacobian rank <= 2 everywhere' in one linear scan.
 
     Every triple is dependent exactly when all members lie on the line
-    through member 0 and the member farthest from it, so each other member
-    i is tested once, as the triple (i, far, 0): at most m - 2 extractions,
-    all sharing one eigendecomposition of A_far - A_0. When every triple
-    is dependent, None is returned. Otherwise the hypothesis_violated
-    verdict record is returned: its reason names the first failing triple
-    (sorted), `triple_residual` is that triple's residual, and the witness
-    is a sampled point where the Jacobian rank reaches 3, its `rank` (one
-    must exist, so a fruitless search raises NumericalFailureError rather
-    than guessing).
+    through member 0 and the member farthest from it, so each other member i
+    is tested once, as the triple (i, far, 0), all in one `_line_fit` pass:
+    None when every triple is dependent, else the hypothesis_violated verdict
+    record, whose reason names the first failing triple (sorted),
+    `triple_residual` is that triple's residual, and the witness is a sampled
+    point where the Jacobian rank reaches 3, its `rank` (one must exist, so a
+    fruitless search raises NumericalFailureError rather than guessing).
     """
     if not prob.matrices.symmetric:
         raise InputError("the triple reduction requires symmetric matrices")
     mats = prob.matrices.members
-    base = mats[0]
-    gaps = [norm_max(mat - base) for mat in mats]
+    gaps = np.abs(0.5 * mats - 0.5 * mats[0]).max(axis=(1, 2))  # halves cannot overflow
     far = int(np.argmax(gaps))
-    spread = gaps[far] > tol * (1.0 + norm_max(mats))
-    others = [i for i in range(1, prob.m) if i != far] if spread else []
-    d = mats[far] - base
-    spec = sym_eigen(d) if others else None
-    for i in others:
-        _, residual = _dependence(mats[i], mats[far], base, d, spec, tol)
-        if residual is not None:
-            triple = tuple(sorted((0, far, i)))
-            witness = _rank3_point(prob, tol)
-            if witness is None:
-                raise NumericalFailureError(
-                    f"triple {triple} not dependent (residual {residual:.3e}) "
-                    "but no rank-3 Jacobian point found in the sample budget"
-                )
-            x, rank = witness
-            return {"verdict": "hypothesis_violated", "residuals": {"triple_residual": residual},
-                    "reason": "Jacobian rank reaches 3 away from the candidate point "
-                              f"(triple {triple})",
-                    "rank": rank, "witness": x}
-    return None
+    if gaps[far] <= 0.5 * tol * (1.0 + norm_max(mats)):
+        return None
+    others = np.delete(np.arange(1, prob.m), far - 1)
+    _, residuals, failed = _line_fit(mats[others], mats[far], mats[0], tol)
+    if not failed.any():
+        return None
+    first = int(np.argmax(failed))
+    residual, triple = float(residuals[first]), tuple(sorted((0, far, int(others[first]))))
+    witness = _rank3_point(prob, tol)
+    if witness is None:
+        raise NumericalFailureError(
+            f"triple {triple} not dependent (residual {residual:.3e}) "
+            "but no rank-3 Jacobian point found in the sample budget"
+        )
+    x, rank = witness
+    return {"verdict": "hypothesis_violated", "residuals": {"triple_residual": residual},
+            "reason": f"Jacobian rank reaches 3 away from the candidate point (triple {triple})",
+            "rank": rank, "witness": x}
 
 
 def _rank3_point(prob: QuadProblem, tol: float) -> tuple[np.ndarray, int] | None:

@@ -315,12 +315,12 @@ def certify_rank2(
                 "reason": f"matrix set rank {top.rank} exceeds 2", "rank": top.rank}
     record = _plane_pass(top, members, restricted, cone, threshold)
     residuals = record["residuals"]
-    if top.rank == 2:
-        worst = 0.0
-        for mem, (al, be) in zip(members, top.coefficients):
-            recon = al * members[top.basis[0]] + be * members[top.basis[1]]
-            worst = max(worst, norm_max(mem - recon) / (1.0 + norm_max(mem)))
-        residuals["basis_fit_residual"] = worst
+    if top.rank == 2:  # an overflowed coordinate leaves a nan or inf fit, which max keeps
+        (al, be), (b0, b1) = top.coefficients.T[:, :, None, None], members[list(top.basis)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            misfit = np.abs(members - (al * b0 + be * b1)).max(axis=(1, 2))
+        residuals["basis_fit_residual"] = float(
+            (misfit / (1.0 + np.abs(members).max(axis=(1, 2)))).max())
     if record["verdict"] == "refuted":
         residuals["worst_form_value"] = float(record["form_values"].max())
         return record

@@ -15,7 +15,6 @@ from yuancert.lp import lp_solve
 from yuancert.numeric_core import (
     DEFAULT_TOL,
     MatrixFamily,
-    flatten_sym,
     matrix_set_rank,
     norm_max,
 )
@@ -31,60 +30,51 @@ class HypothesisViolatedError(RuntimeError):
         self.rank = rank
 
 
-_TERNARY_TOL = 1e-10
-_TERNARY_CAP = 160
-# points per step of the inner k-section: each step keeps 2 of K + 1 cells
-_KSECTION_POINTS = 16
+_KSECTION_TOL = 1e-10
+_KSECTION_CAP = 160
+# interior points K per step of the k-section, odd: each step keeps 2 of K + 1
+# cells, and its grid reuses 3 of the K + 2 values
+_KSECTION_POINTS = 7
 
 
-def _lam_min_one(mat: np.ndarray) -> float:
-    return float(_lam_min_batch(mat[None, :, :])[0])
+def _lam_min(mats: np.ndarray) -> np.ndarray:
+    """lambda_min of each matrix of an (..., k, k) stack, in one batched call."""
+    return _lam_min_batch(mats.reshape(-1, *mats.shape[-2:])).reshape(mats.shape[:-2])
 
 
-def _ternary_max(f, lo: float, hi: float) -> tuple[float, float]:
-    best_x, best_f = lo, f(lo)
-    fh = f(hi)
-    if fh > best_f:
-        best_x, best_f = hi, fh
-    for _ in range(_TERNARY_CAP):
-        if hi - lo <= _TERNARY_TOL * (1.0 + abs(lo) + abs(hi)):
-            break
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        f1, f2 = f(m1), f(m2)
-        if f1 > best_f:
-            best_x, best_f = m1, f1
-        if f2 > best_f:
-            best_x, best_f = m2, f2
-        if f1 <= f2:
-            lo = m1
-        else:
-            hi = m2
-    mid = 0.5 * (lo + hi)
-    fm = f(mid)
-    if fm > best_f:
-        best_x, best_f = mid, fm
-    return best_x, best_f
+def _ksection_max(f, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Maximize concave functions, one per bracket [lo[r], hi[r]], all at once
+    on K + 2 evenly spaced points per bracket.
 
-
-def _ksection_max(f_batch, lo: float, hi: float) -> tuple[float, float]:
-    """Maximize a concave f on [lo, hi] from K + 2 evenly spaced points per step.
-
-    `f_batch` maps an array of points to their values in one call. Each
-    step keeps the two cells beside the best point, so the bracket
-    shrinks by 2/(K + 1); it stops on the ternary search's width rule.
+    `f` maps an (R, P) array of points, row r in bracket r, to their values in
+    one call. Each step keeps the two cells beside each row's best interior
+    point, so every bracket shrinks by 2/(K + 1) and keeps its best point in
+    the middle; with K odd the new grid reuses the values at its ends and
+    middle, and K - 1 points are new. The search stops once every bracket
+    meets the width rule. Returns each row's best point and value.
     """
-    best_x, best_f = lo, -np.inf
-    for _ in range(_TERNARY_CAP):
-        xs = np.linspace(lo, hi, _KSECTION_POINTS + 2)
-        fs = f_batch(xs)
-        j = int(np.argmax(fs))
-        if fs[j] > best_f:
-            best_x, best_f = float(xs[j]), float(fs[j])
-        if hi - lo <= _TERNARY_TOL * (1.0 + abs(lo) + abs(hi)):
+    k, mid = _KSECTION_POINTS, (_KSECTION_POINTS + 1) // 2
+    rows = np.arange(np.size(lo))[:, None]
+    spots = np.arange(k + 2) / (k + 1.0)
+    lo, hi = np.asarray(lo, dtype=float)[:, None], np.asarray(hi, dtype=float)[:, None]
+    xs = lo + (hi - lo) * spots
+    fs = f(xs)
+    ends = [0, mid, k + 1]  # where the next grid takes the kept points
+    fresh = np.setdiff1d(np.arange(k + 2), ends)
+    for _ in range(_KSECTION_CAP):
+        lo, hi = xs[:, :1], xs[:, -1:]
+        if (hi - lo <= _KSECTION_TOL * (1.0 + np.abs(lo) + np.abs(hi))).all():
             break
-        lo, hi = float(xs[max(j - 1, 0)]), float(xs[min(j + 1, _KSECTION_POINTS + 1)])
-    return best_x, best_f
+        j = np.argmax(fs, axis=1)[:, None]
+        j = j + (j == 0) - (j == k + 1) + np.array([-1, 0, 1])  # an end moves inward
+        kept_x, kept_f = xs[rows, j], fs[rows, j]
+        xs = kept_x[:, :1] + (kept_x[:, 2:] - kept_x[:, :1]) * spots
+        xs[:, ends] = kept_x
+        fs = np.empty_like(xs)
+        fs[:, ends] = kept_f
+        fs[:, fresh] = f(xs[:, fresh])
+    j = np.argmax(fs, axis=1)
+    return xs[rows[:, 0], j], fs[rows[:, 0], j]
 
 
 def _convex_hull(points: np.ndarray) -> np.ndarray:
@@ -139,9 +129,10 @@ def hull_psd_search(
     Members of a rank-<=2 family have coordinates (alpha_i, beta_i) in a
     two-member basis; weight vectors sweep the convex hull of those
     points, over which lambda_min of the restricted combination is
-    concave. A ternary search over alpha, with a k-section over beta on
-    each slice, locates the optimum and an L1-penalty LP recovers simplex
-    weights realizing it.
+    concave. A k-section over alpha, whose columns each take a k-section
+    over beta on their slice, all of a step's columns in one stacked search,
+    locates the optimum, and an L1-penalty LP recovers simplex weights
+    realizing it.
     """
     m = len(family)
     sr = matrix_set_rank(family, tol)
@@ -152,19 +143,16 @@ def hull_psd_search(
     if not mats.size or sr.rank == 0:
         return uniform, 0.0
 
-    flats = [flatten_sym(s) for s in family.members]
+    flats = family.members.reshape(m, -1)
     if sr.rank == 1:
         ref = sr.basis[0]
         fref = flats[ref]
         coords = np.array([float(f @ fref) / float(fref @ fref) for f in flats])
         base = mats[ref]
-
-        def phi1(s: float) -> float:
-            return _lam_min_one(s * base)
-
-        s_star, best = _ternary_max(phi1, float(coords.min()), float(coords.max()))
-        weights = _recover_weights(coords[:, None], np.array([s_star]))
-        return weights, best
+        s_star, best = _ksection_max(lambda ss: _lam_min(np.multiply.outer(ss, base)),
+                                     [coords.min()], [coords.max()])
+        weights = _recover_weights(coords[:, None], s_star)
+        return weights, float(best[0])
 
     b1, b2 = sr.basis
     f1, f2 = flats[b1], flats[b2]
@@ -181,35 +169,35 @@ def hull_psd_search(
     )
     m1, m2 = mats[b1], mats[b2]
 
-    def phi(a: float, b: float) -> float:
-        return _lam_min_one(a * m1 + b * m2)
+    def phi(a, b) -> np.ndarray:
+        """lambda_min(a*m1 + b*m2) for a and b of one (broadcast) shape, in one call."""
+        return _lam_min(np.multiply.outer(a, m1) + np.multiply.outer(b, m2))
 
-    def column(a: float):
-        """phi(a, .) on an array of b values, in one stacked call."""
-        return lambda bs: _lam_min_batch(a * m1 + bs[:, None, None] * m2)
+    def column_max(a: np.ndarray):
+        """The k-section maximum of phi(a_r, .) on each slice, all columns at once."""
+        lo, hi = np.array([_slice_bounds(hull, x) for x in a]).T
+        return _ksection_max(lambda bs: phi(a[:, None], bs), lo, hi)
 
     hull = _convex_hull(coords)
     if hull.shape[0] == 1:
         a_star, b_star = hull[0]
-        best = phi(a_star, b_star)
+        best = float(phi(a_star, b_star))
     elif hull.shape[0] == 2:
         p, q = hull
-        s_star, best = _ternary_max(
-            lambda s: phi(*(p + s * (q - p))), 0.0, 1.0
-        )
-        a_star, b_star = p + s_star * (q - p)
+        s_star, best = _ksection_max(
+            lambda ss: phi(p[0] + ss * (q[0] - p[0]), p[1] + ss * (q[1] - p[1])), [0.0], [1.0])
+        (a_star, b_star), best = p + s_star[0] * (q - p), float(best[0])
     else:
-
-        def column_max(a: float) -> float:
-            return _ksection_max(column(a), *_slice_bounds(hull, a))[1]
-
-        a_star, best = _ternary_max(
-            column_max, float(hull[:, 0].min()), float(hull[:, 0].max())
+        # the outer search over alpha maximizes the concave column maximum, each
+        # step's K + 2 columns in one stacked inner search
+        a_star, best = _ksection_max(
+            lambda xs: column_max(xs.ravel())[1].reshape(xs.shape),
+            [hull[:, 0].min()], [hull[:, 0].max()],
         )
-        b_star, best_b = _ksection_max(column(a_star), *_slice_bounds(hull, a_star))
-        best = max(best, best_b)
+        b_star, best_b = column_max(a_star)
+        a_star, b_star, best = a_star[0], b_star[0], float(max(best[0], best_b[0]))
     for point in coords:  # corners are cheap insurance against search misses
-        val = phi(point[0], point[1])
+        val = float(phi(point[0], point[1]))
         if val > best:
             best = val
             a_star, b_star = point

@@ -8,7 +8,7 @@ import pytest
 
 import yuancert.yuan as yuan_module
 from conftest import (EX1_A1, EX1_A2, EX1_A3, EX2_A1, EX2_A2, EX2_A3, NEAR_PARALLEL,
-                      serialize_cone, serialize_instance, to_kkt)
+                      random_sym, serialize_cone, serialize_instance, to_kkt)
 from yuancert import FirstOrderCone, KKTData, MatrixFamily, QuadProblem, instances
 from yuancert.cli import main
 from yuancert.instances import dump_json, input_digest, load_instance, parse_cone, parse_instance
@@ -236,6 +236,16 @@ class TestNonSymmetricFamily:
         assert "asymmetry" in capsys.readouterr().err
 
 
+# the gradients span the plane, so the critical cone is {0}, where every
+# Hessian family is PSD whatever its set rank (here 3: E11, E22, E12 + E21)
+SPAN0_KKT = {"schema_version": "1", "kind": "kkt", "grad_f": [-1.0, -1.0],
+             "hess_f": np.zeros((2, 2)).tolist(),
+             "grad_g": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 2.0]],
+             "hess_g": [np.diag([1.0, 0.0]).tolist(), np.zeros((2, 2)).tolist(),
+                        np.diag([0.0, 1.0]).tolist(), [[0.0, 1.0], [1.0, 0.0]]],
+             "active": [0, 1, 2, 3]}
+
+
 class TestCommands:
     def test_certify_example1(self, example1, capsys):
         assert main(["certify", example1]) == 0
@@ -401,15 +411,7 @@ class TestCommands:
         assert len(calls) == 1
 
     def test_soc_empty_span_certifies_at_any_rank(self, tmp_path, capsys):
-        # the gradients span the plane, so the critical cone is {0}, where every
-        # Hessian family is PSD whatever its set rank (here 3: E11, E22, E12 + E21)
-        doc = {"schema_version": "1", "kind": "kkt", "grad_f": [-1.0, -1.0],
-               "hess_f": np.zeros((2, 2)).tolist(),
-               "grad_g": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 2.0]],
-               "hess_g": [np.diag([1.0, 0.0]).tolist(), np.zeros((2, 2)).tolist(),
-                          np.diag([0.0, 1.0]).tolist(), [[0.0, 1.0], [1.0, 0.0]]],
-               "active": [0, 1, 2, 3]}
-        path = write(tmp_path, "span0.json", doc)
+        path = write(tmp_path, "span0.json", SPAN0_KKT)
         assert main(["soc", path, "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["residuals"] == {"span_dim": 0.0}
@@ -616,6 +618,28 @@ class TestVerifyReport:
         report_path = tmp_path / "hypothesis.json"
         report_path.write_text(json.dumps(report), encoding="utf-8")
         assert main(["verify-report", str(report_path), example1]) == 4
+
+    @pytest.mark.parametrize("case", ["kkt", "family"])
+    def test_hypothesis_report_on_an_empty_span_rejected(self, case, tmp_path, capsys):
+        # on a cone span {0} every family certifies whatever its set rank (3 in
+        # both cases), so a hypothesis report there is forged
+        cone = []
+        if case == "kkt":
+            path = write(tmp_path, "span0.json", SPAN0_KKT)
+            command = "soc"
+        else:
+            rng = np.random.default_rng(30)
+            members = [random_sym(rng, 2) for _ in range(3)]
+            path = write(tmp_path, "rank3.json", family_doc(*members))
+            assert main(["rank", path, "--json"]) == 0
+            assert json.loads(capsys.readouterr().out)["rank"] == 3
+            cone = ["--cone", write(tmp_path, "cone.json", {
+                "schema_version": "1", "kind": "cone", "ambient_dim": 2, "subspace": []})]
+            command = "certify"
+        assert main([command, path, *cone]) == 0
+        forged = write(tmp_path, "forged.json", {"verdict": "hypothesis_violated", "rank": 3,
+                                                 "input_digest": input_digest(path)})
+        assert main(["verify-report", forged, path, *cone]) == 4
 
     @pytest.mark.parametrize("field, value", [
         ("weights", ["a", "b", "c"]), ("weights", [[1.0, 0.0, 0.0]]),
@@ -856,6 +880,25 @@ class TestFiniteOverflowFamily:
 
         report = json.loads(capsys.readouterr().out, parse_constant=reject)
         assert report["coefficients"] == [[1.0, 0.0], [None, 0.0]]
+
+    def test_basis_fit_of_an_overflowed_coordinate_is_null(self, tmp_path, capsys):
+        """{1e-300 diag(1, -1), 1e-300 diag(-1, 2), 1e300 diag(1, -1)}: member 2's
+        coordinate, 1e600, is past the float range, so its reconstruction is not
+        finite and its fit reads null, not 0; the verdict stands."""
+        path = write(tmp_path, "wide3.json", family_doc(
+            np.diag([1e-300, -1e-300]), np.diag([-1e-300, 2e-300]), np.diag([1e300, -1e300])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["certify", path, "--json"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+
+        def reject(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        report = json.loads(captured.out, parse_constant=reject)
+        assert report["verdict"] == "certified" and report["weights"] == [1.0, 0.0, 0.0]
+        assert report["residuals"]["basis_fit_residual"] is None
 
     def test_finite_arrays_dump_as_plain_lists(self):
         document = {"a": np.array([[0.1, -0.0], [1e-300, 2.5e300]]), "b": np.arange(3)}

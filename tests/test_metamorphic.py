@@ -4,7 +4,8 @@ cone, unchanged.
 
 The maps are member permutations, a duplicated member, an appended convex
 combination of two members, the zero-block embedding blockdiag(A_i, 0) with
-the cone on the first n coordinates, and scaling the whole family by 2**k.
+the cone on the first n coordinates, a signed-permutation congruence S'A_iS with
+the cone's generators mapped by S', and scaling the whole family by 2**k.
 Each orbit draws from its own seeded generator.
 """
 
@@ -75,6 +76,16 @@ def test_zero_block_embedding(g300):
         yield ([np.pad(a, ((0, 2), (0, 2))) for a in members],
                FirstOrderCone(n + 2, np.eye(n + 2)[:n]))
     assert moved(g300, images, 4) == []
+
+
+def test_signed_permutation_congruence(g300):
+    # x'(S'AS)x = (Sx)'A(Sx), so the image's cone holds S'g for each generator g
+    # (a row of I, taken to the row g'S); the set rank reads the entries in a new layout
+    def images(members, rng):
+        n = len(members[0])
+        s = np.eye(n)[rng.permutation(n)] * rng.choice([-1.0, 1.0], n)
+        yield [s.T @ a @ s for a in members], FirstOrderCone(n, np.eye(n) @ s)
+    assert moved(g300, images, 6) == []
 
 
 @pytest.mark.parametrize("k", [-16, -8, 8, 64, 510, 1010])

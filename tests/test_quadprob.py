@@ -1,5 +1,6 @@
 import itertools
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from conftest import (
     random_sym,
     to_kkt,
 )
-from yuancert import quadprob
+from yuancert import numeric_core, quadprob
 from yuancert import (
     InputError,
     MatrixFamily,
@@ -30,7 +31,6 @@ from yuancert import (
     rank_increase_check,
     second_order_certificate,
     quad_certificate,
-    sym_eigen,
 )
 
 E11 = np.diag([1.0, 0.0])
@@ -242,40 +242,45 @@ class TestJacobianRankReduce:
             assert violated_triple(result) in failing, (kind, m)
             assert numerical_rank(jacobian_at(prob, result["witness"])) >= 3
 
+    def test_entries_near_the_largest_float(self):
+        # {1e308 I, -1e308 I, 0} lies on one line; the differences overflow, their
+        # halves do not, so the scan and the pipeline decide it with no warning
+        big = 1e308 * np.eye(2)
+        prob = QuadProblem(MatrixFamily([big, -big, np.zeros((2, 2))]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert extract_dependence(np.zeros((2, 2)), big, -big) == (-0.5, None)
+            assert jacobian_rank_reduce(prob) is None
+            assert quad_certificate(prob)["verdict"] == "certified"
+
     def test_scan_anchor_is_not_a_repeat_of_member_zero(self):
         prob = QuadProblem(MatrixFamily([E11, E11, E22, E12]))
         result = jacobian_rank_reduce(prob)
         assert violated_triple(result) in failing_triples(prob)
 
-    def test_scan_work_bound(self, monkeypatch):
+    def test_scan_is_one_projection(self, monkeypatch):
+        # no eigendecomposition: the coordinates of all A_i - A_0 in A_far - A_0
+        # come from one _basis_coordinates call
         prob = QuadProblem(random_collinear_family(np.random.default_rng(8), 8, 40))
         calls = []
 
-        dependence = quadprob._dependence
+        def counted(rows, *args):
+            calls.append(len(rows))
+            return basis_coordinates(rows, *args)
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return dependence(*args, **kwargs)
+        def eigen(*args):
+            raise AssertionError("the scan eigendecomposed")
 
-        monkeypatch.setattr(quadprob, "_dependence", counted)
+        basis_coordinates = quadprob._basis_coordinates
+        monkeypatch.setattr(quadprob, "_basis_coordinates", counted)
+        monkeypatch.setattr(numeric_core, "sym_eigen", eigen)
+        monkeypatch.setattr(numeric_core, "_eigh", eigen)
         assert jacobian_rank_reduce(prob) is None
-        assert len(calls) <= 38
-
-    def test_scan_eigendecomposes_once(self, monkeypatch):
-        prob = QuadProblem(random_collinear_family(np.random.default_rng(8), 8, 40))
-        calls = []
-
-        def counted(m):
-            calls.append(m)
-            return sym_eigen(m)
-
-        monkeypatch.setattr(quadprob, "sym_eigen", counted)
-        assert jacobian_rank_reduce(prob) is None
-        assert len(calls) == 1
+        assert calls == [39]
 
     @pytest.mark.parametrize("kind", sorted(SCAN_FAMILIES))
     def test_scan_results_match_per_member_extraction(self, kind):
-        # the shared spectrum gives the same residual, bit for bit, as
+        # the stacked projection gives the same residual, bit for bit, as
         # extract_dependence on the failing triple (i, far, 0)
         rng = np.random.default_rng(20 + sorted(SCAN_FAMILIES).index(kind))
         for m in range(3, 13):

@@ -39,7 +39,7 @@ from yuancert import (
     sym_eigen,
     yuan_two,
 )
-from yuancert.numeric_core import flatten_sym, norm_max
+from yuancert.numeric_core import norm_max
 from yuancert.yuan import _into_cone, _pencil_witness, _simplex_weights
 
 # most exit-4 cases at c = 1 in TestBoundaryCorpus, whose pencil maxima sit on
@@ -519,7 +519,7 @@ def reference_certify_rank2(family, cone, tol=1e-9):
         return certified(_simplex_weights(w), out["lambda_min"])
 
     def solve_rank1(idxs):
-        flats = [flatten_sym(syms[i]) for i in idxs]
+        flats = [syms[i].ravel() for i in idxs]
         ref_pos = max(range(len(idxs)), key=lambda p: float(flats[p] @ flats[p]))
         fref = flats[ref_pos]
         coeffs = np.array([float(f @ fref) / float(fref @ fref) for f in flats])
