@@ -258,9 +258,9 @@ class TestJacobianRankReduce:
         result = jacobian_rank_reduce(prob)
         assert violated_triple(result) in failing_triples(prob)
 
-    def test_scan_is_one_projection(self, monkeypatch):
-        # no eigendecomposition: the coordinates of all A_i - A_0 in A_far - A_0
-        # come from one _basis_coordinates call
+    def test_scan_work_bound(self, monkeypatch):
+        # the coordinates of all A_i - A_0 in A_far - A_0 come from one
+        # _basis_coordinates call over the 39 differences
         prob = QuadProblem(random_collinear_family(np.random.default_rng(8), 8, 40))
         calls = []
 
@@ -268,15 +268,28 @@ class TestJacobianRankReduce:
             calls.append(len(rows))
             return basis_coordinates(rows, *args)
 
-        def eigen(*args):
-            raise AssertionError("the scan eigendecomposed")
-
         basis_coordinates = quadprob._basis_coordinates
         monkeypatch.setattr(quadprob, "_basis_coordinates", counted)
-        monkeypatch.setattr(numeric_core, "sym_eigen", eigen)
-        monkeypatch.setattr(numeric_core, "_eigh", eigen)
         assert jacobian_rank_reduce(prob) is None
         assert calls == [39]
+
+    def test_scan_eigendecomposes_once(self, monkeypatch):
+        # at most once, and in fact never: the scan is a projection, so no
+        # spectrum is computed on the way to the rank-<=2 answer
+        prob = QuadProblem(random_collinear_family(np.random.default_rng(8), 8, 40))
+        calls = []
+
+        def counted(eigh):
+            def wrapped(m):
+                calls.append(m)
+                return eigh(m)
+
+            return wrapped
+
+        monkeypatch.setattr(numeric_core, "sym_eigen", counted(numeric_core.sym_eigen))
+        monkeypatch.setattr(numeric_core, "_eigh", counted(numeric_core._eigh))
+        assert jacobian_rank_reduce(prob) is None
+        assert calls == []
 
     @pytest.mark.parametrize("kind", sorted(SCAN_FAMILIES))
     def test_scan_results_match_per_member_extraction(self, kind):
