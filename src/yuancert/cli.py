@@ -37,9 +37,9 @@ from .nlp import (
     second_order_certificate,
     vertex_hessians,
 )
-from .numeric_core import DEFAULT_TOL, MatrixFamily, matrix_set_rank, norm_max, numerical_rank
+from .numeric_core import DEFAULT_TOL, MatrixFamily, matrix_set_rank, norm_max
 from .oracle import sample_max_nonneg, simplex_grid_search
-from .quadprob import QuadProblem, jacobian_at, quad_certificate
+from .quadprob import QuadProblem, jacobian_rank, quad_certificate
 from .yuan import certificate_value, certify_rank2, restricted_forms, witness_check, yuan_two
 
 EXIT_OK = 0
@@ -145,14 +145,17 @@ def _cmd_verify_report(args, instance, cone, out) -> int:
         x = _report_field(stored, "witness", (forms.order,))
         _, threshold = restricted_forms(forms, cone, args.tol)
         ok, values = witness_check(forms.members, cone, x, threshold)
-        out["form_values"] = values
-        out["margin"] = threshold - float(values.max())
         if "form_values" in stored:
             ok = ok and _matches(values, _report_field(stored, "form_values", values.shape))
+        # printed for x/|x|, the witness that witness_check judges
+        with np.errstate(over="ignore"):
+            length = float(x @ x)
+        unit = out["form_values"] = values / length if 0.0 < length < np.inf else values
+        out["margin"] = threshold - float(unit.max())
     elif verdict == "hypothesis_violated" and isinstance(instance, QuadProblem):
         # the premise fails where the Jacobian reaches rank 3, not where the set rank does
         x = _report_field(stored, "witness", (instance.n,))
-        out["rank"] = numerical_rank(jacobian_at(instance, x), args.tol)
+        out["rank"] = jacobian_rank(instance, x, args.tol)
         ok = out["rank"] >= 3 and stored.get("rank") == out["rank"]
     elif verdict == "hypothesis_violated":
         # only where the rank-<=2 decider finds it: an empty cone span certifies at any rank

@@ -38,7 +38,7 @@ from .yuan import certificate_value, certify_rank2, restricted_forms
 ACTIVITY_TOL = 1e-8
 _FEAS_TOL = 1e-9
 _DEDUP_TOL = 1e-8
-_BLOCK = 256  # column subsets per stacked rank test
+_BLOCK = 256  # column subsets per stacked rank test and solve
 
 
 def _vectors(raw, n: int, name: str) -> np.ndarray:
@@ -182,9 +182,11 @@ def multiplier_vertices(data: KKTData, tol: float = DEFAULT_TOL) -> np.ndarray:
     equality-gradient columns: those variables are free, so a vertex
     support always extends through them, and subsets omitting one can
     only produce non-extreme points. The subsets are rank-tested in
-    stacked blocks of _BLOCK; only full-rank ones are solved. Results are
-    filtered for mu >= -1e-9 (then clamped), sorted, and deduplicated at
-    1e-8.
+    stacked blocks of _BLOCK, and the full-rank ones of a block are solved
+    together by one stacked QR factorization. Solutions are filtered for a
+    finite residual within 1e-8 of scale and mu >= -1e-9 (then clamped),
+    and deduplicated at 1e-8, in the order they first appear among the
+    subsets.
     """
     act = list(data.active)
     na = len(act)
@@ -207,23 +209,22 @@ def multiplier_vertices(data: KKTData, tol: float = DEFAULT_TOL) -> np.ndarray:
     while block := list(itertools.islice(subsets, _BLOCK)):
         sels = np.array(block, dtype=int)
         ranks, _ = _pivoted_rank(unit[sels], tol)
-        for sel in sels[ranks == rank]:
-            sub = mat[:, sel]
-            y, *_ = np.linalg.lstsq(sub, rhs, rcond=None)
-            if norm_max(sub @ y - rhs) > 1e-8 * scale:
-                continue
-            if (y[data.p1:] < -_FEAS_TOL).any():
-                continue
-            full = np.zeros(data.p1 + na)
-            full[sel] = y
-            full[data.p1:] = np.maximum(full[data.p1:], 0.0)
-            found.append(full)
-    if not found:
+        sels = sels[ranks == rank]
+        subs = mat[:, sels].transpose(1, 0, 2)  # (K, n, rank)
+        q, r = np.linalg.qr(subs)
+        y = np.linalg.solve(r, np.matmul(rhs, q)[:, :, None])[:, :, 0]
+        resid = np.abs(np.einsum("knr,kr->kn", subs, y) - rhs).max(axis=1)
+        ok = (resid <= 1e-8 * scale) & (y[:, data.p1:] >= -_FEAS_TOL).all(axis=1)
+        full = np.zeros((int(ok.sum()), data.p1 + na))
+        np.put_along_axis(full, sels[ok], y[ok], axis=1)
+        full[:, data.p1:] = np.maximum(full[:, data.p1:], 0.0)
+        found.append(full)
+    candidates = np.concatenate(found)
+    if not len(candidates):
         raise EmptyMultiplierSetError("stationarity system has no feasible basic solution")
-    found.sort(key=lambda v: tuple(v))
-    unique = np.empty((len(found), data.p1 + na))
+    unique = np.empty_like(candidates)
     kept = 0
-    for v in found:
+    for v in candidates:
         if np.all(np.abs(unique[:kept] - v).max(axis=1) > _DEDUP_TOL):
             unique[kept] = v
             kept += 1

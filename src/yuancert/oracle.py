@@ -13,7 +13,6 @@ tolerance is a bug, never something to vote over.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -105,17 +104,15 @@ def simplex_grid_search(
 
 
 def _grid_weights(m: int, resolution: int) -> np.ndarray:
-    if m == 1:
-        return np.ones((1, 1))
-    combos = np.array(
-        list(itertools.combinations(range(resolution + m - 1), m - 1)), dtype=int
-    )
-    bounds = np.hstack(
-        [
-            np.full((combos.shape[0], 1), -1),
-            combos,
-            np.full((combos.shape[0], 1), resolution + m - 1),
-        ]
-    )
-    parts = np.diff(bounds, axis=1) - 1
-    return parts / float(resolution)
+    """Every weight vector with coordinates k/resolution, as rows in
+    lexicographic order, built one coordinate at a time: each row branches
+    into every value from 0 to what its coordinates so far leave over."""
+    parts = np.zeros((1, 0), dtype=int)
+    left = np.array([resolution])
+    for _ in range(m - 1):
+        counts = left + 1
+        rows = np.repeat(np.arange(len(parts)), counts)
+        value = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+        parts = np.column_stack([parts[rows], value])
+        left = left[rows] - value
+    return np.column_stack([parts, left]) / float(resolution)

@@ -73,6 +73,16 @@ def jacobian_at(prob: QuadProblem, x) -> np.ndarray:
     return np.column_stack(cols)
 
 
+def jacobian_rank(prob: QuadProblem, x, tol: float = DEFAULT_TOL) -> int:
+    """Numerical rank of the Jacobian at x, with its constant last row set to the
+    largest entry of the rows above it (1 where those vanish). Scaling a row
+    keeps the rank, and so the ray constant's size cannot decide it."""
+    jac = jacobian_at(prob, x)
+    size = norm_max(jac[:-1])
+    jac[-1] = size if size > 0.0 else 1.0
+    return numerical_rank(jac, tol)
+
+
 @dataclass(frozen=True, eq=False)
 class RankIncreaseCheck:
     rank_at_zero: int
@@ -95,12 +105,12 @@ def rank_increase_check(
     """
     if samples < 1:
         raise InputError("samples must be >= 1")
-    rank0 = numerical_rank(jacobian_at(prob, np.zeros(prob.n)), tol)
+    rank0 = jacobian_rank(prob, np.zeros(prob.n), tol)
     rng = np.random.default_rng(seed)
     max_rank = rank0
     worst = None
     for x in _normalized_rows(rng.standard_normal((samples, prob.n))):
-        r = numerical_rank(jacobian_at(prob, x), tol)
+        r = jacobian_rank(prob, x, tol)
         if r > max_rank:
             max_rank = r
             worst = x.copy()
@@ -190,7 +200,7 @@ def _rank3_point(prob: QuadProblem, tol: float) -> tuple[np.ndarray, int] | None
         yield from _normalized_rows(rng.standard_normal((5000, prob.n)))
 
     for x in candidates():
-        rank = numerical_rank(jacobian_at(prob, x), tol)
+        rank = jacobian_rank(prob, x, tol)
         if rank >= 3:
             return x, rank
     return None

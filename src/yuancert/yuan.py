@@ -87,10 +87,16 @@ def certificate_value(restricted: np.ndarray, weights) -> float:
 
 
 def witness_check(members, cone: FirstOrderCone, x, threshold: float) -> tuple[bool, np.ndarray]:
-    """Whether x lies in the cone (at 1e-8) with every form value x'A_i x of
-    the member stack, also returned, below the threshold."""
-    values = np.array([float(x @ m @ x) for m in members])
-    return cone_contains(cone, x, 1e-8) and bool((values < threshold).all()), values
+    """Whether x is a witness judged at unit length: 0 < x'x < inf, x/|x| lies in
+    the cone (at 1e-8) and every form value x'A_i x of the member stack, also
+    returned, is below threshold*x'x."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.array([float(x @ m @ x) for m in members])
+        length = float(x @ x)
+    if not 0.0 < length < np.inf:
+        return False, values
+    in_cone = cone_contains(cone, x, 1e-8 * math.sqrt(length))
+    return in_cone and bool((values < threshold * length).all()), values
 
 
 def _into_cone(x: np.ndarray, cone: FirstOrderCone) -> np.ndarray:

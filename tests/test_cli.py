@@ -607,6 +607,20 @@ class TestVerifyReport:
         report_path.write_text(json.dumps(report), encoding="utf-8")
         assert main(["verify-report", str(report_path), path]) == 4
 
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e12, 1e200])
+    def test_quad_hypothesis_at_any_member_scale(self, scale, tmp_path, capsys):
+        # the ray constant -1 is not on the members' scale: the rank-3 point
+        # must not depend on how far apart the two are
+        d = np.diag([1.0, -1.0])
+        mats = [scale * d, -scale * d, 0.1 * scale * np.diag([1.0, 0.0])]
+        path = write(tmp_path, "scaled.json", serialize_instance(QuadProblem(MatrixFamily(mats))))
+        assert main(["quad", path, "--json"]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["rank"] == 3
+        report_path = tmp_path / "report.json"
+        report_path.write_text(json.dumps(report), encoding="utf-8")
+        assert main(["verify-report", str(report_path), path]) == 0
+
     @pytest.mark.parametrize("rank", [None, 2])
     def test_family_hypothesis_report_needs_its_rank(self, example1, rank, tmp_path, capsys):
         # example1 has set rank 2, so no hypothesis report on it may verify
@@ -683,6 +697,31 @@ class TestVerifyReport:
         assert main(["verify-report", path, fam, "--cone", cone]) == 0
         forged = {"verdict": "refuted", "input_digest": report["input_digest"],
                   "witness": [1.0, 0.0, 0.0], "form_values": [-1.0, -2.0]}
+        assert self.verify(capsys, forged, path, fam, "--cone", cone)[0] == 4
+
+    @pytest.mark.parametrize("witness", [[1000.0, 0.0], [1.0, 0.0], [1e-200, 0.0],
+                                         [1e200, 0.0], [0.0, 0.0]])
+    def test_witness_judged_at_unit_length(self, witness, tmp_path, capsys):
+        # {-1e-10 I} certifies: every form value at a unit vector is -1e-10,
+        # above the threshold -1e-9, so no length of e1 refutes it
+        fam = write(tmp_path, "fam.json", family_doc(-1e-10 * np.eye(2)))
+        report, path = self.run_report(tmp_path, capsys, ["certify", fam], 0)
+        assert self.verify(capsys, report, path, fam)[0] == 0
+        forged = {"verdict": "refuted", "input_digest": report["input_digest"],
+                  "witness": witness}
+        code, out = self.verify(capsys, forged, path, fam)
+        assert code == 4
+        if witness[0] == 1000.0:
+            assert json.loads(out)["form_values"] == pytest.approx([-1e-10], rel=1e-12)
+
+    def test_short_witness_outside_cone_rejected(self, tmp_path, capsys):
+        # 1e-9 * e1 lies within 1e-8 of the cone e3, but e1 itself does not
+        fam = write(tmp_path, "fam.json", family_doc(np.diag([-1.0, -1.0, 1.0]),
+                                                     np.diag([-2.0, -1.0, 1.0])))
+        cone = write(tmp_path, "cone.json", serialize_cone(FirstOrderCone(3, [[0, 0, 1.0]])))
+        report, path = self.run_report(tmp_path, capsys, ["certify", fam, "--cone", cone], 0)
+        forged = {"verdict": "refuted", "input_digest": report["input_digest"],
+                  "witness": [1e-9, 0.0, 0.0]}
         assert self.verify(capsys, forged, path, fam, "--cone", cone)[0] == 4
 
     def test_refuted_report_verifies_at_its_tolerance(self, tmp_path, capsys):

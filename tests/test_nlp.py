@@ -33,9 +33,19 @@ def quad_data(family=None):
     return to_kkt(QuadProblem(family or family_one()))
 
 
-def reference_multiplier_vertices(data, tol=1e-9):
-    """Reference: the per-subset loop, one numerical_rank call per column subset;
-    the vertices as rows (lam, mu)."""
+def qr_solve(sub, rhs):
+    q, r = np.linalg.qr(sub)
+    return np.linalg.solve(r, q.T @ rhs)
+
+
+def lstsq_solve(sub, rhs):
+    return np.linalg.lstsq(sub, rhs, rcond=None)[0]
+
+
+def reference_multiplier_vertices(data, tol=1e-9, solve=qr_solve):
+    """Reference: the per-subset loop, one numerical_rank call and one `solve`
+    per column subset; the vertices as rows (lam, mu), in the order they
+    first appear among the subsets."""
     act = list(data.active)
     na = len(act)
     cols = [data.grad_h[i] for i in range(data.p1)] + [data.grad_g[i] for i in act]
@@ -56,8 +66,8 @@ def reference_multiplier_vertices(data, tol=1e-9):
         sub = mat[:, sel]
         if numerical_rank(sub, tol) < len(sel):
             continue
-        y, *_ = np.linalg.lstsq(sub, rhs, rcond=None)
-        if norm_max(sub @ y - rhs) > 1e-8 * scale:
+        y = solve(sub, rhs)
+        if not norm_max(sub @ y - rhs) <= 1e-8 * scale:
             continue
         if (y[data.p1:] < -1e-9).any():
             continue
@@ -67,7 +77,6 @@ def reference_multiplier_vertices(data, tol=1e-9):
         found.append(full)
     if not found:
         raise EmptyMultiplierSetError("stationarity system has no feasible basic solution")
-    found.sort(key=lambda v: tuple(v))
     unique = []
     for v in found:
         if all(norm_max(v - u) > 1e-8 for u in unique):
@@ -81,17 +90,29 @@ def reference_multiplier_vertices(data, tol=1e-9):
 
 
 def assert_same_vertices(data):
-    """multiplier_vertices equals the reference bit for bit, in order, or
-    both raise the same error."""
+    """multiplier_vertices equals the QR reference bit for bit, in order, and
+    the per-subset lstsq solve within 1e-9*(1 + |v|), in order; or all
+    three raise the same error."""
     try:
         want = reference_multiplier_vertices(data)
     except (EmptyMultiplierSetError, MfcqFailedError) as exc:
-        with pytest.raises(type(exc)):
-            multiplier_vertices(data)
+        for enumerate_vertices in (multiplier_vertices, lstsq_vertices):
+            with pytest.raises(type(exc)):
+                enumerate_vertices(data)
         return type(exc)
     got = multiplier_vertices(data)
     assert got.shape == want.shape and np.array_equal(got, want)
+    assert_close_vertices(got, lstsq_vertices(data))
     return len(got)
+
+
+def lstsq_vertices(data):
+    return reference_multiplier_vertices(data, solve=lstsq_solve)
+
+
+def assert_close_vertices(got, want):
+    assert got.shape == want.shape
+    assert (np.abs(got - want) <= 1e-9 * (1.0 + np.abs(want))).all()
 
 
 def stationarity_residual(data, row):
@@ -355,6 +376,32 @@ class TestVertexEnumerationReference:
         assert assert_same_vertices(KKTData(grad_f=[0.0, 0.0], **point)) == 1
         assert assert_same_vertices(KKTData(grad_f=[1.0, 0.0], **point)) \
             is EmptyMultiplierSetError
+
+    @pytest.mark.parametrize("r, na, count", [(3, 10, 38), (4, 12, 86), (5, 12, 88)])
+    def test_pointed_cone_points(self, r, na, count):
+        # MFCQ holds: every active gradient has component -1 along one direction
+        rng = np.random.default_rng(5)
+        n = r + 3
+        rotation = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        grads = np.zeros((na, n))
+        grads[:, 0] = -1.0
+        grads[:, 1:r] = rng.uniform(-1.0, 1.0, (na, r - 1))
+        grads = grads @ rotation.T
+        mu = rng.uniform(0.2, 1.5, na)
+        zero = np.zeros((n, n))
+        data = KKTData(grad_f=-(mu @ grads), hess_f=zero, grad_g=grads, hess_g=[zero] * na,
+                       active=range(na))
+        assert assert_same_vertices(data) == count
+
+    def test_no_lstsq_call(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("np.linalg.lstsq called")
+
+        monkeypatch.setattr(np.linalg, "lstsq", forbidden)
+        rng = np.random.default_rng(12)
+        for p1 in (0, 2):
+            data = degenerate_kkt_point(rng, 6, p1, [(2, 5), (1, 3)], sparse=True)
+            assert len(multiplier_vertices(data)) >= 2
 
     def test_dependent_equalities(self):
         rng = np.random.default_rng(9)

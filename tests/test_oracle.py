@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,28 @@ from yuancert import (
     sample_max_nonneg,
     simplex_grid_search,
 )
+from yuancert.oracle import _grid_weights
 
 FULL2 = FirstOrderCone.full(2)
+
+
+def itertools_grid(m, resolution):
+    """Reference: the stars-and-bars grid from itertools.combinations of the
+    bar positions, in combination order."""
+    if m == 1:
+        return np.ones((1, 1))
+    bars = np.array(list(itertools.combinations(range(resolution + m - 1), m - 1)), dtype=int)
+    bounds = np.hstack([np.full((len(bars), 1), -1), bars,
+                        np.full((len(bars), 1), resolution + m - 1)])
+    return (np.diff(bounds, axis=1) - 1) / float(resolution)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_grid_weights_equal_the_itertools_grid(m):
+    for resolution in range(1, 21):
+        want = itertools_grid(m, resolution)
+        got = _grid_weights(m, resolution)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestSampleMaxNonneg:

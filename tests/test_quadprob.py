@@ -15,6 +15,7 @@ from conftest import (
     to_kkt,
 )
 from yuancert import numeric_core, quadprob
+from yuancert.quadprob import jacobian_rank
 from yuancert import (
     InputError,
     MatrixFamily,
@@ -137,6 +138,15 @@ class TestJacobianAt:
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
             jacobian_at(QuadProblem(family_one()), [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-6, 1.0, 1e12, 1e300])
+    @pytest.mark.parametrize("ray", [-1.0, 1e-200, 1e200])
+    def test_rank_free_of_the_ray_constant_size(self, scale, ray):
+        d = np.diag([1.0, -1.0])
+        prob = QuadProblem(MatrixFamily([scale * d, -scale * d, 0.1 * scale * E11]), ray)
+        assert jacobian_rank(prob, np.ones(2)) == 3
+        assert jacobian_rank(prob, [1.0, 0.0]) == 2
+        assert jacobian_rank(prob, np.zeros(2)) == 1
 
 
 class TestRankIncreaseCheck:
@@ -335,9 +345,8 @@ class TestRank3Point:
         """The points `_rank3_point` tests, in order, with the rank reaching 3 only
         at candidate `hit`; the Jacobian is not formed."""
         seen = []
-        monkeypatch.setattr(quadprob, "jacobian_at", lambda prob, x: seen.append(x) or x)
-        monkeypatch.setattr(quadprob, "numerical_rank",
-                            lambda jac, tol: 3 if len(seen) - 1 == hit else 0)
+        monkeypatch.setattr(quadprob, "jacobian_rank", lambda prob, x, tol: seen.append(x)
+                            or (3 if len(seen) - 1 == hit else 0))
         found = quadprob._rank3_point(QuadProblem(MatrixFamily([np.eye(n)])), 1e-9)
         assert (found is None) == (hit is None)
         return seen
