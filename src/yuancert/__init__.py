@@ -42,7 +42,6 @@ from .numeric_core import (
 from .oracle import sample_max_nonneg, simplex_grid_search
 from .quadprob import (
     QuadProblem,
-    RankIncreaseCheck,
     extract_dependence,
     jacobian_at,
     jacobian_rank_reduce,
@@ -67,7 +66,6 @@ __all__ = [
     "NotInSpanError",
     "NumericalFailureError",
     "QuadProblem",
-    "RankIncreaseCheck",
     "UnboundedError",
     "certify_rank2",
     "check_mfcq",

@@ -6,12 +6,13 @@ the family lie on one line in matrix space (every triple admits an
 affine dependence A - C + delta*(B - C) = 0); symmetry of the members is
 essential. `quad_certificate` decides that condition exactly in one
 linear scan of triple extractions and then certifies through the rank-2
-machinery on the full space.
+machinery on the full space. Where it fails, `rank_increase_check` finds
+a point of Jacobian rank 3 among fixed candidates, with no random draw.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -29,9 +30,6 @@ from .numeric_core import (
 )
 from .yuan import certify_rank2
 
-_DEFAULT_SAMPLES = 1000
-_DEFAULT_SEED = 42
-
 
 class QuadProblem:
     """Constraint matrices, one MatrixFamily, plus the constant Jacobian bottom row.
@@ -40,7 +38,7 @@ class QuadProblem:
     values are allowed for rank experiments with the Jacobian map. The
     optimization pipeline requires symmetric members; general square
     members are accepted so the Jacobian rank of the symmetry
-    counterexample can be sampled.
+    counterexample can be scanned.
     """
 
     __slots__ = ("matrices", "ray_constant")
@@ -74,47 +72,34 @@ def jacobian_at(prob: QuadProblem, x) -> np.ndarray:
 
 
 def jacobian_rank(prob: QuadProblem, x, tol: float = DEFAULT_TOL) -> int:
-    """Numerical rank of the Jacobian at x, with its constant last row set to the
-    largest entry of the rows above it (1 where those vanish). Scaling a row
-    keeps the rank, and so the ray constant's size cannot decide it."""
-    jac = jacobian_at(prob, x)
+    """Numerical rank of the Jacobian at x judged at unit length (the rank is
+    constant along rays), with its constant last row set to the largest entry
+    of the rows above it (1 where those vanish). Scaling a row keeps the rank,
+    and so neither the size of x nor the ray constant's can decide it."""
+    x = np.asarray(x, dtype=float)
+    jac = jacobian_at(prob, _normalized_rows(x[None])[0] if x.ndim == 1 else x)
     size = norm_max(jac[:-1])
     jac[-1] = size if size > 0.0 else 1.0
     return numerical_rank(jac, tol)
 
 
-@dataclass(frozen=True, eq=False)
-class RankIncreaseCheck:
-    rank_at_zero: int
-    max_rank_observed: int
-    satisfied: bool
-    worst_x: np.ndarray | None
+def rank_increase_check(prob: QuadProblem, tol: float = DEFAULT_TOL) -> tuple | None:
+    """(x, rank) for the first unit candidate x where the Jacobian rank reaches 3,
+    else None: the normalized all-ones vector, each e_j, then each (e_j + e_k)/sqrt(2),
+    j < k, built only past all-ones. The rank is 1 + rank[(A_i - A_0)x]_i, whose
+    2x2 minors are quadratic forms in x, and a quadratic form vanishing at every
+    e_j and e_j + e_k vanishes everywhere; so the scan is exact for square members."""
+    def candidates():
+        yield np.ones(prob.n) / np.sqrt(prob.n)
+        eye = np.eye(prob.n)
+        yield from eye
+        yield from ((eye[j] + eye[k]) / np.sqrt(2.0) for j, k in combinations(range(prob.n), 2))
 
-
-def rank_increase_check(
-    prob: QuadProblem,
-    samples: int = _DEFAULT_SAMPLES,
-    seed: int = _DEFAULT_SEED,
-    tol: float = DEFAULT_TOL,
-) -> RankIncreaseCheck:
-    """Sampled test that the Jacobian rank exceeds the rank at 0 by at most 1.
-
-    Draws unit vectors (the rank is constant along rays). Sampling refutes
-    soundly and confirms heuristically; `jacobian_rank_reduce` decides the
-    exact condition, and no pipeline calls this cross-check.
-    """
-    if samples < 1:
-        raise InputError("samples must be >= 1")
-    rank0 = jacobian_rank(prob, np.zeros(prob.n), tol)
-    rng = np.random.default_rng(seed)
-    max_rank = rank0
-    worst = None
-    for x in _normalized_rows(rng.standard_normal((samples, prob.n))):
-        r = jacobian_rank(prob, x, tol)
-        if r > max_rank:
-            max_rank = r
-            worst = x.copy()
-    return RankIncreaseCheck(rank0, max_rank, max_rank <= rank0 + 1, worst)
+    for x in candidates():
+        rank = jacobian_rank(prob, x, tol)
+        if rank >= 3:
+            return x, rank
+    return None
 
 
 def extract_dependence(
@@ -161,9 +146,10 @@ def jacobian_rank_reduce(prob: QuadProblem, tol: float = DEFAULT_TOL) -> dict | 
     is tested once, as the triple (i, far, 0), all in one `_line_fit` pass:
     None when every triple is dependent, else the hypothesis_violated verdict
     record, whose reason names the first failing triple (sorted),
-    `triple_residual` is that triple's residual, and the witness is a sampled
-    point where the Jacobian rank reaches 3, its `rank` (one must exist, so a
-    fruitless search raises NumericalFailureError rather than guessing).
+    `triple_residual` is that triple's residual, and the witness is the
+    `rank_increase_check` point where the Jacobian rank reaches 3, with its
+    `rank` (one must exist, so a scan that finds none means the tolerances
+    disagree and raises NumericalFailureError rather than guessing).
     """
     if not prob.matrices.symmetric:
         raise InputError("the triple reduction requires symmetric matrices")
@@ -178,32 +164,16 @@ def jacobian_rank_reduce(prob: QuadProblem, tol: float = DEFAULT_TOL) -> dict | 
         return None
     first = int(np.argmax(failed))
     residual, triple = float(residuals[first]), tuple(sorted((0, far, int(others[first]))))
-    witness = _rank3_point(prob, tol)
+    witness = rank_increase_check(prob, tol)
     if witness is None:
+        bound = tol * (1.0 + norm_max(mats[list(triple)]))
         raise NumericalFailureError(
-            f"triple {triple} not dependent (residual {residual:.3e}) "
-            "but no rank-3 Jacobian point found in the sample budget"
-        )
+            f"premise scan: triple {triple} not dependent (residual {residual:.3e} > bound "
+            f"{bound:.3e}) yet no candidate reaches Jacobian rank 3; inconsistent tolerances")
     x, rank = witness
     return {"verdict": "hypothesis_violated", "residuals": {"triple_residual": residual},
             "reason": f"Jacobian rank reaches 3 away from the candidate point (triple {triple})",
             "rank": rank, "witness": x}
-
-
-def _rank3_point(prob: QuadProblem, tol: float) -> tuple[np.ndarray, int] | None:
-    """The first of 1 + 5,000 unit candidates where the Jacobian rank reaches 3,
-    with that rank: the normalized all-ones vector, then 5,000 normalized
-    Gaussian rows, drawn only if the search gets past the first candidate."""
-    def candidates():
-        yield np.ones(prob.n) / np.sqrt(prob.n)
-        rng = np.random.default_rng(_DEFAULT_SEED)
-        yield from _normalized_rows(rng.standard_normal((5000, prob.n)))
-
-    for x in candidates():
-        rank = jacobian_rank(prob, x, tol)
-        if rank >= 3:
-            return x, rank
-    return None
 
 
 def quad_certificate(prob: QuadProblem, tol: float = DEFAULT_TOL) -> dict:

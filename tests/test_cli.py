@@ -621,6 +621,38 @@ class TestVerifyReport:
         report_path.write_text(json.dumps(report), encoding="utf-8")
         assert main(["verify-report", str(report_path), path]) == 0
 
+    @pytest.mark.parametrize("witness, code", [([1e308, 1e308], 0), ([1e-320, 1e-320], 0),
+                                               ([0.0, 0.0], 4)])
+    def test_quad_hypothesis_witness_at_any_length(self, witness, code, tmp_path, capsys):
+        # the Jacobian rank is judged at unit length, so a genuine witness scaled to
+        # any nonzero length verifies with nothing on stderr, and the origin does not
+        d = np.diag([1.0, -1.0])
+        mats = [1e12 * d, -1e12 * d, 1e11 * np.diag([1.0, 0.0])]
+        path = write(tmp_path, "quad_1e12.json", serialize_instance(QuadProblem(MatrixFamily(mats))))
+        assert main(["quad", path, "--json"]) == 2
+        report = json.loads(capsys.readouterr().out)
+        report["witness"] = witness
+        report_path = tmp_path / "report.json"
+        report_path.write_text(json.dumps(report), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify-report", str(report_path), path, "--json"]) == code
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["rank"] == (3 if code == 0 else 1)
+
+    def test_quad_hypothesis_past_all_ones(self, tmp_path, capsys):
+        # {0, diag(1, -1), [[0, 1], [1, -2]]} has Jacobian rank 2 at the all-ones
+        # vector and 3 at e_1, the next candidate, which the report names
+        mats = [np.zeros((2, 2)), np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, -2.0]])]
+        path = write(tmp_path, "past_ones.json", serialize_instance(QuadProblem(MatrixFamily(mats))))
+        assert main(["quad", path, "--json"]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["witness"] == [1.0, 0.0] and report["rank"] == 3
+        report_path = tmp_path / "report.json"
+        report_path.write_text(json.dumps(report), encoding="utf-8")
+        assert main(["verify-report", str(report_path), path]) == 0
+
     @pytest.mark.parametrize("rank", [None, 2])
     def test_family_hypothesis_report_needs_its_rank(self, example1, rank, tmp_path, capsys):
         # example1 has set rank 2, so no hypothesis report on it may verify

@@ -18,6 +18,7 @@ from yuancert import numeric_core, quadprob
 from yuancert.quadprob import jacobian_rank
 from yuancert import (
     InputError,
+    NumericalFailureError,
     MatrixFamily,
     QuadProblem,
     check_mfcq,
@@ -123,11 +124,11 @@ class TestJacobianAt:
         assert numerical_rank(jac) == 2
 
     def test_counterexample_rank_stays_low(self):
-        # symmetry is essential: set rank 3 yet the Jacobian never exceeds 2
+        # symmetry is essential: set rank 3 yet the Jacobian never exceeds 2, which
+        # the candidate scan decides exactly for any square members
         prob = QuadProblem(counterexample_family(), ray_constant=1.0)
-        result = rank_increase_check(prob)
-        assert result.satisfied
-        assert result.max_rank_observed == 2
+        assert rank_increase_check(prob) is None
+        assert jacobian_rank(prob, np.ones(2)) == 2
 
     def test_single_member_null_direction(self):
         a = np.array([[1.0, 0.0], [0.0, 0.0]])
@@ -138,6 +139,18 @@ class TestJacobianAt:
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
             jacobian_at(QuadProblem(family_one()), [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("length", [1e-320, 1e-300, 1.0, 1e300, 1e308])
+    def test_rank_judged_at_unit_length(self, length):
+        # the rank is constant along rays, so the size of x cannot decide it, and no
+        # product A_i x overflows
+        d = np.diag([1.0, -1.0])
+        prob = QuadProblem(MatrixFamily([1e12 * d, -1e12 * d, 1e11 * E11]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert jacobian_rank(prob, [length, length]) == 3
+            assert jacobian_rank(prob, [length, 0.0]) == 2
+            assert jacobian_rank(prob, [0.0, 0.0]) == 1
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-6, 1.0, 1e12, 1e300])
     @pytest.mark.parametrize("ray", [-1.0, 1e-200, 1e200])
@@ -151,28 +164,51 @@ class TestJacobianAt:
 
 class TestRankIncreaseCheck:
     def test_family_one_satisfied(self):
-        result = rank_increase_check(QuadProblem(family_one()))
-        assert result.rank_at_zero == 1
-        assert result.max_rank_observed == 2
-        assert result.satisfied
+        prob = QuadProblem(family_one())
+        assert jacobian_rank(prob, np.zeros(2)) == 1
+        assert rank_increase_check(prob) is None
 
     def test_rank3_family_not_satisfied(self):
-        result = rank_increase_check(rank3_problem())
-        assert result.max_rank_observed == 3
-        assert not result.satisfied
+        prob = rank3_problem()
+        x, rank = rank_increase_check(prob)
+        assert rank == jacobian_rank(prob, x) == 3
 
     def test_example_two_not_satisfied(self):
         # set rank is 2 but the members are not collinear, so the Jacobian
         # rank reaches 3 away from the origin
-        result = rank_increase_check(QuadProblem(family_two()))
-        assert result.max_rank_observed == 3
-        assert not result.satisfied
+        prob = QuadProblem(family_two())
+        x, rank = rank_increase_check(prob)
+        assert rank == jacobian_rank(prob, x) == 3
 
-    def test_deterministic_per_seed(self):
-        prob = QuadProblem(family_one())
-        r1 = rank_increase_check(prob, samples=200, seed=7)
-        r2 = rank_increase_check(prob, samples=200, seed=7)
-        assert r1.max_rank_observed == r2.max_rank_observed
+    def test_point_past_all_ones(self):
+        # rank 2 at the all-ones vector, rank 3 at e_1: the scan goes on to e_1, and
+        # quad reports it
+        prob = QuadProblem(MatrixFamily([np.zeros((2, 2)), np.diag([1.0, -1.0]),
+                                         np.array([[0.0, 1.0], [1.0, -2.0]])]))
+        assert jacobian_rank(prob, np.ones(2)) == 2
+        x, rank = rank_increase_check(prob)
+        assert x.tolist() == [1.0, 0.0] and rank == 3
+        result = quad_certificate(prob)
+        assert result["witness"].tolist() == [1.0, 0.0] and result["rank"] == 3
+
+    @pytest.mark.parametrize("kind", sorted(SCAN_FAMILIES))
+    def test_exact_against_the_line_fit(self, kind):
+        # the candidates find a rank-3 point exactly when the line fit finds a
+        # failing triple, on both sides of the premise
+        rng = np.random.default_rng(100 + sorted(SCAN_FAMILIES).index(kind))
+        for _ in range(40):
+            n, m = int(rng.integers(2, 9)), int(rng.integers(3, 13))
+            prob = QuadProblem(SCAN_FAMILIES[kind](rng, n, m))
+            assert (rank_increase_check(prob) is None) == (jacobian_rank_reduce(prob) is None)
+
+    def test_fruitless_scan_is_a_numerical_failure(self, monkeypatch):
+        # a failing triple with no candidate at rank 3 means the two tolerances
+        # disagree; the message names the stage, the triple, its residual and bound
+        monkeypatch.setattr(quadprob, "jacobian_rank", lambda prob, x, tol: 2)
+        with pytest.raises(NumericalFailureError,
+                           match=r"premise scan: triple \(0, 1, 2\) not dependent "
+                                 r"\(residual 1\.000e\+00 > bound 2\.000e-09\)"):
+            jacobian_rank_reduce(rank3_problem())
 
 
 class TestExtractDependence:
@@ -337,36 +373,50 @@ class TestJacobianRankReduce:
 
 
 class TestRank3Point:
-    """The rank-3 search draws its Gaussian candidates only once it gets past the
-    all-ones vector, and they equal one (5000, n) draw bit for bit."""
+    """The rank-3 scan tests 1 + n(n+1)/2 unit points in a fixed order, and builds
+    the points after all-ones only once it gets past all-ones."""
 
     @staticmethod
     def candidates(monkeypatch, n: int, hit: int | None = None) -> list:
-        """The points `_rank3_point` tests, in order, with the rank reaching 3 only
-        at candidate `hit`; the Jacobian is not formed."""
+        """The points `rank_increase_check` tests, in order, with the rank reaching 3
+        only at candidate `hit`; the Jacobian is not formed."""
         seen = []
         monkeypatch.setattr(quadprob, "jacobian_rank", lambda prob, x, tol: seen.append(x)
                             or (3 if len(seen) - 1 == hit else 0))
-        found = quadprob._rank3_point(QuadProblem(MatrixFamily([np.eye(n)])), 1e-9)
+        found = rank_increase_check(QuadProblem(MatrixFamily([np.diag(np.ones(n))])), 1e-9)
         assert (found is None) == (hit is None)
         return seen
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_candidates_equal_one_draw(self, n, monkeypatch):
-        rng = np.random.default_rng(quadprob._DEFAULT_SEED)
-        want = [np.ones(n) / np.sqrt(n), *quadprob._normalized_rows(rng.standard_normal((5000, n)))]
+        # named for the Gaussian draw the fixed list replaced: the points tested
+        # equal, bit for bit, one list built in the stated order
+        eye = np.eye(n)
+        want = [np.ones(n) / np.sqrt(n), *eye,
+                *((eye[j] + eye[k]) / np.sqrt(2.0) for j in range(n) for k in range(j + 1, n))]
         got = self.candidates(monkeypatch, n)
-        assert len(got) == len(want) == 5001
+        assert len(got) == len(want) == 1 + n * (n + 1) // 2
         assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+        np.testing.assert_allclose(np.linalg.norm(got, axis=1), 1.0, rtol=1e-15)
 
-    @pytest.mark.parametrize("hit, rows", [(0, 0), (1, 5000)])
-    def test_draws_only_past_the_first_candidate(self, hit, rows, monkeypatch):
-        drawn = []
-        normalized = quadprob._normalized_rows
-        monkeypatch.setattr(quadprob, "_normalized_rows",
-                            lambda block: drawn.append(len(block)) or normalized(block))
-        assert len(self.candidates(monkeypatch, 4, hit)) == hit + 1
-        assert sum(drawn) == rows
+    @pytest.mark.parametrize("hit, eyes, pairs", [(0, 0, 0), (1, 1, 0), (4, 1, 0),
+                                                  (5, 1, 1), (None, 1, 1)])
+    def test_builds_only_past_the_hit(self, hit, eyes, pairs, monkeypatch):
+        built = {"eye": 0, "pairs": 0}
+        eye, combinations = np.eye, quadprob.combinations
+
+        def counted(name, make):
+            def wrapped(*args):
+                built[name] += 1
+                return make(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(np, "eye", counted("eye", eye))
+        monkeypatch.setattr(quadprob, "combinations", counted("pairs", combinations))
+        tested = self.candidates(monkeypatch, 4, hit)
+        assert len(tested) == (11 if hit is None else hit + 1)
+        assert built == {"eye": eyes, "pairs": pairs}
 
 
 class TestQuadCertificate:
