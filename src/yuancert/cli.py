@@ -115,15 +115,11 @@ def _cmd_verify_report(args, instance, cone, out) -> int:
         return EXIT_NUMERICAL
     # the forms the report is checked against; for a kkt instance, the Lagrangian
     # Hessians at the multiplier vertices, on the cone soc uses
-    rows = None
+    rows, forms = None, instance
     if isinstance(instance, KKTData):
         cone, rows, forms = vertex_hessians(instance, cone, args.tol)
-    elif isinstance(instance, QuadProblem):
-        if args.cone is not None:
-            raise InputError("quad decides on the full space and takes no --cone")
-        forms = instance.matrices
-    else:
-        forms = instance
+    elif isinstance(instance, QuadProblem) and args.cone is not None:
+        raise InputError("quad decides on the full space and takes no --cone")
     if verdict == "certified" and "weights" in stored:
         weights = _report_field(stored, "weights", (len(forms),))
         on_simplex = bool((weights >= 0.0).all()) and abs(float(weights.sum()) - 1.0) <= 1e-12
@@ -154,7 +150,7 @@ def _cmd_verify_report(args, instance, cone, out) -> int:
         out["margin"] = threshold - float(unit.max())
     elif verdict == "hypothesis_violated" and isinstance(instance, QuadProblem):
         # the premise fails where the Jacobian reaches rank 3, not where the set rank does
-        x = _report_field(stored, "witness", (instance.n,))
+        x = _report_field(stored, "witness", (instance.order,))
         out["rank"] = jacobian_rank(instance, x, args.tol)
         ok = out["rank"] >= 3 and stored.get("rank") == out["rank"]
     elif verdict == "hypothesis_violated":
@@ -294,7 +290,8 @@ def main(argv=None) -> int:
         args = _PARSER.parse_args(argv)
         command = _COMMANDS[args.command]
         instance = load_instance(args.input)
-        if command.kind is not None and not isinstance(instance, command.kind):
+        # by exact type: a QuadProblem is a MatrixFamily, yet `certify` does not read one
+        if command.kind is not None and type(instance) is not command.kind:
             raise InputError(f"{args.input}: expected a '{_KIND_NAMES[command.kind]}' instance")
         # kkt instances default to the critical cone's lineality space (vertex_hessians)
         cone = None

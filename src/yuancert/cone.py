@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputError
-from .numeric_core import _gram_schmidt, norm_max
+from .numeric_core import _gram_schmidt, _prescaled, norm_max
 
 _RAY_ABSORB_TOL = 1e-8
 
@@ -22,7 +22,8 @@ class FirstOrderCone:
 
     The subspace basis has orthonormal columns; the ray direction is unit
     and orthogonal to the subspace. A ray whose component orthogonal to
-    the subspace is smaller than 1e-8 is absorbed into the subspace.
+    the subspace is smaller than 1e-8 is absorbed into the subspace. Norms
+    are taken after an exact power-of-two scaling, so none overflows.
     """
 
     __slots__ = ("subspace", "ray")
@@ -37,8 +38,9 @@ class FirstOrderCone:
                 raise InputError(f"generator {k} must be a vector of length {ambient_dim}")
             if not np.isfinite(v).all():
                 raise InputError(f"generator {k} has non-finite entries")
+            (v,), _ = _prescaled(v[None])  # so its norm neither overflows nor underflows
             norm = float(np.linalg.norm(v))
-            if norm > 0.0:  # one of norm 0, also by underflow, adds nothing
+            if norm > 0.0:  # a zero generator adds nothing
                 rows.append(v)
                 limits.append(1e-10 * norm)  # it joins when its residual exceeds this
         _, qs = _gram_schmidt(rows, limits, ambient_dim)
@@ -50,6 +52,7 @@ class FirstOrderCone:
                 raise InputError(f"ray must be a vector of length {ambient_dim}")
             if not np.isfinite(r).all():
                 raise InputError("ray has non-finite entries")
+            (r,), _ = _prescaled(r[None])
             nr = float(np.linalg.norm(r))
             if nr == 0.0:
                 raise InputError("ray must be nonzero")

@@ -110,9 +110,12 @@ def parse_instance(document) -> MatrixFamily | KKTData | QuadProblem:
         if not isinstance(raw, list) or not raw:
             raise InputError("instance.matrices: expected a nonempty array")
         mats = [_symmetric(mat, f"instance.matrices[{i}]") for i, mat in enumerate(raw)]
+        # the gradients (A_i x; -1) of x'A_i x/2 <= z fix the optional field
         a = _number(document.get("ray_constant", -1.0), "instance.ray_constant")
+        if a != -1.0:
+            raise InputError(f"instance.ray_constant: expected -1, got {a!r}")
         try:
-            return QuadProblem(MatrixFamily(mats), a)
+            return QuadProblem(mats)
         except InputError as exc:
             raise InputError(f"instance: {exc}") from exc
     if kind == "kkt":

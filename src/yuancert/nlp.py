@@ -6,6 +6,18 @@ vertices of the multiplier polytope, assembles the Lagrangian Hessians
 at those vertices, and reduces the single-multiplier certificate to
 `certify_rank2` on that matrix family over a first-order subcone of the
 critical cone.
+
+Literal tolerances, each with the scale it is relative to (`tol` is
+relative throughout, to a normalized pivot or to `certify_rank2`'s scale):
+- activity |g_i| <= 1e-8 (ACTIVITY_TOL), absolute; the MFCQ optimum, a sum
+  of coefficients capped at 1, <= 1e-6, yet `lp_solve` pivots at an
+  absolute 1e-10 on the unscaled gradient entries;
+- vertex residual <= 1e-8*(1 + max|grad_f|); mu >= -1e-9 (then clamped) and
+  duplicates within 1e-8, both absolute in the multipliers;
+- criticality, one rule for the default cone and a given one: a unit v
+  leaves the critical cone when some row r of grad_h, active grad_g and
+  grad_f has |r.v| (r.v for a given ray and an active grad_g) above
+  1e-8*(1 + the rows' largest entry).
 """
 
 from __future__ import annotations
@@ -156,18 +168,15 @@ def check_mfcq(data: KKTData, tol: float = DEFAULT_TOL) -> bool:
     act = list(data.active)
     if not act:
         return True
-    na = len(act)
-    # variables: alpha (free), beta >= 0, slack >= 0
-    cols = [data.grad_h[i] for i in range(data.p1)] + [data.grad_g[i] for i in act]
-    a_top = np.column_stack(cols) if cols else np.zeros((data.n, 0))
-    a_top = np.hstack([a_top, np.zeros((data.n, 1))])
-    a_bot = np.concatenate([np.zeros(data.p1), np.ones(na), np.ones(1)])[None, :]
-    a_eq = np.vstack([a_top, a_bot])
-    b_eq = np.concatenate([np.zeros(data.n), [1.0]])
-    c = np.concatenate([np.zeros(data.p1), np.ones(na), [0.0]])
-    mask = np.concatenate([np.zeros(data.p1, dtype=bool), np.ones(na + 1, dtype=bool)])
+    # variables, all >= 0: each free alpha_i as the adjacent columns alpha_i+ and
+    # alpha_i-, then beta and a slack; the last row caps sum(beta) + slack at 1
+    split = np.repeat(data.grad_h, 2, axis=0)
+    split[1::2] *= -1.0
+    c = np.concatenate([np.zeros(2 * data.p1), np.ones(len(act)), [0.0]])
+    cols = np.vstack([split, data.grad_g[act], np.zeros((1, data.n))])
+    a_eq = np.vstack([cols.T, np.append(c[:-1], 1.0)])  # the cap row: 1 on beta and the slack
     try:
-        optimum, _ = lp_solve(c, a_eq, b_eq, mask)
+        optimum, _ = lp_solve(c, a_eq, np.append(np.zeros(data.n), 1.0))
     except Exception as exc:  # the LP is feasible and bounded by construction
         raise NumericalFailureError(f"MFCQ linear program failed: {exc}") from exc
     return optimum <= 1e-6
@@ -183,10 +192,8 @@ def multiplier_vertices(data: KKTData, tol: float = DEFAULT_TOL) -> np.ndarray:
     support always extends through them, and subsets omitting one can
     only produce non-extreme points. The subsets are rank-tested in
     stacked blocks of _BLOCK, and the full-rank ones of a block are solved
-    together by one stacked QR factorization. Solutions are filtered for a
-    finite residual within 1e-8 of scale and mu >= -1e-9 (then clamped),
-    and deduplicated at 1e-8, in the order they first appear among the
-    subsets.
+    together by one stacked QR factorization. Solutions are filtered and
+    deduplicated (module tolerances) in the order of their subsets.
     """
     act = list(data.active)
     na = len(act)
@@ -234,17 +241,19 @@ def multiplier_vertices(data: KKTData, tol: float = DEFAULT_TOL) -> np.ndarray:
     return rows
 
 
-def critical_cone_lineality(data: KKTData) -> np.ndarray:
-    """Orthonormal basis of the lineality space of the critical cone.
-
-    The null space of the rows {grad_h_i (all i), grad_g_i (i active),
-    grad_f}, computed through the eigendecomposition of the Gram matrix.
-    """
+def _critical_rows(data: KKTData) -> tuple[np.ndarray, float]:
+    """The rows grad_h, active grad_g and grad_f, and the criticality bound on |row.v|."""
     rows = np.vstack([data.grad_h, data.grad_g[list(data.active)], data.grad_f[None, :]])
+    return rows, 1e-8 * (1.0 + norm_max(rows))
+
+
+def critical_cone_lineality(data: KKTData) -> np.ndarray:
+    """Orthonormal basis of the lineality space of the critical cone: the
+    eigenvectors of the rows' Gram matrix that pass the `_critical_rows` rule."""
+    rows, bound = _critical_rows(data)
     gram = rows.T @ rows
-    vals, basis = sym_eigen(0.5 * (gram + gram.T))
-    thresh = 1e-12 * (1.0 + norm_max(gram))
-    return np.array(basis[:, vals <= thresh])
+    _, basis = sym_eigen(0.5 * (gram + gram.T))
+    return np.array(basis[:, np.abs(rows @ basis).max(axis=0) <= bound])
 
 
 def recombine(rows: np.ndarray, weights, p1: int) -> np.ndarray:
@@ -271,18 +280,16 @@ def vertex_hessians(
     elif cone.ambient_dim != data.n:
         raise InputError("cone ambient dimension does not match the problem")
     else:
-        rows_eq = np.vstack([data.grad_h, data.grad_f[None, :]])
-        rows_ineq = data.grad_g[list(data.active)]
-        scale = 1.0 + max(norm_max(rows_eq), norm_max(rows_ineq) if rows_ineq.size else 0.0)
-        ctol = 1e-8 * scale
-        for j in range(cone.subspace_dim):
-            v = cone.subspace[:, j]
-            if norm_max(rows_eq @ v) > ctol or (rows_ineq.size and norm_max(rows_ineq @ v) > ctol):
-                raise ConeNotCriticalError("cone subspace leaves the critical cone")
-        if cone.ray is not None and norm_max(rows_eq @ cone.ray) > ctol:
-            raise ConeNotCriticalError("cone ray leaves the critical cone")
-        if cone.ray is not None and rows_ineq.size and (rows_ineq @ cone.ray > ctol).any():
-            raise ConeNotCriticalError("cone ray violates an active inequality")
+        rows, bound = _critical_rows(data)
+        if (np.abs(rows @ cone.subspace) > bound).any():
+            raise ConeNotCriticalError("cone subspace leaves the critical cone")
+        if cone.ray is not None:
+            # the ray may point into an active inequality (rows p1 to -1), not out of it
+            along = rows @ cone.ray
+            if max(norm_max(along[: data.p1]), abs(along[-1])) > bound:
+                raise ConeNotCriticalError("cone ray leaves the critical cone")
+            if (along[data.p1:-1] > bound).any():
+                raise ConeNotCriticalError("cone ray violates an active inequality")
     rows = multiplier_vertices(data, tol)
     return cone, rows, MatrixFamily(_hessian_stack(data, rows))
 

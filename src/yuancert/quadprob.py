@@ -1,6 +1,6 @@
 """Quadratically-constrained problem class: minimize z s.t. x'A_i x/2 <= z.
 
-The constraint Jacobian at a point x has columns (A_i x; a). The rank of
+The constraint Jacobian at a point x has columns (A_i x; -1). The rank of
 that Jacobian stays at most 2 for every x exactly when all members of
 the family lie on one line in matrix space (every triple admits an
 affine dependence A - C + delta*(B - C) = 0); symmetry of the members is
@@ -31,51 +31,31 @@ from .numeric_core import (
 from .yuan import certify_rank2
 
 
-class QuadProblem:
-    """Constraint matrices, one MatrixFamily, plus the constant Jacobian bottom row.
+class QuadProblem(MatrixFamily):
+    """The constraint matrices A_i of min z s.t. x'A_i x/2 <= z, as a MatrixFamily.
 
-    ray_constant is -1 for the optimization problem itself; other nonzero
-    values are allowed for rank experiments with the Jacobian map. The
-    optimization pipeline requires symmetric members; general square
-    members are accepted so the Jacobian rank of the symmetry
-    counterexample can be scanned.
+    Each constraint gradient is (A_i x; -1), so the Jacobian's constant row
+    is the problem's own. The optimization pipeline requires symmetric
+    members; general square members are accepted so the Jacobian rank of
+    the symmetry counterexample can be scanned.
     """
 
-    __slots__ = ("matrices", "ray_constant")
-
-    def __init__(self, matrices: MatrixFamily, ray_constant: float = -1.0) -> None:
-        a = float(ray_constant)
-        if a == 0.0 or not np.isfinite(a):
-            raise InputError("ray constant must be nonzero and finite")
-        object.__setattr__(self, "matrices", matrices)
-        object.__setattr__(self, "ray_constant", a)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuadProblem is immutable")
-
-    @property
-    def n(self) -> int:
-        return self.matrices.order
-
-    @property
-    def m(self) -> int:
-        return len(self.matrices)
+    __slots__ = ()
 
 
 def jacobian_at(prob: QuadProblem, x) -> np.ndarray:
-    """(n+1) x m matrix with columns (A_i x; a)."""
+    """(n+1) x m matrix with columns (A_i x; -1)."""
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size != prob.n:
-        raise InputError(f"vector of length {prob.n} expected")
-    cols = [np.append(mat @ x, prob.ray_constant) for mat in prob.matrices.members]
-    return np.column_stack(cols)
+    if x.ndim != 1 or x.size != prob.order:
+        raise InputError(f"vector of length {prob.order} expected")
+    return np.column_stack([np.append(mat @ x, -1.0) for mat in prob.members])
 
 
 def jacobian_rank(prob: QuadProblem, x, tol: float = DEFAULT_TOL) -> int:
     """Numerical rank of the Jacobian at x judged at unit length (the rank is
     constant along rays), with its constant last row set to the largest entry
     of the rows above it (1 where those vanish). Scaling a row keeps the rank,
-    and so neither the size of x nor the ray constant's can decide it."""
+    and so neither the size of x nor that of the constant -1 can decide it."""
     x = np.asarray(x, dtype=float)
     jac = jacobian_at(prob, _normalized_rows(x[None])[0] if x.ndim == 1 else x)
     size = norm_max(jac[:-1])
@@ -90,10 +70,10 @@ def rank_increase_check(prob: QuadProblem, tol: float = DEFAULT_TOL) -> tuple | 
     2x2 minors are quadratic forms in x, and a quadratic form vanishing at every
     e_j and e_j + e_k vanishes everywhere; so the scan is exact for square members."""
     def candidates():
-        yield np.ones(prob.n) / np.sqrt(prob.n)
-        eye = np.eye(prob.n)
+        yield np.ones(prob.order) / np.sqrt(prob.order)
+        eye = np.eye(prob.order)
         yield from eye
-        yield from ((eye[j] + eye[k]) / np.sqrt(2.0) for j, k in combinations(range(prob.n), 2))
+        yield from ((eye[j] + eye[k]) / np.sqrt(2.0) for j, k in combinations(range(len(eye)), 2))
 
     for x in candidates():
         rank = jacobian_rank(prob, x, tol)
@@ -151,14 +131,14 @@ def jacobian_rank_reduce(prob: QuadProblem, tol: float = DEFAULT_TOL) -> dict | 
     `rank` (one must exist, so a scan that finds none means the tolerances
     disagree and raises NumericalFailureError rather than guessing).
     """
-    if not prob.matrices.symmetric:
+    if not prob.symmetric:
         raise InputError("the triple reduction requires symmetric matrices")
-    mats = prob.matrices.members
+    mats = prob.members
     gaps = np.abs(0.5 * mats - 0.5 * mats[0]).max(axis=(1, 2))  # halves cannot overflow
     far = int(np.argmax(gaps))
     if gaps[far] <= 0.5 * tol * (1.0 + norm_max(mats)):
         return None
-    others = np.delete(np.arange(1, prob.m), far - 1)
+    others = np.delete(np.arange(1, len(prob)), far - 1)
     _, residuals, failed = _line_fit(mats[others], mats[far], mats[0], tol)
     if not failed.any():
         return None
@@ -186,12 +166,10 @@ def quad_certificate(prob: QuadProblem, tol: float = DEFAULT_TOL) -> dict:
     family); dependent triples bound the set rank by 2, so a rank above 2
     there means the two tests' tolerances disagree.
     """
-    if prob.ray_constant != -1.0:
-        raise InputError("the optimization pipeline requires ray constant -1")
     violated = jacobian_rank_reduce(prob, tol)
     if violated is not None:
         return violated
-    record = certify_rank2(prob.matrices, FirstOrderCone.full(prob.n), tol)
+    record = certify_rank2(prob, FirstOrderCone.full(prob.order), tol)
     if record["verdict"] == "hypothesis_violated":
         raise NumericalFailureError(
             f"all triples dependent yet set rank {record['rank']}; inconsistent tolerances"

@@ -177,37 +177,37 @@ def degenerate_kkt_point(rng: np.random.Generator, n: int, p1: int, blocks, *,
 
 
 def to_kkt(prob: QuadProblem) -> KKTData:
-    """KKT data of the epigraph problem of `prob` (ray constant -1) at the origin.
+    """KKT data of the epigraph problem of `prob` at the origin.
 
     Variables (x, z) with objective gradient (0, 1); every constraint is
     active with gradient (0, -1) and Hessian blockdiag(A_i, 0). The `soc`
     route on this data must agree with `quad_certificate` on `prob`.
     """
-    n, m = prob.n, prob.m
+    n, m = prob.order, len(prob)
     grad_f = np.zeros(n + 1)
     grad_f[n] = 1.0
     grad_g = np.zeros((m, n + 1))
     grad_g[:, n] = -1.0
     hess_g = np.zeros((m, n + 1, n + 1))
-    hess_g[:, :n, :n] = prob.matrices.members
+    hess_g[:, :n, :n] = prob.members
     return KKTData(grad_f=grad_f, hess_f=np.zeros((n + 1, n + 1)), grad_g=grad_g,
                    hess_g=hess_g, g_values=np.zeros(m))
 
 
 def serialize_instance(instance: MatrixFamily | KKTData | QuadProblem) -> dict:
     """The instance document that parses back to `instance`."""
+    if isinstance(instance, QuadProblem):
+        return {
+            "schema_version": SCHEMA_VERSION,
+            "kind": "quadprob",
+            "matrices": [mat.tolist() for mat in instance.members],
+            "ray_constant": -1.0,
+        }
     if isinstance(instance, MatrixFamily):
         return {
             "schema_version": SCHEMA_VERSION,
             "kind": "family",
             "matrices": [mat.tolist() for mat in instance.members],
-        }
-    if isinstance(instance, QuadProblem):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "quadprob",
-            "matrices": [mat.tolist() for mat in instance.matrices.members],
-            "ray_constant": instance.ray_constant,
         }
     data = instance
     out = {

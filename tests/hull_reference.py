@@ -216,8 +216,7 @@ def _recover_weights(coords: np.ndarray, target: np.ndarray) -> np.ndarray:
     a_eq = np.vstack([a_eq, np.concatenate([np.ones(m), np.zeros(2 * d)])])
     b_eq = np.concatenate([target, [1.0]])
     c = np.concatenate([np.zeros(m), -np.ones(2 * d)])
-    mask = np.ones(m + 2 * d, dtype=bool)
-    optimum, solution = lp_solve(c, a_eq, b_eq, mask)
+    optimum, solution = lp_solve(c, a_eq, b_eq)
     error = -optimum
     if error > 1e-6 * (1.0 + norm_max(target)):
         raise NumericalFailureError(

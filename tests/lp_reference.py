@@ -16,30 +16,19 @@ _COST_TOL = 1e-9
 _RATIO_TIE_TOL = 1e-9
 
 
-def loop_lp_solve(c, a_eq, b_eq, nonneg_mask) -> tuple[float, np.ndarray]:
+def loop_lp_solve(c, a_eq, b_eq) -> tuple[float, np.ndarray]:
     """`lp_solve` pivoting row by row, with the entering column found by a Python loop."""
     c = np.asarray(c, dtype=float)
     a = np.atleast_2d(np.asarray(a_eq, dtype=float))
     b = np.asarray(b_eq, dtype=float)
-    mask = np.asarray(nonneg_mask, dtype=bool)
-    if c.ndim != 1 or b.ndim != 1 or a.shape != (b.size, c.size) or mask.shape != c.shape:
+    if c.ndim != 1 or b.ndim != 1 or a.shape != (b.size, c.size):
         raise InputError("inconsistent linear program dimensions")
     if not (np.isfinite(c).all() and np.isfinite(a).all() and np.isfinite(b).all()):
         raise InputError("linear program has non-finite data")
 
-    # split free variables into y = y+ - y-
-    cols, costs, col_map = [], [], []
-    for j in range(c.size):
-        cols.append(a[:, j])
-        costs.append(c[j])
-        col_map.append((j, 1.0))
-        if not mask[j]:
-            cols.append(-a[:, j])
-            costs.append(-c[j])
-            col_map.append((j, -1.0))
-    nv = len(cols)
+    nv = c.size
     m = b.size
-    tableau = np.column_stack(cols) if nv else np.zeros((m, 0))
+    tableau = a.copy()
     rhs = b.copy()
     flip = rhs < 0.0
     tableau[flip] *= -1.0
@@ -105,12 +94,8 @@ def loop_lp_solve(c, a_eq, b_eq, nonneg_mask) -> tuple[float, np.ndarray]:
     rhs = rhs[keep_rows]
     basis = [basis[i] for i in keep_rows]
 
-    cost2 = np.asarray(costs, dtype=float)
-    run(cost2)
+    run(c)
 
-    y_split = np.zeros(nv)
-    y_split[basis] = rhs
-    y = np.zeros(c.size)
-    for (j, sign), val in zip(col_map, y_split):
-        y[j] += sign * val
+    y = np.zeros(nv)
+    y[basis] = rhs
     return float(c @ y), y

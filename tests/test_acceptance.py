@@ -117,7 +117,7 @@ def test_criterion_3_counterexample(capsys):
     with Stopwatch() as clock:
         rank = matrix_set_rank(counterexample_family()).rank
         ok = rank == 3
-        prob = QuadProblem(counterexample_family(), ray_constant=1.0)
+        prob = QuadProblem(counterexample_family().members)
         rng = np.random.default_rng(42)
         max_jac = 0
         for _ in range(1000):
@@ -134,7 +134,7 @@ def test_criterion_3_counterexample(capsys):
 
 def test_criterion_4_quadratic_pipeline(capsys):
     with Stopwatch() as clock:
-        prob = QuadProblem(family_one())
+        prob = QuadProblem(family_one().members)
         data = to_kkt(prob)
         vertices = multiplier_vertices(data)
         got = sorted(tuple(np.round(row, 8)) for row in vertices)  # p1 = 0: the rows are mu

@@ -62,7 +62,7 @@ class TestRoundTrip:
         assert np.array_equal(parsed.members[0], again.members[0])
 
     def test_kkt(self):
-        data = to_kkt(QuadProblem(MatrixFamily([EX1_A1, EX1_A2, EX1_A3])))
+        data = to_kkt(QuadProblem([EX1_A1, EX1_A2, EX1_A3]))
         doc = serialize_instance(data)
         parsed = parse_instance(doc)
         again = parse_instance(serialize_instance(parsed))
@@ -71,12 +71,11 @@ class TestRoundTrip:
         assert np.array_equal(parsed.hessians, again.hessians)
 
     def test_quadprob(self):
-        doc = serialize_instance(QuadProblem(MatrixFamily([EX1_A1, EX1_A2])))
+        doc = serialize_instance(QuadProblem([EX1_A1, EX1_A2]))
         parsed = parse_instance(doc)
         again = parse_instance(serialize_instance(parsed))
-        assert parsed.ray_constant == again.ray_constant
-        for a, b in zip(parsed.matrices.members, again.matrices.members):
-            assert np.array_equal(a, b)
+        assert type(parsed) is type(again) is QuadProblem
+        assert np.array_equal(parsed.members, again.members)
 
     def test_cone(self):
         cone = FirstOrderCone(3, [[1.0, 0.0, 0.0]], ray=[0.0, 1.0, 0.0])
@@ -129,7 +128,7 @@ class TestParsing:
         quad = parse_instance({"schema_version": "1", "kind": "quadprob", "matrices": [near]})
         kkt = parse_instance({"schema_version": "1", "kind": "kkt", "grad_f": [0.0, 0.0],
                               "hess_f": near, "hess_h": [near], "grad_h": [[1.0, 0.0]]})
-        for entries in (quad.matrices.members[0], *kkt.hessians):
+        for entries in (quad.members[0], *kkt.hessians):
             assert entries.tolist() == [[1.0, 0.5], [0.5, 2.0]]
 
 
@@ -164,7 +163,7 @@ class TestNumberArrays:
 
 
 def kkt_example_doc() -> dict:
-    return serialize_instance(to_kkt(QuadProblem(MatrixFamily([EX1_A1, EX1_A2, EX1_A3]))))
+    return serialize_instance(to_kkt(QuadProblem([EX1_A1, EX1_A2, EX1_A3])))
 
 
 @pytest.mark.parametrize("value", [3, 0, "", {}], ids=["three", "zero", "empty_string", "object"])
@@ -307,7 +306,7 @@ class TestCommands:
         assert main(["certify", fam, "--cone", cone]) == 0
 
     def test_soc_and_vertices(self, tmp_path, capsys):
-        data = to_kkt(QuadProblem(MatrixFamily([EX1_A1, EX1_A2, EX1_A3])))
+        data = to_kkt(QuadProblem([EX1_A1, EX1_A2, EX1_A3]))
         path = write(tmp_path, "kkt.json", serialize_instance(data))
         assert main(["vertices", path, "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
@@ -436,7 +435,7 @@ class TestCommands:
             assert 0.0 <= margin < 1e-12
 
     def test_quad_pipeline(self, tmp_path, capsys):
-        doc = serialize_instance(QuadProblem(MatrixFamily([EX1_A1, EX1_A2, EX1_A3])))
+        doc = serialize_instance(QuadProblem([EX1_A1, EX1_A2, EX1_A3]))
         path = write(tmp_path, "quad.json", doc)
         assert main(["quad", path, "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
@@ -596,7 +595,7 @@ class TestVerifyReport:
         # planar non-collinear family: set rank 2, Jacobian rank 3 at the witness
         c, d = np.array(EX2_A1), np.array(EX2_A2)
         mats = [c, d, c + d, 0.5 * c + 1.2 * d]
-        path = write(tmp_path, "planar.json", serialize_instance(QuadProblem(MatrixFamily(mats))))
+        path = write(tmp_path, "planar.json", serialize_instance(QuadProblem(mats)))
         assert main(["quad", path, "--json"]) == 2
         report = json.loads(capsys.readouterr().out)
         report_path = tmp_path / "report.json"
@@ -613,7 +612,7 @@ class TestVerifyReport:
         # must not depend on how far apart the two are
         d = np.diag([1.0, -1.0])
         mats = [scale * d, -scale * d, 0.1 * scale * np.diag([1.0, 0.0])]
-        path = write(tmp_path, "scaled.json", serialize_instance(QuadProblem(MatrixFamily(mats))))
+        path = write(tmp_path, "scaled.json", serialize_instance(QuadProblem(mats)))
         assert main(["quad", path, "--json"]) == 2
         report = json.loads(capsys.readouterr().out)
         assert report["rank"] == 3
@@ -628,7 +627,7 @@ class TestVerifyReport:
         # any nonzero length verifies with nothing on stderr, and the origin does not
         d = np.diag([1.0, -1.0])
         mats = [1e12 * d, -1e12 * d, 1e11 * np.diag([1.0, 0.0])]
-        path = write(tmp_path, "quad_1e12.json", serialize_instance(QuadProblem(MatrixFamily(mats))))
+        path = write(tmp_path, "quad_1e12.json", serialize_instance(QuadProblem(mats)))
         assert main(["quad", path, "--json"]) == 2
         report = json.loads(capsys.readouterr().out)
         report["witness"] = witness
@@ -645,13 +644,45 @@ class TestVerifyReport:
         # {0, diag(1, -1), [[0, 1], [1, -2]]} has Jacobian rank 2 at the all-ones
         # vector and 3 at e_1, the next candidate, which the report names
         mats = [np.zeros((2, 2)), np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, -2.0]])]
-        path = write(tmp_path, "past_ones.json", serialize_instance(QuadProblem(MatrixFamily(mats))))
+        path = write(tmp_path, "past_ones.json", serialize_instance(QuadProblem(mats)))
         assert main(["quad", path, "--json"]) == 2
         report = json.loads(capsys.readouterr().out)
         assert report["witness"] == [1.0, 0.0] and report["rank"] == 3
         report_path = tmp_path / "report.json"
         report_path.write_text(json.dumps(report), encoding="utf-8")
         assert main(["verify-report", str(report_path), path]) == 0
+
+    def test_overflowing_cone_ray_refutes(self, tmp_path, capsys):
+        # the ray [1, 1e308] is the direction [1e-308, 1]; when its norm overflowed,
+        # the cone collapsed to {0} and a certificate on it verified
+        path = write(tmp_path, "neg.json", family_doc(-np.eye(2)))
+        cone = write(tmp_path, "ray.json", {"schema_version": "1", "kind": "cone",
+                                            "ambient_dim": 2, "ray": [1.0, 1e308]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["certify", path, "--cone", cone, "--json"]) == 1
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            report = json.loads(captured.out)
+            assert report["witness"] == [1e-308, 1.0]
+            report_path = tmp_path / "report.json"
+            report_path.write_text(json.dumps(report), encoding="utf-8")
+            assert main(["verify-report", str(report_path), path, "--cone", cone]) == 0
+            # the certificate the collapsed cone gave
+            report = {"verdict": "certified", "input_digest": report["input_digest"],
+                      "weights": [1.0], "lambda_min": 0.0}
+            report_path.write_text(json.dumps(report), encoding="utf-8")
+            assert main(["verify-report", str(report_path), path, "--cone", cone]) == 4
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", ["quad", "verify-report"])
+    def test_quad_ray_constant_other_than_minus_one(self, command, tmp_path, capsys):
+        # the gradients (A_i x; -1) fix the constant, so the parser names any other
+        doc = {**serialize_instance(QuadProblem([EX1_A1, EX1_A2, EX1_A3])), "ray_constant": 2.0}
+        path = write(tmp_path, "quad2.json", doc)
+        assert main([command, *([path] if command == "verify-report" else []), path]) == 3
+        assert capsys.readouterr().err == (
+            "input error: instance.ray_constant: expected -1, got 2.0\n")
 
     @pytest.mark.parametrize("rank", [None, 2])
     def test_family_hypothesis_report_needs_its_rank(self, example1, rank, tmp_path, capsys):
@@ -767,7 +798,7 @@ class TestVerifyReport:
         # quad decides on the full space, so a cone may not relax its check:
         # weights (1, 0) are PSD on e1 only
         quad = write(tmp_path, "quad.json", serialize_instance(
-            QuadProblem(MatrixFamily([np.diag([1.0, -1.0]), np.diag([-1.0, 1.0])]))))
+            QuadProblem([np.diag([1.0, -1.0]), np.diag([-1.0, 1.0])])))
         cone = write(tmp_path, "cone.json", serialize_cone(FirstOrderCone(2, [[1.0, 0.0]])))
         report, path = self.run_report(tmp_path, capsys, ["quad", quad], 0)
         assert report["weights"] == [0.5, 0.5]
@@ -779,7 +810,7 @@ class TestVerifyReport:
 
     @staticmethod
     def kkt_of(tmp_path, name, *matrices):
-        data = to_kkt(QuadProblem(MatrixFamily(matrices)))
+        data = to_kkt(QuadProblem(matrices))
         return write(tmp_path, name, serialize_instance(data))
 
     def verdict_cases(self, kind, tmp_path):
@@ -793,7 +824,7 @@ class TestVerifyReport:
         if kind == "quad":
             c, d = np.array(EX2_A1), np.array(EX2_A2)
             planar = write(tmp_path, "planar.json", serialize_instance(
-                QuadProblem(MatrixFamily([c, d, c + d, 0.5 * c + 1.2 * d]))))
+                QuadProblem([c, d, c + d, 0.5 * c + 1.2 * d])))
             return [("quad", str(INSTANCES / "quad_example1.json"), 0), ("quad", planar, 2)]
         return [("soc", str(INSTANCES / "kkt_example1.json"), 0),
                 ("soc", self.kkt_of(tmp_path, "refuted.json", EX2_A1, EX2_A2), 1),
@@ -875,7 +906,7 @@ class TestReportShape:
                          family_doc(np.diag([1.0, -1.0]), np.diag([-1.0, 1.0])))
         if name == "quad2":
             return write(tmp_path, "quad2.json",
-                         serialize_instance(QuadProblem(MatrixFamily([EX2_A1, EX2_A2, EX2_A3]))))
+                         serialize_instance(QuadProblem([EX2_A1, EX2_A2, EX2_A3])))
         return str(INSTANCES / name)
 
     @pytest.mark.parametrize("case", sorted(CASES))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -100,13 +101,36 @@ class TestFirstOrderCone:
             capped += want.shape[1] == n < len(rows)
         assert dropped > 300 and capped > 50
 
-    def test_generator_of_underflowing_norm_dropped_as_zero(self):
-        # the norm of the second generator underflows to 0, but its residual
-        # after the first one does not; it adds nothing, as a zero generator
+    def test_generator_of_underflowing_norm_joins(self):
+        # the norm of the second generator underflows to 0 as written; divided by
+        # the power of two of its largest entry it is the generator of mantissas,
+        # which joins bit for bit as in the reference
         gens = [[1.0, 1.0, 1.0, -1.0], [1.5e-162] * 4]
-        subspace = FirstOrderCone(4, gens).subspace
-        assert subspace.shape == (4, 1)
-        assert subspace.tobytes() == reference_orthonormalize(gens, 4).tobytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            subspace = FirstOrderCone(4, gens).subspace
+        assert subspace.shape == (4, 2)
+        mantissas = [gens[0], np.frexp(gens[1])[0]]
+        assert subspace.tobytes() == reference_orthonormalize(mantissas, 4).tobytes()
+
+    @pytest.mark.parametrize("ray", [[1.0, 1e308], [1e-308, 1.0], [5e-324, 1e-300]],
+                             ids=["huge", "unit", "subnormal"])
+    def test_ray_norm_neither_overflows_nor_underflows(self, ray):
+        # one direction at three scales: a norm that overflowed to inf made the
+        # ray 0, so it was absorbed and the cone collapsed to {0}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cone = FirstOrderCone(2, (), ray=ray)
+        assert cone.span_dim == 1
+        assert cone.ray[1] == 1.0 and 0.0 <= cone.ray[0] <= 1e-16
+
+    def test_generator_of_overflowing_norm_kept(self):
+        # [1e300, -1.49] spans the subspace, and the ray [0, 5e-324] off it is kept
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cone = FirstOrderCone(2, [[1e300, -1.49]], ray=[-0.0, 5e-324])
+        assert cone.subspace_dim == 1 and cone.span_dim == 2
+        np.testing.assert_allclose(cone.subspace[:, 0], [1.0, -1.49e-300], rtol=1e-15)
 
     def test_zero_ray_rejected(self):
         with pytest.raises(InputError):

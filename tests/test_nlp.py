@@ -30,7 +30,7 @@ from yuancert import (
 
 
 def quad_data(family=None):
-    return to_kkt(QuadProblem(family or family_one()))
+    return to_kkt(QuadProblem((family or family_one()).members))
 
 
 def qr_solve(sub, rhs):
@@ -289,7 +289,7 @@ class TestMultiplierVertices:
             a_eq = np.vstack([np.stack(others, axis=1), np.ones((1, len(others)))])
             b_eq = np.concatenate([v, [1.0]])
             with pytest.raises(InfeasibleError):
-                lp_solve(np.zeros(len(others)), a_eq, b_eq, [True] * len(others))
+                lp_solve(np.zeros(len(others)), a_eq, b_eq)
 
     def test_inactive_mu_zero(self):
         data = KKTData(
@@ -483,6 +483,20 @@ class TestCriticalConeLineality:
         basis = critical_cone_lineality(data)
         assert basis.shape == (2, 1)
         np.testing.assert_allclose(np.abs(basis[:, 0]), [0.0, 1.0], atol=1e-10)
+
+    @pytest.mark.parametrize("eps", [1e-5, 1e-6, 1e-7, 1e-8])
+    def test_default_cone_passes_the_given_cone_check(self, eps):
+        # one criticality rule: the default cone, given back as a cone, is accepted,
+        # whether the near-parallel pair's second direction is in it or not
+        q, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((3, 3)))
+        grad_h = np.array([[1.0, 0.0, 0.0], [1.0, eps, 0.0]]) @ q.T
+        data = KKTData(grad_f=np.zeros(3), hess_f=np.eye(3), grad_h=grad_h,
+                       hess_h=[np.zeros((3, 3))] * 2)
+        basis = critical_cone_lineality(data)
+        assert basis.shape == (3, 1 if eps > 1e-8 else 2)
+        given = FirstOrderCone(3, basis.T)
+        cone, _, _ = nlp.vertex_hessians(data, given)
+        assert cone is given
 
 
 def multiplier_row(record):

@@ -15,6 +15,7 @@ from conftest import (
     to_kkt,
 )
 from yuancert import numeric_core, quadprob
+from yuancert.instances import parse_instance
 from yuancert.quadprob import jacobian_rank
 from yuancert import (
     InputError,
@@ -41,14 +42,14 @@ E12 = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 def rank3_problem() -> QuadProblem:
-    return QuadProblem(MatrixFamily([E11, E22, E12]))
+    return QuadProblem([E11, E22, E12])
 
 
 def failing_triples(prob: QuadProblem) -> list[tuple[int, int, int]]:
     """Reference: every C(m,3) index triple put through extract_dependence."""
-    syms = prob.matrices.members
+    syms = prob.members
     return [
-        t for t in itertools.combinations(range(prob.m), 3)
+        t for t in itertools.combinations(range(len(prob)), 3)
         if extract_dependence(syms[t[0]], syms[t[1]], syms[t[2]])[1] is not None
     ]
 
@@ -94,13 +95,33 @@ SCAN_FAMILIES = {
 }
 
 
+def quadprob_document(**fields) -> dict:
+    return {"schema_version": "1", "kind": "quadprob",
+            "matrices": [m.tolist() for m in family_one().members], **fields}
+
+
 class TestQuadProblem:
     def test_zero_ray_constant_rejected(self):
-        with pytest.raises(InputError):
-            QuadProblem(family_one(), ray_constant=0.0)
+        with pytest.raises(InputError, match=r"^instance\.ray_constant: expected -1, got 0\.0$"):
+            parse_instance(quadprob_document(ray_constant=0.0))
+
+    @pytest.mark.parametrize("fields", [{}, {"ray_constant": -1.0}, {"ray_constant": -1}],
+                             ids=["absent", "float", "int"])
+    def test_ray_constant_optional_and_minus_one(self, fields):
+        prob = parse_instance(quadprob_document(**fields))
+        assert type(prob) is QuadProblem
+        assert np.array_equal(prob.members, family_one().members)
+
+    def test_is_its_family(self):
+        # no state of its own: the members and the symmetry flag are the family's
+        prob = QuadProblem(family_one().members)
+        assert isinstance(prob, MatrixFamily) and QuadProblem.__slots__ == ()
+        assert prob.order == 2 and len(prob) == 3 and prob.symmetric
+        with pytest.raises(AttributeError):
+            prob.ray_constant = 1.0
 
     def test_asymmetric_rejected_by_pipeline(self):
-        prob = QuadProblem(counterexample_family())
+        prob = QuadProblem(counterexample_family().members)
         with pytest.raises(InputError):
             quad_certificate(prob)
         with pytest.raises(InputError):
@@ -111,41 +132,41 @@ class TestQuadProblem:
 
 class TestJacobianAt:
     def test_at_origin_rank_one(self):
-        prob = QuadProblem(family_one())
+        prob = QuadProblem(family_one().members)
         jac = jacobian_at(prob, np.zeros(2))
         np.testing.assert_allclose(jac[:2], 0.0)
         np.testing.assert_allclose(jac[2], -1.0)
         assert numerical_rank(jac) == 1
 
     def test_counterexample_columns(self):
-        prob = QuadProblem(counterexample_family(), ray_constant=1.0)
+        prob = QuadProblem(counterexample_family().members)
         jac = jacobian_at(prob, [1.0, 2.0])
-        np.testing.assert_allclose(jac.T, [[1, 0, 1], [1, 2, 1], [1, 1, 1]])
+        np.testing.assert_allclose(jac.T, [[1, 0, -1], [1, 2, -1], [1, 1, -1]])
         assert numerical_rank(jac) == 2
 
     def test_counterexample_rank_stays_low(self):
         # symmetry is essential: set rank 3 yet the Jacobian never exceeds 2, which
         # the candidate scan decides exactly for any square members
-        prob = QuadProblem(counterexample_family(), ray_constant=1.0)
+        prob = QuadProblem(counterexample_family().members)
         assert rank_increase_check(prob) is None
         assert jacobian_rank(prob, np.ones(2)) == 2
 
     def test_single_member_null_direction(self):
         a = np.array([[1.0, 0.0], [0.0, 0.0]])
-        prob = QuadProblem(MatrixFamily([a]))
+        prob = QuadProblem([a])
         jac = jacobian_at(prob, [0.0, 5.0])  # a @ x = 0
         assert numerical_rank(jac) == 1
 
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
-            jacobian_at(QuadProblem(family_one()), [1.0, 2.0, 3.0])
+            jacobian_at(QuadProblem(family_one().members), [1.0, 2.0, 3.0])
 
     @pytest.mark.parametrize("length", [1e-320, 1e-300, 1.0, 1e300, 1e308])
     def test_rank_judged_at_unit_length(self, length):
         # the rank is constant along rays, so the size of x cannot decide it, and no
         # product A_i x overflows
         d = np.diag([1.0, -1.0])
-        prob = QuadProblem(MatrixFamily([1e12 * d, -1e12 * d, 1e11 * E11]))
+        prob = QuadProblem([1e12 * d, -1e12 * d, 1e11 * E11])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert jacobian_rank(prob, [length, length]) == 3
@@ -154,9 +175,17 @@ class TestJacobianAt:
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-6, 1.0, 1e12, 1e300])
     @pytest.mark.parametrize("ray", [-1.0, 1e-200, 1e200])
-    def test_rank_free_of_the_ray_constant_size(self, scale, ray):
+    def test_rank_free_of_the_ray_constant_size(self, scale, ray, monkeypatch):
+        # jacobian_rank sets the constant row to the scale of the rows above it, so
+        # whatever constant the Jacobian carries cannot decide the rank
+        def with_constant(prob, x):
+            jac = jacobian_at(prob, x)
+            jac[-1] = ray
+            return jac
+
+        monkeypatch.setattr(quadprob, "jacobian_at", with_constant)
         d = np.diag([1.0, -1.0])
-        prob = QuadProblem(MatrixFamily([scale * d, -scale * d, 0.1 * scale * E11]), ray)
+        prob = QuadProblem([scale * d, -scale * d, 0.1 * scale * E11])
         assert jacobian_rank(prob, np.ones(2)) == 3
         assert jacobian_rank(prob, [1.0, 0.0]) == 2
         assert jacobian_rank(prob, np.zeros(2)) == 1
@@ -164,7 +193,7 @@ class TestJacobianAt:
 
 class TestRankIncreaseCheck:
     def test_family_one_satisfied(self):
-        prob = QuadProblem(family_one())
+        prob = QuadProblem(family_one().members)
         assert jacobian_rank(prob, np.zeros(2)) == 1
         assert rank_increase_check(prob) is None
 
@@ -176,15 +205,15 @@ class TestRankIncreaseCheck:
     def test_example_two_not_satisfied(self):
         # set rank is 2 but the members are not collinear, so the Jacobian
         # rank reaches 3 away from the origin
-        prob = QuadProblem(family_two())
+        prob = QuadProblem(family_two().members)
         x, rank = rank_increase_check(prob)
         assert rank == jacobian_rank(prob, x) == 3
 
     def test_point_past_all_ones(self):
         # rank 2 at the all-ones vector, rank 3 at e_1: the scan goes on to e_1, and
         # quad reports it
-        prob = QuadProblem(MatrixFamily([np.zeros((2, 2)), np.diag([1.0, -1.0]),
-                                         np.array([[0.0, 1.0], [1.0, -2.0]])]))
+        prob = QuadProblem([np.zeros((2, 2)), np.diag([1.0, -1.0]),
+                            np.array([[0.0, 1.0], [1.0, -2.0]])])
         assert jacobian_rank(prob, np.ones(2)) == 2
         x, rank = rank_increase_check(prob)
         assert x.tolist() == [1.0, 0.0] and rank == 3
@@ -198,7 +227,7 @@ class TestRankIncreaseCheck:
         rng = np.random.default_rng(100 + sorted(SCAN_FAMILIES).index(kind))
         for _ in range(40):
             n, m = int(rng.integers(2, 9)), int(rng.integers(3, 13))
-            prob = QuadProblem(SCAN_FAMILIES[kind](rng, n, m))
+            prob = QuadProblem(SCAN_FAMILIES[kind](rng, n, m).members)
             assert (rank_increase_check(prob) is None) == (jacobian_rank_reduce(prob) is None)
 
     def test_fruitless_scan_is_a_numerical_failure(self, monkeypatch):
@@ -248,14 +277,14 @@ class TestExtractDependence:
 class TestJacobianRankReduce:
     def test_repeated_member_rank_one(self):
         a = random_sym(np.random.default_rng(4), 3)
-        prob = QuadProblem(MatrixFamily([a, a, a]))
+        prob = QuadProblem([a, a, a])
         assert jacobian_rank_reduce(prob) is None
-        assert matrix_set_rank(prob.matrices).rank == 1
+        assert matrix_set_rank(prob).rank == 1
 
     def test_family_one_reduces(self):
-        prob = QuadProblem(family_one())
+        prob = QuadProblem(family_one().members)
         assert jacobian_rank_reduce(prob) is None
-        top = matrix_set_rank(prob.matrices)
+        top = matrix_set_rank(prob)
         assert top.rank == 2
         assert top.basis == (0, 1)
 
@@ -269,7 +298,7 @@ class TestJacobianRankReduce:
         # the triple has no affine dependence (1*A1 + 1*A2 + 1*A3 = 0 has
         # coefficient sum 3), so the Jacobian rank reaches 3 somewhere even
         # though the matrix set rank is 2
-        prob = QuadProblem(family_two())
+        prob = QuadProblem(family_two().members)
         result = jacobian_rank_reduce(prob)
         assert result["verdict"] == "hypothesis_violated"
         assert numerical_rank(jacobian_at(prob, result["witness"])) == 3
@@ -278,12 +307,12 @@ class TestJacobianRankReduce:
     def test_scan_agrees_with_triple_loop(self, kind):
         rng = np.random.default_rng(sorted(SCAN_FAMILIES).index(kind))
         for m in range(1 if kind != "near_twin" else 2, 13):
-            prob = QuadProblem(SCAN_FAMILIES[kind](rng, int(rng.integers(2, 7)), m))
+            prob = QuadProblem(SCAN_FAMILIES[kind](rng, int(rng.integers(2, 7)), m).members)
             failing = failing_triples(prob)
             result = jacobian_rank_reduce(prob)
             if not failing:
                 assert result is None, (kind, m)
-                assert matrix_set_rank(prob.matrices).rank <= 2
+                assert matrix_set_rank(prob).rank <= 2
                 continue
             assert violated_triple(result) in failing, (kind, m)
             assert numerical_rank(jacobian_at(prob, result["witness"])) >= 3
@@ -292,7 +321,7 @@ class TestJacobianRankReduce:
         # {1e308 I, -1e308 I, 0} lies on one line; the differences overflow, their
         # halves do not, so the scan and the pipeline decide it with no warning
         big = 1e308 * np.eye(2)
-        prob = QuadProblem(MatrixFamily([big, -big, np.zeros((2, 2))]))
+        prob = QuadProblem([big, -big, np.zeros((2, 2))])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert extract_dependence(np.zeros((2, 2)), big, -big) == (-0.5, None)
@@ -300,14 +329,14 @@ class TestJacobianRankReduce:
             assert quad_certificate(prob)["verdict"] == "certified"
 
     def test_scan_anchor_is_not_a_repeat_of_member_zero(self):
-        prob = QuadProblem(MatrixFamily([E11, E11, E22, E12]))
+        prob = QuadProblem([E11, E11, E22, E12])
         result = jacobian_rank_reduce(prob)
         assert violated_triple(result) in failing_triples(prob)
 
     def test_scan_work_bound(self, monkeypatch):
         # the coordinates of all A_i - A_0 in A_far - A_0 come from one
         # _basis_coordinates call over the 39 differences
-        prob = QuadProblem(random_collinear_family(np.random.default_rng(8), 8, 40))
+        prob = QuadProblem(random_collinear_family(np.random.default_rng(8), 8, 40).members)
         calls = []
 
         def counted(rows, *args):
@@ -322,7 +351,7 @@ class TestJacobianRankReduce:
     def test_scan_eigendecomposes_once(self, monkeypatch):
         # at most once, and in fact never: the scan is a projection, so no
         # spectrum is computed on the way to the rank-<=2 answer
-        prob = QuadProblem(random_collinear_family(np.random.default_rng(8), 8, 40))
+        prob = QuadProblem(random_collinear_family(np.random.default_rng(8), 8, 40).members)
         calls = []
 
         def counted(eigh):
@@ -343,8 +372,8 @@ class TestJacobianRankReduce:
         # extract_dependence on the failing triple (i, far, 0)
         rng = np.random.default_rng(20 + sorted(SCAN_FAMILIES).index(kind))
         for m in range(3, 13):
-            prob = QuadProblem(SCAN_FAMILIES[kind](rng, int(rng.integers(2, 7)), m))
-            syms = prob.matrices.members
+            prob = QuadProblem(SCAN_FAMILIES[kind](rng, int(rng.integers(2, 7)), m).members)
+            syms = prob.members
             gaps = [np.abs(s - syms[0]).max() for s in syms]
             far = int(np.argmax(gaps))
             want = None
@@ -367,9 +396,9 @@ class TestJacobianRankReduce:
         for _ in range(20):
             n = int(rng.integers(2, 5))
             m = int(rng.integers(1, 6))
-            prob = QuadProblem(random_collinear_family(rng, n, m))
+            prob = QuadProblem(random_collinear_family(rng, n, m).members)
             assert jacobian_rank_reduce(prob) is None
-            assert matrix_set_rank(prob.matrices).rank <= 2
+            assert matrix_set_rank(prob).rank <= 2
 
 
 class TestRank3Point:
@@ -383,7 +412,7 @@ class TestRank3Point:
         seen = []
         monkeypatch.setattr(quadprob, "jacobian_rank", lambda prob, x, tol: seen.append(x)
                             or (3 if len(seen) - 1 == hit else 0))
-        found = rank_increase_check(QuadProblem(MatrixFamily([np.diag(np.ones(n))])), 1e-9)
+        found = rank_increase_check(QuadProblem([np.diag(np.ones(n))]), 1e-9)
         assert (found is None) == (hit is None)
         return seen
 
@@ -421,7 +450,7 @@ class TestRank3Point:
 
 class TestQuadCertificate:
     def test_example_one_certified(self):
-        report = quad_certificate(QuadProblem(family_one()))
+        report = quad_certificate(QuadProblem(family_one().members))
         assert report["verdict"] == "certified"
         combined = sum(w * m for w, m in zip(report["weights"], family_one().members))
         assert min_eigenvalue(combined) >= -1e-9 * (1.0 + np.abs(combined).max())
@@ -437,18 +466,18 @@ class TestQuadCertificate:
         # the Jacobian rank-increase premise fails for this family, so the
         # pipeline reports a hypothesis violation; the PSD combination still
         # exists and the set-rank route finds it
-        report = quad_certificate(QuadProblem(family_two()))
+        report = quad_certificate(QuadProblem(family_two().members))
         assert report["verdict"] == "hypothesis_violated"
-        soc = second_order_certificate(to_kkt(QuadProblem(family_two())))
+        soc = second_order_certificate(to_kkt(QuadProblem(family_two().members)))
         assert soc["verdict"] == "certified"
 
     def test_near_twin_family_refuted(self):
         # the normalized differences have set rank 2, yet every triple is
         # dependent at tol, so the family reaches certify_rank2 and is refuted
-        prob = QuadProblem(near_twin_family(np.random.default_rng(0), 6, 6))
+        prob = QuadProblem(near_twin_family(np.random.default_rng(0), 6, 6).members)
         assert quad_certificate(prob)["verdict"] == "refuted"
 
-    def test_sampled_check_off_the_pipeline(self, monkeypatch):
+    def test_collinear_family_never_reaches_the_scan(self, monkeypatch):
         # planted refutation: every member of C + s*D takes -1 at z0
         rng = np.random.default_rng(9)
         n = 8
@@ -458,7 +487,7 @@ class TestQuadCertificate:
         c = c - (z0 @ c @ z0 + 1.0) * np.outer(z0, z0)
         d = random_sym(rng, n)
         d = d - (z0 @ d @ z0) * np.outer(z0, z0)
-        prob = QuadProblem(MatrixFamily([c + s * d for s in np.linspace(-1.0, 1.0, 40)]))
+        prob = QuadProblem([c + s * d for s in np.linspace(-1.0, 1.0, 40)])
 
         def forbidden(*args, **kwargs):
             raise AssertionError("quad_certificate called rank_increase_check")
@@ -467,16 +496,17 @@ class TestQuadCertificate:
         out = quad_certificate(prob)
         assert out["verdict"] == "refuted"
         x = out["witness"]
-        assert max(x @ m @ x for m in prob.matrices.members) < 0.0
+        assert max(x @ m @ x for m in prob.members) < 0.0
 
     def test_requires_optimization_ray_constant(self):
-        with pytest.raises(InputError):
-            quad_certificate(QuadProblem(family_one(), ray_constant=1.0))
+        # the epigraph constraints fix the constant; the parser rejects any other
+        with pytest.raises(InputError, match=r"^instance\.ray_constant: expected -1, got 1\.0$"):
+            parse_instance(quadprob_document(ray_constant=1.0))
 
 
 class TestToKkt:
     def test_example_one_data(self):
-        data = to_kkt(QuadProblem(family_one()))
+        data = to_kkt(QuadProblem(family_one().members))
         assert data.n == 3 and data.p1 == 0 and data.p2 == 3
         assert data.active == (0, 1, 2)
         np.testing.assert_allclose(data.grad_f, [0.0, 0.0, 1.0])
@@ -489,7 +519,7 @@ class TestToKkt:
         np.testing.assert_allclose(basis @ basis.T, np.diag([1.0, 1.0, 0.0]), atol=1e-10)
 
     def test_single_identity_member(self):
-        data = to_kkt(QuadProblem(MatrixFamily([np.eye(2)])))
+        data = to_kkt(QuadProblem([np.eye(2)]))
         vertices = multiplier_vertices(data)
         assert len(vertices) == 1
         np.testing.assert_allclose(vertices[0], [1.0])
@@ -502,7 +532,7 @@ class TestToKkt:
             n = int(rng.integers(2, 5))
             m = int(rng.integers(1, 6))
             fam = random_collinear_family(rng, n, m)
-            prob = QuadProblem(fam)
+            prob = QuadProblem(fam.members)
             direct = quad_certificate(prob)
             via_kkt = second_order_certificate(to_kkt(prob))
             assert direct["verdict"] == via_kkt["verdict"]
